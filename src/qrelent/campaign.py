@@ -28,12 +28,12 @@ from .linop import (
     Tolerances,
     extended_log,
     frobenius,
-    support_contained,
     support_leakage,
     support_projector,
     validate_density,
+    _kept,
 )
-from .entropy import ProbabilityVector
+from .entropy import ProbabilityVector, quantum_relative_entropy, von_neumann_entropy
 from .mixing import (
     OrthogonalDecomposition,
     classical_embedding_check,
@@ -42,7 +42,7 @@ from .mixing import (
     lemma1_log_decomposition,
     theorem1_breakdown,
 )
-from .lueders import ProjectiveObservable, corollary1_check, corollary2_check, lueders_state, theorem2_check
+from .lueders import ProjectiveObservable, corollary2_check, lueders_state, theorem2_check
 from .stategen import (
     GenSpec,
     derive_seed,
@@ -51,6 +51,7 @@ from .stategen import (
     random_density,
     random_refinement,
     random_state_in_support,
+    _composition,
 )
 
 __all__ = [
@@ -138,9 +139,15 @@ def _sub_seed(rng: np.random.Generator) -> int:
 
 def _min_nonzero_eig(state: DensityOperator, tol: Tolerances) -> float:
     w = state.spectrum.eigenvalues
-    cutoff = tol.rank * float(w[-1])
-    kept = [x for x in w.tolist() if x > cutoff]
-    return min(kept)
+    return min(w[_kept(w, tol)].tolist())
+
+
+# What a trial returns: (lhs finite, rhs finite, residual, min_nonzero_eig,
+# leakage), with residual None unless both sides are finite; ``run_one``
+# turns it into a TrialRecord.  Identities that claim a finite value
+# (corollary1, corollary2, theorem2) pass their claimed side as finite,
+# so any infinity is an infinite-mismatch and fails.
+_Outcome = tuple[bool, bool, float | None, float | None, float | None]
 
 
 def _verdict(lhs_finite: bool, rhs_finite: bool, residual: float | None, tol: Tolerances):
@@ -151,15 +158,6 @@ def _verdict(lhs_finite: bool, rhs_finite: bool, residual: float | None, tol: To
     if lhs_finite != rhs_finite:
         return INFINITE_MISMATCH, False
     return INFINITE_CONSISTENT, True
-
-
-def _random_sizes(rng: np.random.Generator, dim: int, n_blocks: int) -> list[int]:
-    """An ordered composition of ``dim`` into ``n_blocks`` positive parts."""
-    if n_blocks == 1:
-        return [dim]
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False))
-    edges = [0, *cuts.tolist(), dim]
-    return [edges[i + 1] - edges[i] for i in range(len(edges) - 1)]
 
 
 def _random_weights(rng: np.random.Generator, n: int, allow_zero: bool) -> np.ndarray:
@@ -194,51 +192,28 @@ def _mixture_fixture(
 
 def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list[Projector]:
     n_blocks = int(rng.integers(2, min(dim, 4) + 1))
-    sizes = _random_sizes(rng, dim, n_blocks)
+    sizes = _composition(rng, dim, n_blocks)
     return random_block_projectors(GenSpec(dim=dim, seed=_sub_seed(rng), block_sizes=tuple(sizes)), tol)
 
 
-def _trial_lemma1(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_lemma1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
     lhs = extended_log(d.sigma.matrix, cfg.tol)
     rhs = lemma1_log_decomposition(d, cfg.tol)
-    residual = frobenius(lhs - rhs)
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=_min_nonzero_eig(d.sigma, cfg.tol),
-        leakage=None,
-        passed=residual <= cfg.tol.identity,
-    )
+    return True, True, frobenius(lhs - rhs), _min_nonzero_eig(d.sigma, cfg.tol), None
 
 
-def _trial_eq3a(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_eq3a(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
     lhs, rhs = entropy_mixing_identity(d, cfg.tol)
-    residual = abs(lhs - rhs)
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=_min_nonzero_eig(d.sigma, cfg.tol),
-        leakage=None,
-        passed=residual <= cfg.tol.identity,
-    )
+    return True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma, cfg.tol), None
 
 
 def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
     return cfg.include_infinite and trial % 3 == 2
 
 
-def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     tol = cfg.tol
     if _infinite_slot(cfg, trial):
         # Confine sigma to all blocks but the last; give rho mass there,
@@ -267,16 +242,12 @@ def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> Trial
             rho = random_state_in_support(supp, rank, _sub_seed(rng), tol)
 
     bd = theorem1_breakdown(rho, d, tol)
-    residual, passed = _verdict(bd.total_lhs.is_finite, bd.total_rhs.is_finite, bd.residual, tol)
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=_min_nonzero_eig(d.sigma, tol),
-        leakage=support_leakage(rho, d.sigma, tol),
-        passed=passed,
+    return (
+        bd.total_lhs.is_finite,
+        bd.total_rhs.is_finite,
+        bd.residual,
+        _min_nonzero_eig(d.sigma, tol),
+        support_leakage(rho, d.sigma, tol),
     )
 
 
@@ -285,58 +256,29 @@ def _random_probe(rng: np.random.Generator, dim: int, include_singular: bool, to
     return random_density(GenSpec(dim=dim, rank=rank, seed=_sub_seed(rng)), tol)
 
 
-def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     tol = cfg.tol
     blocks = _blocks_fixture(rng, dim, tol)
     obs = ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol)
     rho = _random_probe(rng, dim, cfg.include_singular, tol)
-    direct, gap = corollary1_check(rho, obs, tol)
     rho_l = lueders_state(rho, obs, tol)
-    support_ok = support_contained(rho, rho_l, tol)
-    if direct.is_finite and support_ok:
-        residual = abs(direct.value - gap)
-        passed = residual <= tol.identity
-    else:
-        residual, passed = INFINITE_MISMATCH, False
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=_min_nonzero_eig(rho_l, tol),
-        leakage=support_leakage(rho, rho_l, tol),
-        passed=passed,
-    )
+    direct = quantum_relative_entropy(rho, rho_l, tol)
+    gap = von_neumann_entropy(rho_l, tol) - von_neumann_entropy(rho, tol)
+    residual = abs(direct.value - gap) if direct.is_finite else None
+    return direct.is_finite, True, residual, _min_nonzero_eig(rho_l, tol), support_leakage(rho, rho_l, tol)
 
 
-def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     tol = cfg.tol
     blocks = _blocks_fixture(rng, dim, tol)
     pair = random_refinement(blocks, _sub_seed(rng), tol, rank_one=bool(rng.random() < 0.25))
     rho = _random_probe(rng, dim, cfg.include_singular, tol)
     report, composition = corollary2_check(rho, pair, tol)
-    if report.all_finite:
-        residual = max(report.residual, composition)
-        passed = residual <= tol.identity
-    else:
-        residual, passed = INFINITE_MISMATCH, False
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=None,
-        leakage=None,
-        passed=passed,
-    )
+    residual = max(report.residual, composition) if report.all_finite else None
+    return report.all_finite, True, residual, None, None
 
 
-def _trial_corollary3(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_corollary3(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     tol = cfg.tol
     k = int(rng.integers(2, dim + 1))
     p = rng.dirichlet(np.ones(k)) + 0.05
@@ -353,25 +295,11 @@ def _trial_corollary3(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> Tri
     classical, quantum = classical_embedding_check(
         ProbabilityVector.validated(p, tol), ProbabilityVector.validated(w, tol), basis, tol
     )
-    if classical.is_finite and quantum.is_finite:
-        residual: float | str = abs(classical.value - quantum.value)
-        passed = residual <= tol.identity
-    else:
-        residual, passed = _verdict(classical.is_finite, quantum.is_finite, None, tol)
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=None,
-        leakage=None,
-        passed=passed,
-    )
+    residual = abs(classical.value - quantum.value) if classical.is_finite and quantum.is_finite else None
+    return classical.is_finite, quantum.is_finite, residual, None, None
 
 
-def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
+def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     tol = cfg.tol
     degenerate = trial % 4 == 1
     if degenerate:
@@ -390,21 +318,7 @@ def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, seed: int) -> Trial
     supp = support_projector(sigma, tol)
     rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
     report, _middle = theorem2_check(rho, sigma, tol)
-    if report.all_finite:
-        residual: float | str = report.residual
-        passed = residual <= tol.identity
-    else:
-        residual, passed = INFINITE_MISMATCH, False
-    return TrialRecord(
-        identity=cfg.identity,
-        dim=dim,
-        trial=trial,
-        seed=seed,
-        residual=residual,
-        min_nonzero_eig=_min_nonzero_eig(sigma, tol),
-        leakage=support_leakage(rho, sigma, tol),
-        passed=passed,
-    )
+    return report.all_finite, True, report.residual, _min_nonzero_eig(sigma, tol), support_leakage(rho, sigma, tol)
 
 
 _TRIALS = {
@@ -432,7 +346,19 @@ def run_campaign(config: VerifyConfig, threads: int = 1) -> CampaignResult:
 
     def run_one(job: tuple[int, int]) -> TrialRecord:
         dim, t = job
-        return trial_fn(config, dim, t, derive_seed(config.seed, dim, t))
+        seed = derive_seed(config.seed, dim, t)
+        lhs_finite, rhs_finite, residual, min_eig, leakage = trial_fn(config, dim, t, np.random.default_rng(seed))
+        residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
+        return TrialRecord(
+            identity=config.identity,
+            dim=dim,
+            trial=t,
+            seed=seed,
+            residual=residual,
+            min_nonzero_eig=min_eig,
+            leakage=leakage,
+            passed=passed,
+        )
 
     start = time.perf_counter()
     if threads == 1:

@@ -45,8 +45,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 def _tolerances(args) -> Tolerances:
     if args.tol is None:
         return DEFAULT_TOL
-    if args.tol <= 0:
-        raise QrelentError(f"--tol must be positive, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise QrelentError(f"--tol must be a finite positive number, got {args.tol}")
     return DEFAULT_TOL.replace(identity=args.tol)
 
 

@@ -19,8 +19,8 @@ from .linop import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
-    extended_log,
     support_contained,
+    _kept,
 )
 
 __all__ = [
@@ -97,7 +97,7 @@ class ProbabilityVector:
             raise NotPositiveError(f"negative probability {float(p.min()):.3e}")
         p = np.clip(p, 0.0, None)
         total = math.fsum(float(x) for x in p)
-        if abs(total - 1.0) > tol.trace:
+        if not (abs(total - 1.0) <= tol.trace):
             raise BadTraceError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         return cls(probs=p)
@@ -139,22 +139,21 @@ def classical_relative_entropy(
     )
 
 
+def _spectral_entropy(w: np.ndarray, tol: Tolerances) -> float:
+    """``-sum x ln x`` over the kept eigenvalues of an ascending spectrum.
+
+    The ``+ 0.0`` turns the ``-0.0`` of an all-zero sum into ``0.0``.
+    """
+    return -math.fsum(x * math.log(x) for x in w[_kept(w, tol)].tolist()) + 0.0
+
+
 def von_neumann_entropy(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
     """Von Neumann entropy ``S(rho) = -tr(rho ln rho)`` in nats.
 
     Computed from the validated spectrum; eigenvalues at or below
     ``tol.rank * lam_max`` count as zero and contribute nothing.
     """
-    w = rho.spectrum.eigenvalues
-    cutoff = tol.rank * float(w[-1])
-    return -math.fsum(x * math.log(x) for x in w.tolist() if x > cutoff) + 0.0
-
-
-def _spectrum_log_moment(rho: DensityOperator, tol: Tolerances) -> float:
-    """``tr(rho ln rho)`` over the support of ``rho``."""
-    w = rho.spectrum.eigenvalues
-    cutoff = tol.rank * float(w[-1])
-    return math.fsum(x * math.log(x) for x in w.tolist() if x > cutoff)
+    return _spectral_entropy(rho.spectrum.eigenvalues, tol)
 
 
 def quantum_relative_entropy(
@@ -171,7 +170,10 @@ def quantum_relative_entropy(
 
     evaluated, with ``logz`` the kernel-extended logarithm; the kernel
     of ``sigma`` then carries no weight of ``rho``, so the extension by
-    zero does not distort the value.
+    zero does not distort the value.  Both terms come from the states'
+    validated spectra: ``tr(rho logz(sigma))`` is
+    ``sum_k <v_k|rho|v_k> ln(lam_k)`` over the kept eigenpairs of
+    ``sigma``, so no further eigensolve runs.
 
     Raises
     ------
@@ -182,7 +184,10 @@ def quantum_relative_entropy(
         raise DimensionMismatchError(f"states on dims {rho.dim} and {sigma.dim}")
     if not support_contained(rho, sigma, tol):
         return INFINITY
-    first = _spectrum_log_moment(rho, tol)
-    log_sigma = extended_log(sigma.matrix, tol)
-    second = float(np.einsum("ij,ji->", rho.matrix, log_sigma).real)
-    return ExtendedReal.finite(first - second)
+    spec = sigma.spectrum
+    keep = _kept(spec.eigenvalues, tol)
+    v = spec.eigenvectors[:, keep]
+    populations = ((rho.matrix @ v) * v.conj()).sum(axis=0).real
+    cross = math.fsum(p * math.log(lam) for p, lam in zip(populations.tolist(), spec.eigenvalues[keep].tolist()))
+    # ``+ 0.0`` so that S(rho||rho) of a pure state is 0.0, not -0.0.
+    return ExtendedReal.finite(-von_neumann_entropy(rho, tol) - cross + 0.0)

@@ -189,7 +189,7 @@ class Projector:
         """
         m = symmetrize(raw, tol)
         defect = frobenius(m @ m - m)
-        if defect > tol.idem * max(1.0, frobenius(m)):
+        if not (defect <= tol.idem * max(1.0, frobenius(m))):
             raise NotIdempotentError(f"projector defect ||P^2 - P||_F = {defect:.3e}")
         rank = int(round(float(np.trace(m).real)))
         return cls(matrix=_readonly(m), rank=rank)
@@ -217,7 +217,7 @@ def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
     scale = frobenius(m)
     defect = frobenius(m - m.conj().T)
-    if defect > tol.herm * max(scale, 1e-300):
+    if not (defect <= tol.herm * max(scale, 1e-300)):
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds {tol.herm:.1e} * ||M||_F = {tol.herm * scale:.3e}"
         )
@@ -243,10 +243,10 @@ def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposi
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"eigensolver failed: {exc}") from exc
     gram_defect = float(np.abs(v.conj().T @ v - np.eye(m.shape[0])).max())
-    if gram_defect > tol.orth:
+    if not (gram_defect <= tol.orth):
         raise SolverFailureError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
     recon_defect = frobenius((v * w) @ v.conj().T - m)
-    if recon_defect > tol.recon * max(1.0, frobenius(m)):
+    if not (recon_defect <= tol.recon * max(1.0, frobenius(m))):
         raise SolverFailureError(f"spectral reconstruction error {recon_defect:.3e}")
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
 
@@ -267,10 +267,10 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     m = symmetrize(raw, tol)
     spec = eigh(m, tol)
     w = spec.eigenvalues
-    if float(w[0]) < -tol.psd:
+    if not (float(w[0]) >= -tol.psd):
         raise NotPositiveError(f"smallest eigenvalue {float(w[0]):.3e} below -{tol.psd:.1e}")
     trace = math.fsum(float(x) for x in w)
-    if abs(trace - 1.0) > tol.trace:
+    if not (abs(trace - 1.0) <= tol.trace):
         raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
     w = np.clip(w, 0.0, None)
     w = w / math.fsum(float(x) for x in w)
@@ -281,14 +281,20 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     return DensityOperator(matrix=_readonly(matrix), spectrum=cleaned)
 
 
-def _support_columns(spec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
-    """Eigenvector columns whose eigenvalues count as nonzero."""
-    w = spec.eigenvalues
+def _kept(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Mask of the ascending eigenvalues ``w`` that count as nonzero.
+
+    Keeps ``w > tol.rank * lam_max``, and nothing when ``lam_max <= 0``.
+    """
     lam_max = float(w[-1])
     if lam_max <= 0.0:
-        return spec.eigenvectors[:, :0]
-    keep = w > tol.rank * lam_max
-    return spec.eigenvectors[:, keep]
+        return np.zeros(w.shape, dtype=bool)
+    return w > tol.rank * lam_max
+
+
+def _support_columns(spec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
+    """Eigenvector columns whose eigenvalues count as nonzero."""
+    return spec.eigenvectors[:, _kept(spec.eigenvalues, tol)]
 
 
 def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
@@ -327,13 +333,11 @@ def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     m = symmetrize(matrix, tol)
     spec = eigh(m, tol)
     w = spec.eigenvalues
-    if float(w[0]) < -tol.psd:
+    if not (float(w[0]) >= -tol.psd):
         raise NotPositiveError(f"extended log of a non-positive matrix (lambda_min = {float(w[0]):.3e})")
-    lam_max = float(w[-1])
     logs = np.zeros_like(w)
-    if lam_max > 0.0:
-        keep = w > tol.rank * lam_max
-        logs[keep] = np.log(w[keep])
+    keep = _kept(w, tol)
+    logs[keep] = np.log(w[keep])
     v = spec.eigenvectors
     out = (v * logs) @ v.conj().T
     return (out + out.conj().T) / 2.0

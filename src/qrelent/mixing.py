@@ -42,6 +42,7 @@ from .entropy import (
     quantum_relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
+    _spectral_entropy,
 )
 
 __all__ = [
@@ -186,12 +187,7 @@ def _entropy_of_psd(matrix: np.ndarray, tol: Tolerances) -> float:
     require unit trace, so it applies to the raw pinched matrix even
     when that matrix is subnormalized.
     """
-    w = np.linalg.eigvalsh(matrix)
-    lam_max = float(w[-1])
-    if lam_max <= 0.0:
-        return 0.0
-    cutoff = tol.rank * lam_max
-    return -math.fsum(x * math.log(x) for x in w.tolist() if x > cutoff) + 0.0
+    return _spectral_entropy(np.linalg.eigvalsh(matrix), tol)
 
 
 def _conditional_states(

@@ -149,16 +149,20 @@ def random_state_in_support(
     return validate_density(basis @ small @ basis.conj().T, tol)
 
 
-def _random_composition(rng: np.random.Generator, total: int) -> list[int]:
-    """A uniformly random ordered composition of ``total``."""
-    if total == 1:
-        return [1]
-    n_parts = int(rng.integers(1, total + 1))
+def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int]:
+    """A random ordered composition of ``total`` into ``n_parts`` positive parts."""
     if n_parts == 1:
         return [total]
     cuts = np.sort(rng.choice(np.arange(1, total), size=n_parts - 1, replace=False))
     edges = [0, *cuts.tolist(), total]
     return [edges[i + 1] - edges[i] for i in range(len(edges) - 1)]
+
+
+def _random_composition(rng: np.random.Generator, total: int) -> list[int]:
+    """A uniformly random ordered composition of ``total``."""
+    if total == 1:
+        return [1]
+    return _composition(rng, total, int(rng.integers(1, total + 1)))
 
 
 def random_refinement(

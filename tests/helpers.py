@@ -32,6 +32,23 @@ def span_projector(columns: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return keep @ keep.conj().T
 
 
+def count_solver_calls(monkeypatch) -> list:
+    """Count every ``numpy.linalg.eigh``/``eigvalsh`` call from here on.
+
+    Returns a list that grows by one entry per call.
+    """
+    calls: list = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def exp_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via its spectrum."""
     w, v = np.linalg.eigh(np.asarray(matrix, dtype=complex))

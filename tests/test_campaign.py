@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import count_solver_calls
 from qrelent import ConfigError
 from qrelent.campaign import (
     IDENTITIES,
@@ -53,6 +54,15 @@ def test_small_campaign_passes(identity):
     for rec in result.records:
         assert rec.passed
         assert rec.identity == identity
+
+
+def test_corollary1_trial_builds_lueders_state_once(monkeypatch):
+    # One eigensolve validates the probe state, one the Lueders state;
+    # the relative entropy reads both cached spectra.
+    calls = count_solver_calls(monkeypatch)
+    result = run_campaign(VerifyConfig(identity="corollary1", dims=(4,), trials=1, seed=7))
+    assert result.failures == 0
+    assert len(calls) == 2
 
 
 def test_report_is_deterministic():

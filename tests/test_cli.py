@@ -45,6 +45,21 @@ def test_compute_infinite(qubit_files, capsys):
     assert "S(rho||sigma) = inf nats" in out
 
 
+def test_compute_self_distance_of_pure_state_is_zero(tmp_path, capsys):
+    psi = tmp_path / "psi.json"
+    save_matrix(psi, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
+    assert main(["compute", str(psi), str(psi)]) == 0
+    assert "S(rho||sigma) = 0 nats" in capsys.readouterr().out
+
+
+def test_compute_rejects_nan_file(tmp_path, qubit_files, capsys):
+    _, sigma = qubit_files
+    bad = tmp_path / "nan.json"
+    save_matrix(bad, np.array([[math.nan, 0.0], [0.0, 1.0]], dtype=complex))
+    assert main(["compute", str(bad), sigma]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_compute_missing_file(tmp_path, qubit_files, capsys):
     rho, _ = qubit_files
     assert main(["compute", rho, str(tmp_path / "absent.json")]) == 2
@@ -98,6 +113,13 @@ def test_verify_absurd_tolerance_rejects_block_fixtures(tmp_path, monkeypatch, c
     code = main(["verify", "lemma1", "--dims", "2", "--trials", "2", "--tol", "1e-30"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_rejects_non_finite_tolerance(tmp_path, monkeypatch, capsys, tol):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "lemma1", "--dims", "2", "--trials", "1", "--tol", tol]) == 2
+    assert "--tol must be a finite positive number" in capsys.readouterr().err
 
 
 def test_verify_reports_byte_identical(tmp_path, monkeypatch, capsys):

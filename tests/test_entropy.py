@@ -16,6 +16,7 @@ from qrelent import (
     LengthMismatchError,
     NotPositiveError,
     ProbabilityVector,
+    QrelentError,
     classical_relative_entropy,
     haar_unitary,
     quantum_relative_entropy,
@@ -24,7 +25,7 @@ from qrelent import (
     validate_density,
     von_neumann_entropy,
 )
-from helpers import diag_state, pure
+from helpers import count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
 
@@ -73,6 +74,18 @@ def test_probability_vector_rejects_bad_sum():
 def test_probability_vector_rejects_matrix():
     with pytest.raises(LengthMismatchError):
         ProbabilityVector.validated([[0.5, 0.5]])
+
+
+@given(
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    rest=st.lists(st.floats(0.0, 1.0), max_size=4),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=60)
+def test_probability_vector_rejects_non_finite(value, rest, data):
+    pos = data.draw(st.integers(0, len(rest)))
+    with pytest.raises(QrelentError):
+        ProbabilityVector.validated([*rest[:pos], value, *rest[pos:]])
 
 
 def test_probability_vector_readonly():
@@ -192,6 +205,19 @@ def test_qre_infinite_when_support_leaks():
 def test_qre_self_distance_zero():
     rho = random_density(GenSpec(dim=4, seed=5))
     assert quantum_relative_entropy(rho, rho).value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_qre_self_distance_exact_for_pure_state():
+    value = quantum_relative_entropy(pure([1.0, 1j]), pure([1.0, 1j])).value
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_qre_reads_cached_spectra(monkeypatch):
+    rho = random_density(GenSpec(dim=4, rank=2, seed=3))
+    sigma = random_density(GenSpec(dim=4, seed=4))
+    calls = count_solver_calls(monkeypatch)
+    assert quantum_relative_entropy(rho, sigma).is_finite
+    assert calls == []
 
 
 def test_qre_matches_classical_for_commuting_states():

@@ -16,6 +16,7 @@ from qrelent import (
     NotOrthogonalError,
     NotPositiveError,
     Projector,
+    QrelentError,
     Tolerances,
     eigh,
     extended_log,
@@ -77,6 +78,29 @@ def test_eigh_oracle_pauli_x():
     gram = spec.eigenvectors.conj().T @ spec.eigenvectors
     assert np.allclose(gram, np.eye(2), atol=ATOL)
     assert frobenius(spec.reconstruct() - np.array([[0, 1], [1, 0]])) < ATOL
+
+
+@given(
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    dim=st.integers(1, 4),
+    imaginary=st.booleans(),
+    mirror=st.sampled_from([None, 1.0, -1.0]),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=120)
+def test_non_finite_matrix_entry_raises(value, dim, imaginary, mirror, data):
+    # One non-finite entry, optionally mirrored (or anti-mirrored) to
+    # the transposed position, in an otherwise valid input.
+    i = data.draw(st.integers(0, dim - 1))
+    j = data.draw(st.integers(0, dim - 1))
+    entry = complex(0.0, value) if imaginary else complex(value, 0.0)
+    for check, scale in ((validate_density, 1.0 / dim), (extended_log, 1.0), (Projector.validated, 1.0)):
+        m = np.eye(dim, dtype=complex) * scale
+        m[i, j] = entry
+        if mirror is not None and i != j:
+            m[j, i] = mirror * entry.conjugate()
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(QrelentError):
+            check(m)
 
 
 # -- validate_density ---------------------------------------------------
