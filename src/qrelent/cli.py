@@ -67,17 +67,11 @@ def cmd_compute(args) -> int:
 def _basis_blocks(sizes: tuple[int, ...], dim: int) -> list[Projector]:
     if sum(sizes) != dim:
         raise QrelentError(f"--blocks {','.join(map(str, sizes))} must sum to the dimension {dim}")
-    blocks = []
-    start = 0
-    for s in sizes:
-        if s < 1:
-            raise QrelentError("block sizes must be positive")
-        m = np.zeros((dim, dim), dtype=complex)
-        for i in range(start, start + s):
-            m[i, i] = 1.0
-        blocks.append(Projector.validated(m))
-        start += s
-    return blocks
+    if any(s < 1 for s in sizes):
+        raise QrelentError("block sizes must be positive")
+    edges = np.cumsum((0, *sizes)).tolist()
+    identity = np.eye(dim, dtype=complex)
+    return [Projector.from_basis(identity[:, a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def cmd_breakdown(args) -> int:

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LengthMismatchError, NotPositiveError, BadTraceError
+from .errors import LengthMismatchError, NotPositiveError, BadTraceError
 from .linop import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
-    support_contained,
     _kept,
+    _support_populations,
 )
 
 __all__ = [
@@ -93,8 +93,9 @@ class ProbabilityVector:
         p = np.asarray(raw, dtype=float).copy()
         if p.ndim != 1:
             raise LengthMismatchError(f"expected a 1-D vector, got shape {p.shape}")
-        if float(p.min(initial=0.0)) < -tol.psd:
-            raise NotPositiveError(f"negative probability {float(p.min()):.3e}")
+        lowest = float(p.min(initial=0.0))
+        if not (lowest >= -tol.psd):
+            raise NotPositiveError(f"negative probability {lowest:.3e}")
         p = np.clip(p, 0.0, None)
         total = math.fsum(float(x) for x in p)
         if not (abs(total - 1.0) <= tol.trace):
@@ -173,21 +174,18 @@ def quantum_relative_entropy(
     zero does not distort the value.  Both terms come from the states'
     validated spectra: ``tr(rho logz(sigma))`` is
     ``sum_k <v_k|rho|v_k> ln(lam_k)`` over the kept eigenpairs of
-    ``sigma``, so no further eigensolve runs.
+    ``sigma``, so no further eigensolve runs.  The populations
+    ``<v_k|rho|v_k>`` are those the support test sums.
 
     Raises
     ------
     DimensionMismatchError
         If the states live on different dimensions.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"states on dims {rho.dim} and {sigma.dim}")
-    if not support_contained(rho, sigma, tol):
+    populations, leakage = _support_populations(rho, sigma, tol)
+    if not (leakage <= tol.supp):
         return INFINITY
-    spec = sigma.spectrum
-    keep = _kept(spec.eigenvalues, tol)
-    v = spec.eigenvectors[:, keep]
-    populations = ((rho.matrix @ v) * v.conj()).sum(axis=0).real
-    cross = math.fsum(p * math.log(lam) for p, lam in zip(populations.tolist(), spec.eigenvalues[keep].tolist()))
+    w = sigma.spectrum.eigenvalues
+    cross = math.fsum(p * math.log(lam) for p, lam in zip(populations, w[_kept(w, tol)].tolist()))
     # ``+ 0.0`` so that S(rho||rho) of a pure state is 0.0, not -0.0.
     return ExtendedReal.finite(-von_neumann_entropy(rho, tol) - cross + 0.0)

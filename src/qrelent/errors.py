@@ -2,7 +2,8 @@
 
 Every error raised on purpose by this package derives from
 :class:`QrelentError`, so callers can catch one base class at API
-boundaries (the CLI maps them to exit code 2).
+boundaries (the CLI maps them to exit code 2).  The errors for bad
+argument values also derive from :class:`ValueError`.
 """
 
 
@@ -23,6 +24,10 @@ class BadTraceError(QrelentError):
     """A density matrix input whose trace is not 1 within tolerance."""
 
 
+class BadToleranceError(QrelentError, ValueError):
+    """A tolerance that is not a finite positive float."""
+
+
 class SolverFailureError(QrelentError):
     """The underlying eigensolver failed to converge or produced a
     decomposition that does not satisfy the quality checks."""
@@ -38,6 +43,16 @@ class NotOrthogonalError(QrelentError):
 
 class NotOrthonormalError(QrelentError):
     """A set of vectors required to be orthonormal is not."""
+
+
+class NotDiagonalizingError(QrelentError, ValueError):
+    """A basis offered as an eigenbasis does not diagonalize the state."""
+
+
+class BadObservableError(QrelentError, ValueError):
+    """Eigenvalues and projectors that do not form a projective observable:
+    counts that differ, repeated eigenvalues, or a family that does not
+    resolve the identity."""
 
 
 class MassLossError(QrelentError):

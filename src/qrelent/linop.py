@@ -16,22 +16,28 @@ Conventions
 * Scalar sums over eigenvalues use :func:`math.fsum`, so results do not
   depend on summation order.
 * Arrays stored on the frozen value types are marked read-only.
+* A projector is stored as an orthonormal basis ``V`` of its range, and
+  the maps on projector families work in that frame: ``V^dag M V``
+  rather than ``P M P``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BadToleranceError,
     BadTraceError,
     DimensionMismatchError,
     MassLossError,
     NotHermitianError,
     NotIdempotentError,
     NotOrthogonalError,
+    NotOrthonormalError,
     NotPositiveError,
     SolverFailureError,
 )
@@ -111,7 +117,7 @@ class Tolerances:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if not (isinstance(value, float) and value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"tolerance {name!r} must be a finite positive float, got {value!r}")
+                raise BadToleranceError(f"tolerance {name!r} must be a finite positive float, got {value!r}")
 
     def replace(self, **changes: float) -> "Tolerances":
         """A copy with the given fields changed."""
@@ -167,18 +173,55 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Projector:
-    """An orthogonal (Hermitian, idempotent) projector with known rank."""
+    """An orthogonal projector, stored as an orthonormal basis of its range.
 
-    matrix: np.ndarray
-    rank: int
+    ``basis`` is a read-only ``dim x rank`` isometry ``V``; the projector
+    is ``V V^dag``, which :attr:`matrix` derives on first access.
+    Construct through :meth:`from_basis` (orthonormal columns),
+    :meth:`validated` (a projector matrix) or :meth:`zero`.
+    """
+
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.basis.shape[0])
+
+    @property
+    def rank(self) -> int:
+        return int(self.basis.shape[1])
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """``V V^dag`` as a read-only ``dim x dim`` array."""
+        p = self.basis @ self.basis.conj().T
+        return _readonly((p + p.conj().T) / 2.0)
+
+    @classmethod
+    def from_basis(cls, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "Projector":
+        """The projector onto the span of orthonormal columns.
+
+        Raises
+        ------
+        NotOrthonormalError
+            If ``cols`` is not a 2-D array of at most ``dim`` columns
+            whose Gram matrix is within ``tol.orth`` of the identity,
+            entrywise.
+        """
+        v = np.array(cols, dtype=complex)
+        if v.ndim != 2 or v.shape[1] > v.shape[0]:
+            raise NotOrthonormalError(f"expected at most dim orthonormal columns, got shape {v.shape}")
+        defect = _gram_defect(v)
+        if not (defect <= tol.orth):
+            raise NotOrthonormalError(f"basis columns not orthonormal: defect {defect:.3e}")
+        return cls(basis=_readonly(v))
 
     @classmethod
     def validated(cls, raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> "Projector":
         """Validate an externally supplied matrix as an orthogonal projector.
+
+        The range is read off one checked eigendecomposition: the
+        eigenvectors with eigenvalue above 1/2.
 
         Raises
         ------
@@ -186,18 +229,20 @@ class Projector:
             If ``raw`` is not square or not Hermitian within ``tol.herm``.
         NotIdempotentError
             If ``||P @ P - P||_F > tol.idem``.
+        SolverFailureError
+            If the eigendecomposition fails its quality checks.
         """
         m = symmetrize(raw, tol)
         defect = frobenius(m @ m - m)
         if not (defect <= tol.idem * max(1.0, frobenius(m))):
             raise NotIdempotentError(f"projector defect ||P^2 - P||_F = {defect:.3e}")
-        rank = int(round(float(np.trace(m).real)))
-        return cls(matrix=_readonly(m), rank=rank)
+        spec = eigh(m, tol)
+        return cls(basis=_readonly(spec.eigenvectors[:, spec.eigenvalues > 0.5]))
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
         """The rank-0 projector on a ``dim``-dimensional space."""
-        return cls(matrix=_readonly(np.zeros((dim, dim), dtype=complex)), rank=0)
+        return cls(basis=_readonly(np.zeros((dim, 0), dtype=complex)))
 
 
 def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -224,6 +269,11 @@ def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _gram_defect(v: np.ndarray) -> float:
+    """``max |V^dag V - 1|`` entrywise; NaN if ``V`` holds a NaN."""
+    return float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max(initial=0.0))
+
+
 def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, with quality checks.
 
@@ -242,7 +292,7 @@ def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposi
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise SolverFailureError(f"eigensolver failed: {exc}") from exc
-    gram_defect = float(np.abs(v.conj().T @ v - np.eye(m.shape[0])).max())
+    gram_defect = _gram_defect(v)
     if not (gram_defect <= tol.orth):
         raise SolverFailureError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
     recon_defect = frobenius((v * w) @ v.conj().T - m)
@@ -304,10 +354,7 @@ def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Pr
     so the rank reported here is the numerically meaningful one.  The
     result satisfies ``P @ rho == rho @ P == rho`` up to round-off.
     """
-    cols = _support_columns(rho.spectrum, tol)
-    p = cols @ cols.conj().T
-    p = (p + p.conj().T) / 2.0
-    return Projector(matrix=_readonly(p), rank=int(cols.shape[1]))
+    return Projector(basis=_readonly(_support_columns(rho.spectrum, tol)))
 
 
 def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -343,6 +390,40 @@ def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return (out + out.conj().T) / 2.0
 
 
+def _stack(projectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``[V_1 ... V_K]`` and, per column, the index ``k`` of its projector."""
+    v = np.concatenate([np.zeros((dim, 0), dtype=complex), *(p.basis for p in projectors)], axis=1)
+    labels = np.repeat(np.arange(len(projectors)), [p.rank for p in projectors])
+    return v, labels
+
+
+def _overlaps(v: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """``||V_i^dag V_j||_F`` for every pair of ``n`` stacked isometries.
+
+    For isometries this equals ``||P_i P_j||_F``; all pairs come from
+    one Gram matrix of the stacked bases.
+    """
+    onehot = (labels[:, None] == np.arange(n)).astype(float)
+    return np.sqrt(onehot.T @ np.abs(v.conj().T @ v) ** 2 @ onehot)
+
+
+def _check_mutually_orthogonal(projectors, dim: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Check that no pair has ``||P_i P_j||_F > tol.identity``; return :func:`_stack`."""
+    v, labels = _stack(projectors, dim)
+    overlaps = np.triu(_overlaps(v, labels, len(projectors)), 1)
+    if not (overlaps.max(initial=0.0) <= tol.identity):
+        i, j = np.argwhere(~(overlaps <= tol.identity))[0]
+        raise NotOrthogonalError(f"projectors {i} and {j} overlap: ||P_i P_j||_F = {overlaps[i, j]:.3e}")
+    return v, labels
+
+
+def _pinched(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``sum_k P_k M P_k`` as ``V B V^dag``, ``B`` the block diagonal of ``V^dag M V``."""
+    b = v.conj().T @ matrix @ v
+    b[labels[:, None] != labels[None, :]] = 0.0
+    return v @ b @ v.conj().T
+
+
 def pinch(
     rho: DensityOperator,
     projectors: tuple[Projector, ...] | list[Projector],
@@ -352,7 +433,8 @@ def pinch(
 
     The projectors must be mutually orthogonal and, together, must
     capture the state's trace mass; coherences between the subspaces
-    are destroyed, populations within them are kept.
+    are destroyed, populations within them are kept.  The sum is taken
+    in the frame of the stacked range bases.
 
     Raises
     ------
@@ -368,26 +450,30 @@ def pinch(
     for p in projectors:
         if p.dim != d:
             raise DimensionMismatchError(f"projector on dim {p.dim}, state on dim {d}")
-    _check_mutually_orthogonal(projectors, tol)
-    out = np.zeros((d, d), dtype=complex)
-    for p in projectors:
-        out += p.matrix @ rho.matrix @ p.matrix
+    out = _pinched(rho.matrix, *_check_mutually_orthogonal(projectors, d, tol))
     kept = float(np.trace(out).real)
-    if kept < 1.0 - tol.supp:
+    if not (1.0 - tol.supp <= kept):
         raise MassLossError(f"pinching kept only trace {kept!r} of the state")
     return validate_density(out, tol)
 
 
-def _check_mutually_orthogonal(
-    projectors: tuple[Projector, ...] | list[Projector], tol: Tolerances
-) -> None:
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            overlap = frobenius(projectors[i].matrix @ projectors[j].matrix)
-            if overlap > tol.identity:
-                raise NotOrthogonalError(
-                    f"projectors {i} and {j} overlap: ||P_i P_j||_F = {overlap:.3e}"
-                )
+def _populations(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``<v_k|M|v_k>`` for every column ``v_k`` of ``v``, as real numbers."""
+    return ((matrix @ v) * v.conj()).sum(axis=0).real
+
+
+def _support_populations(rho: DensityOperator, sigma: DensityOperator, tol: Tolerances) -> tuple[list[float], float]:
+    """The support oracle: populations of ``rho`` on ``supp(sigma)``, and the leakage.
+
+    Returns ``<v_k|rho|v_k>`` over the kept eigenvectors of ``sigma``
+    (ascending eigenvalue order), and the leakage ``1 - sum_k``,
+    clamped at 0.  :func:`support_leakage`, :func:`support_contained`
+    and the relative entropy all decide support from this.
+    """
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"states on dims {rho.dim} and {sigma.dim}")
+    populations = _populations(rho.matrix, support_projector(sigma, tol).basis).tolist()
+    return populations, max(0.0, 1.0 - math.fsum(populations))
 
 
 def support_leakage(rho: DensityOperator, sigma: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -397,11 +483,7 @@ def support_leakage(rho: DensityOperator, sigma: DensityOperator, tol: Tolerance
     ``sigma``, clamped at 0.  This is the quantity the finite/infinite
     dichotomy is decided on.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"states on dims {rho.dim} and {sigma.dim}")
-    p = support_projector(sigma, tol)
-    kept = float(np.einsum("ij,ji->", rho.matrix, p.matrix).real)
-    return max(0.0, 1.0 - kept)
+    return _support_populations(rho, sigma, tol)[1]
 
 
 def support_contained(rho: DensityOperator, sigma: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> bool:

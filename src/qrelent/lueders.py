@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadObservableError,
     DimensionMismatchError,
     NotARefinementError,
+    NotDiagonalizingError,
     NotOrthonormalError,
     SupportViolationError,
 )
@@ -32,6 +34,10 @@ from .linop import (
     support_contained,
     validate_density,
     _check_mutually_orthogonal,
+    _gram_defect,
+    _pinched,
+    _populations,
+    _stack,
 )
 from .entropy import ExtendedReal, quantum_relative_entropy, von_neumann_entropy
 
@@ -74,20 +80,17 @@ class ProjectiveObservable:
         eigs = tuple(float(a) for a in eigenvalues)
         projs = tuple(projectors)
         if len(eigs) != len(projs) or not projs:
-            raise ValueError("need one eigenvalue per projector (and at least one)")
+            raise BadObservableError("need one eigenvalue per projector (and at least one)")
         if len(set(eigs)) != len(eigs):
-            raise ValueError(f"eigenvalues must be distinct, got {eigs}")
+            raise BadObservableError(f"eigenvalues must be distinct, got {eigs}")
         d = projs[0].dim
         for p in projs:
             if p.dim != d:
                 raise DimensionMismatchError("projectors on mixed dimensions")
-        _check_mutually_orthogonal(projs, tol)
-        total = np.zeros((d, d), dtype=complex)
-        for p in projs:
-            total += p.matrix
-        defect = frobenius(total - np.eye(d))
-        if defect > tol.identity:
-            raise ValueError(f"projectors do not resolve the identity: defect {defect:.3e}")
+        v, _ = _check_mutually_orthogonal(projs, d, tol)
+        defect = frobenius(v @ v.conj().T - np.eye(d))
+        if not (defect <= tol.identity):
+            raise BadObservableError(f"projectors do not resolve the identity: defect {defect:.3e}")
         return cls(eigenvalues=eigs, projectors=projs)
 
 
@@ -97,14 +100,18 @@ def detectable_projectors(
     """The outcome projectors the state can actually trigger.
 
     Returns the ``P_i`` with ``tr(rho P_i) > tol.supp``, in the
-    observable's order.
+    observable's order.  The weights are ``tr(V_i^dag rho V_i)``.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the state and the observable live on different dimensions.
     """
-    out = []
-    for p in obs.projectors:
-        weight = float(np.einsum("ij,ji->", rho.matrix, p.matrix).real)
-        if weight > tol.supp:
-            out.append(p)
-    return out
+    if rho.dim != obs.dim:
+        raise DimensionMismatchError(f"state on dim {rho.dim}, observable on dim {obs.dim}")
+    v, labels = _stack(obs.projectors, rho.dim)
+    weights = np.bincount(labels, weights=_populations(rho.matrix, v), minlength=len(obs.projectors))
+    return [p for p, weight in zip(obs.projectors, weights.tolist()) if weight > tol.supp]
 
 
 def lueders_state(
@@ -121,11 +128,8 @@ def lueders_state(
     full sum, since zero-probability outcomes contribute nothing.
     """
     if detectable_only:
-        kept = detectable_projectors(rho, obs, tol)
-        out = np.zeros((rho.dim, rho.dim), dtype=complex)
-        for p in kept:
-            out += p.matrix @ rho.matrix @ p.matrix
-        return validate_density(out, tol)
+        v, labels = _stack(detectable_projectors(rho, obs, tol), rho.dim)
+        return validate_density(_pinched(rho.matrix, v, labels), tol)
     return pinch(rho, obs.projectors, tol)
 
 
@@ -155,7 +159,9 @@ def is_refinement(
     Entry ``j`` of the result is the index of the coarse projector that
     absorbs fine projector ``j`` (``P_coarse @ P_fine == P_fine``).
     Each fine projector must match exactly one coarse projector, and
-    each coarse projector must equal the sum of its group.
+    each coarse projector must equal the sum of its group.  Absorption
+    is judged in the range frame, as ``||V_c (V_c^dag V_f) - V_f||_F``,
+    which equals ``||P_c P_f - P_f||_F``.
 
     Raises
     ------
@@ -166,24 +172,28 @@ def is_refinement(
     """
     if fine.dim != coarse.dim:
         raise DimensionMismatchError(f"observables on dims {fine.dim} and {coarse.dim}")
+    vc, coarse_labels = _stack(coarse.projectors, coarse.dim)
+    vf, fine_labels = _stack(fine.projectors, fine.dim)
+    overlap = vc.conj().T @ vf
+    n_fine = len(fine.projectors)
+    absorbed = np.empty((len(coarse.projectors), n_fine), dtype=bool)
+    for k in range(len(coarse.projectors)):
+        rows = coarse_labels == k
+        column_sq = (np.abs(vc[:, rows] @ overlap[rows] - vf) ** 2).sum(axis=0)
+        defects = np.sqrt(np.bincount(fine_labels, weights=column_sq, minlength=n_fine))
+        absorbed[k] = defects <= tol.identity
     grouping: list[int] = []
-    for j, pf in enumerate(fine.projectors):
-        matches = [
-            k
-            for k, pc in enumerate(coarse.projectors)
-            if frobenius(pc.matrix @ pf.matrix - pf.matrix) <= tol.identity
-        ]
+    for j in range(n_fine):
+        matches = np.flatnonzero(absorbed[:, j])
         if len(matches) != 1:
             raise NotARefinementError(
                 f"fine projector {j} is absorbed by {len(matches)} coarse projectors, need exactly 1"
             )
-        grouping.append(matches[0])
+        grouping.append(int(matches[0]))
+    column_group = np.array(grouping, dtype=int)[fine_labels]
     for k, pc in enumerate(coarse.projectors):
-        total = np.zeros((fine.dim, fine.dim), dtype=complex)
-        for j, g in enumerate(grouping):
-            if g == k:
-                total += fine.projectors[j].matrix
-        if frobenius(total - pc.matrix) > tol.identity:
+        group = vf[:, column_group == k]
+        if not (frobenius(group @ group.conj().T - pc.matrix) <= tol.identity):
             raise NotARefinementError(f"coarse projector {k} is not the sum of its fine group")
     return tuple(grouping)
 
@@ -277,7 +287,7 @@ def theorem2_check(
         identity is only claimed under that hypothesis.
     NotOrthonormalError
         If an explicit basis is not orthonormal within ``tol.orth``.
-    ValueError
+    NotDiagonalizingError
         If an explicit basis does not diagonalize ``sigma``.
     """
     if rho.dim != sigma.dim:
@@ -291,13 +301,13 @@ def theorem2_check(
         v = np.asarray(basis, dtype=complex)
         if v.shape != (sigma.dim, sigma.dim):
             raise NotOrthonormalError(f"need a full square basis, got shape {v.shape}")
-        gram_defect = float(np.abs(v.conj().T @ v - np.eye(sigma.dim)).max())
-        if gram_defect > tol.orth:
+        gram_defect = _gram_defect(v)
+        if not (gram_defect <= tol.orth):
             raise NotOrthonormalError(f"basis not orthonormal: defect {gram_defect:.3e}")
         rotated = v.conj().T @ sigma.matrix @ v
-        off = rotated - np.diag(np.diag(rotated))
-        if frobenius(off) > tol.identity:
-            raise ValueError(f"basis does not diagonalize the reference state: off-diagonal {frobenius(off):.3e}")
+        off = frobenius(rotated - np.diag(np.diag(rotated)))
+        if not (off <= tol.identity):
+            raise NotDiagonalizingError(f"basis does not diagonalize the reference state: off-diagonal {off:.3e}")
 
     # Pinching in an orthonormal basis keeps the diagonal of rho in
     # that basis and kills everything else.

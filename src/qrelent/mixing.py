@@ -33,6 +33,9 @@ from .linop import (
     support_projector,
     validate_density,
     _check_mutually_orthogonal,
+    _gram_defect,
+    _pinched,
+    _stack,
 )
 from .entropy import (
     INFINITY,
@@ -109,22 +112,23 @@ def decompose_by_projectors(
     for b in blocks:
         if b.dim != d:
             raise DimensionMismatchError(f"block on dim {b.dim}, state on dim {d}")
-    _check_mutually_orthogonal(blocks, tol)
+    _check_mutually_orthogonal(blocks, d, tol)
 
-    weights = [max(0.0, float(np.einsum("ij,ji->", sigma.matrix, b.matrix).real)) for b in blocks]
+    # Each block in its range frame: sigma compressed to V_k^dag sigma V_k.
+    compressed = [b.basis.conj().T @ sigma.matrix @ b.basis for b in blocks]
+    weights = [max(0.0, float(np.trace(c).real)) for c in compressed]
     leak = 1.0 - math.fsum(weights)
-    if leak > tol.supp:
+    if not (leak <= tol.supp):
         raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
 
     parts: list[DensityOperator | None] = []
     supports: list[Projector] = []
-    for b, w in zip(blocks, weights):
+    for b, c, w in zip(blocks, compressed, weights):
         if w <= tol.supp:
             parts.append(None)
             supports.append(Projector.zero(d))
             continue
-        piece = b.matrix @ sigma.matrix @ b.matrix
-        part = validate_density(piece / w, tol)
+        part = validate_density(b.basis @ (c / w) @ b.basis.conj().T, tol)
         parts.append(part)
         supports.append(support_projector(part, tol))
 
@@ -198,17 +202,14 @@ def _conditional_states(
     Blocks with ``p_k <= tol.supp`` get ``None``.  Empty blocks of the
     decomposition have rank-0 ``Q_k``, so their ``p_k`` is exactly 0.
     """
-    p = np.array(
-        [max(0.0, float(np.einsum("ij,ji->", rho.matrix, q.matrix).real)) for q in d.supports],
-        dtype=float,
-    )
+    compressed = [q.basis.conj().T @ rho.matrix @ q.basis for q in d.supports]
+    p = np.array([max(0.0, float(np.trace(c).real)) for c in compressed], dtype=float)
     states: list[DensityOperator | None] = []
-    for q, pk in zip(d.supports, p.tolist()):
+    for q, c, pk in zip(d.supports, compressed, p.tolist()):
         if pk <= tol.supp:
             states.append(None)
             continue
-        piece = q.matrix @ rho.matrix @ q.matrix
-        states.append(validate_density(piece / pk, tol))
+        states.append(validate_density(q.basis @ (c / pk) @ q.basis.conj().T, tol))
     p.setflags(write=False)
     return p, tuple(states)
 
@@ -264,10 +265,7 @@ def theorem1_breakdown(
 
     p, states = _conditional_states(rho, d, tol)
 
-    pinched = np.zeros((d.dim, d.dim), dtype=complex)
-    for q in d.supports:
-        pinched += q.matrix @ rho.matrix @ q.matrix
-    s_pinched = _entropy_of_psd(pinched, tol)
+    s_pinched = _entropy_of_psd(_pinched(rho.matrix, *_stack(d.supports, d.dim)), tol)
     s_rho = von_neumann_entropy(rho, tol)
 
     p_vec = ProbabilityVector(probs=p)
@@ -292,7 +290,7 @@ def theorem1_breakdown(
         avg_rel = ExtendedReal.finite(math.fsum(block_terms))
 
     missed_mass = 1.0 - math.fsum(p.tolist())
-    if missed_mass > tol.supp or not (h_rel.is_finite and avg_rel.is_finite):
+    if not (missed_mass <= tol.supp) or not (h_rel.is_finite and avg_rel.is_finite):
         total_rhs = INFINITY
     else:
         total_rhs = ExtendedReal.finite(s_pinched - s_rho + h_rel.value + avg_rel.value)
@@ -361,8 +359,8 @@ def classical_embedding_check(
         raise LengthMismatchError(
             f"need matching lengths: |p|={len(p)}, |w|={len(w)}, basis columns={b.shape[1] if b.ndim == 2 else '?'}"
         )
-    gram_defect = float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max())
-    if gram_defect > tol.orth:
+    gram_defect = _gram_defect(b)
+    if not (gram_defect <= tol.orth):
         raise NotOrthonormalError(f"basis columns not orthonormal: defect {gram_defect:.3e}")
 
     rho_p = validate_density((b * p.probs) @ b.conj().T, tol)

@@ -121,16 +121,9 @@ def random_block_projectors(spec: GenSpec, tol: Tolerances = DEFAULT_TOL) -> lis
     out: list[Projector] = []
     start = 0
     for s in sizes:
-        cols = u[:, start : start + s]
-        out.append(Projector.validated(cols @ cols.conj().T, tol))
+        out.append(Projector.from_basis(u[:, start : start + s], tol))
         start += s
     return out
-
-
-def _range_basis(p: Projector) -> np.ndarray:
-    """Orthonormal columns spanning the range of a projector."""
-    w, v = np.linalg.eigh(p.matrix)
-    return v[:, w > 0.5]
 
 
 def random_state_in_support(
@@ -141,12 +134,11 @@ def random_state_in_support(
         raise BadSpecError("cannot place a state inside a rank-0 projector")
     if not 1 <= rank <= p.rank:
         raise BadSpecError(f"rank {rank} outside [1, {p.rank}]")
-    basis = _range_basis(p)
     rng = _rng(seed)
     g = _ginibre(rng, p.rank, rank)
     small = g @ g.conj().T
     small /= np.trace(small).real
-    return validate_density(basis @ small @ basis.conj().T, tol)
+    return validate_density(p.basis @ small @ p.basis.conj().T, tol)
 
 
 def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int]:
@@ -183,13 +175,11 @@ def random_refinement(
     coarse_obs = ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol)
     fine_projs: list[Projector] = []
     for p in coarse:
-        basis = _range_basis(p)
-        rotated = basis @ _haar(rng, p.rank)
+        rotated = p.basis @ _haar(rng, p.rank)
         sizes = [1] * p.rank if rank_one else _random_composition(rng, p.rank)
         start = 0
         for s in sizes:
-            cols = rotated[:, start : start + s]
-            fine_projs.append(Projector.validated(cols @ cols.conj().T, tol))
+            fine_projs.append(Projector.from_basis(rotated[:, start : start + s], tol))
             start += s
     fine_obs = ProjectiveObservable.validated(range(len(fine_projs)), tuple(fine_projs), tol)
     return RefinementPair.checked(coarse_obs, fine_obs, tol)

@@ -19,10 +19,7 @@ def diag_state(*populations: float) -> DensityOperator:
 
 def basis_projector(dim: int, indices) -> Projector:
     """Projector onto a set of computational basis directions."""
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in indices:
-        m[i, i] = 1.0
-    return Projector.validated(m)
+    return Projector.from_basis(np.eye(dim)[:, list(indices)])
 
 
 def span_projector(columns: np.ndarray, rtol: float = 1e-10) -> np.ndarray:

@@ -14,6 +14,7 @@ from qrelent import (
     NotHermitianError,
     NotIdempotentError,
     NotOrthogonalError,
+    NotOrthonormalError,
     NotPositiveError,
     Projector,
     QrelentError,
@@ -23,6 +24,7 @@ from qrelent import (
     frobenius,
     haar_unitary,
     pinch,
+    quantum_relative_entropy,
     random_density,
     GenSpec,
     support_contained,
@@ -31,7 +33,8 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from helpers import basis_projector, diag_state, exp_hermitian, pure
+from qrelent.linop import _overlaps, _stack
+from helpers import basis_projector, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
 
@@ -44,6 +47,11 @@ def test_tolerances_rejects_nonpositive():
         Tolerances(supp=0.0)
     with pytest.raises(ValueError):
         Tolerances(rank=-1e-10)
+
+
+def test_tolerances_rejects_nan_with_package_error():
+    with pytest.raises(QrelentError):
+        Tolerances(herm=math.nan)
 
 
 def test_tolerances_replace():
@@ -160,7 +168,62 @@ def test_projector_rejects_non_idempotent():
 
 def test_projector_zero():
     z = Projector.zero(3)
-    assert z.rank == 0 and frobenius(z.matrix) == 0.0
+    assert z.rank == 0 and z.basis.shape == (3, 0) and frobenius(z.matrix) == 0.0
+
+
+def test_projector_from_basis():
+    p = Projector.from_basis(np.eye(3)[:, :2])
+    assert (p.rank, p.dim) == (2, 3)
+    assert frobenius(p.matrix - np.diag([1.0, 1.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        np.array([[1.0, 1.0], [0.0, 1.0]]),  # not orthogonal
+        np.array([[1.0], [1.0]]),  # not normalized
+        np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]),  # off by more than tol.orth
+        np.array([[math.nan], [0.0]]),
+        np.array([[1.0, 0.0], [0.0, math.nan]]),
+        np.eye(2, 3),  # more columns than the dimension
+        np.ones(3),  # not 2-D
+    ],
+)
+def test_from_basis_rejects_non_orthonormal_columns(cols):
+    with pytest.raises(NotOrthonormalError):
+        Projector.from_basis(cols)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 6])
+def test_projector_validated_matrix_reproduces_input(rank):
+    u = haar_unitary(6, rank)
+    m = u[:, :rank] @ u[:, :rank].conj().T
+    p = Projector.validated(m)
+    assert p.rank == rank
+    assert frobenius(p.matrix - m) <= 1e-12
+
+
+def test_projector_arrays_are_readonly():
+    p = Projector.validated(np.diag([1.0, 0.0]))
+    for array in (p.basis, p.matrix):
+        with pytest.raises(ValueError):
+            array[0, 0] = 9.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_overlaps_equal_pairwise_products(seed):
+    # Random families, not orthogonal: each member spans the first few
+    # columns of its own Haar unitary (rank 0 included).
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 9))
+    family = [
+        Projector.from_basis(haar_unitary(dim, 10 * seed + k)[:, : int(rng.integers(0, dim + 1))])
+        for k in range(4)
+    ]
+    overlaps = _overlaps(*_stack(family, dim), len(family))
+    for i, pi in enumerate(family):
+        for j, pj in enumerate(family):
+            assert abs(overlaps[i, j] - frobenius(pi.matrix @ pj.matrix)) <= 1e-12
 
 
 # -- support projector --------------------------------------------------
@@ -270,6 +333,37 @@ def test_pinch_rejects_overlapping_projectors():
         pinch(diag_state(0.5, 0.5), [p_full, basis_projector(2, [0])])
 
 
+def _tilted_family(overlap: float) -> list[Projector]:
+    """Rank-1 projectors on e0, e1, e3 and on e2 tilted toward e0.
+
+    The tilt makes ``||P_0 P_2||_F`` equal ``overlap``; every other pair
+    is orthogonal.
+    """
+    tilted = np.zeros((4, 1))
+    tilted[2, 0], tilted[0, 0] = math.sqrt(1.0 - overlap**2), overlap
+    e = np.eye(4)
+    return [Projector.from_basis(cols) for cols in (e[:, [0]], e[:, [1]], tilted, e[:, [3]])]
+
+
+def test_pinch_orthogonality_gate_at_tolerance(tol):
+    rho = diag_state(0.25, 0.25, 0.25, 0.25)
+    pinch(rho, _tilted_family(0.99 * tol.identity))
+    with pytest.raises(NotOrthogonalError, match="projectors 0 and 2 overlap"):
+        pinch(rho, _tilted_family(1.01 * tol.identity))
+
+
+def test_pinch_over_rank_one_family_makes_one_eigensolve(monkeypatch, tol):
+    rho = random_density(GenSpec(dim=64, seed=5))
+    u = haar_unitary(64, 6)
+    family = [Projector.from_basis(u[:, [k]]) for k in range(64)]
+    calls = count_solver_calls(monkeypatch)
+    out = pinch(rho, family)
+    assert len(calls) == 1
+    rotated = u.conj().T @ out.matrix @ u
+    assert frobenius(rotated - np.diag(np.diag(rotated))) <= tol.identity
+    assert np.allclose(np.diag(rotated), np.diag(u.conj().T @ rho.matrix @ u), atol=1e-14)
+
+
 def test_pinch_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         pinch(diag_state(0.5, 0.5), [basis_projector(3, [0])])
@@ -292,6 +386,13 @@ def test_support_containment_boundary_sensitivity(tol):
     # leakage one decade above tol.supp: flips to not contained
     above = diag_state(1.0 - 10 * tol.supp, 10 * tol.supp)
     assert not support_contained(above, sigma)
+
+
+def test_relative_entropy_decides_support_like_support_contained(tol):
+    sigma = pure([1.0, 0.0])
+    for leak in (tol.supp / 10, 10 * tol.supp):
+        rho = diag_state(1.0 - leak, leak)
+        assert quantum_relative_entropy(rho, sigma).is_finite == support_contained(rho, sigma)
 
 
 def test_support_leakage_dimension_mismatch():

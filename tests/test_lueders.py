@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from qrelent import (
+    BadObservableError,
     DimensionMismatchError,
     GenSpec,
     NotARefinementError,
+    NotDiagonalizingError,
     NotOrthonormalError,
+    Projector,
     ProjectiveObservable,
+    QrelentError,
     RefinementPair,
     SupportViolationError,
     corollary1_check,
@@ -61,6 +65,20 @@ def test_observable_rejects_incomplete_family():
         ProjectiveObservable.validated([1.0], [basis_projector(2, [0])])
 
 
+@pytest.mark.parametrize(
+    "eigenvalues,indices",
+    [
+        ([1.0, 2.0, 3.0], [[0], [1]]),  # one eigenvalue too many
+        ([1.0, 1.0], [[0], [1]]),  # repeated eigenvalue
+        ([1.0], [[0]]),  # does not resolve the identity
+    ],
+)
+def test_observable_errors_are_package_errors(eigenvalues, indices):
+    with pytest.raises(BadObservableError) as info:
+        ProjectiveObservable.validated(eigenvalues, [basis_projector(2, i) for i in indices])
+    assert isinstance(info.value, QrelentError)
+
+
 def test_observable_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatchError):
         ProjectiveObservable.validated([0.0, 1.0], [basis_projector(2, [0]), basis_projector(3, [1])])
@@ -87,6 +105,14 @@ def test_detectable_projectors_and_restricted_sum_path():
     full = lueders_state(rho, obs)
     restricted = lueders_state(rho, obs, detectable_only=True)
     assert frobenius(full.matrix - restricted.matrix) <= 1e-14
+
+
+def test_detectable_projectors_dimension_mismatch():
+    obs = block_observable(3, [0], [1, 2])
+    with pytest.raises(DimensionMismatchError):
+        detectable_projectors(diag_state(0.5, 0.5), obs)
+    with pytest.raises(DimensionMismatchError):
+        lueders_state(diag_state(0.5, 0.5), obs, detectable_only=True)
 
 
 # -- corollary1_check ------------------------------------------------------
@@ -148,6 +174,27 @@ def test_is_refinement_rejects_crossing_projector():
     fine = ProjectiveObservable.validated(range(4), [crossing, comp, *rest])
     with pytest.raises(NotARefinementError):
         is_refinement(fine, coarse)
+
+
+def _tilted_pair(eps: float) -> tuple[Projector, Projector]:
+    """Rank-1 projectors on e0 and e2, rotated into each other by ``eps``."""
+    c = math.sqrt(1.0 - eps**2)
+    cols = np.zeros((4, 2))
+    cols[[0, 2], 0] = c, eps
+    cols[[0, 2], 1] = -eps, c
+    return Projector.from_basis(cols[:, [0]]), Projector.from_basis(cols[:, [1]])
+
+
+def test_is_refinement_rejects_fine_projector_tilted_out_of_range():
+    coarse = block_observable(4, [0, 1], [2, 3])
+    for eps, refines in ((0.0, True), (1e-6, False)):
+        a, b = _tilted_pair(eps)
+        fine = ProjectiveObservable.validated(range(4), [a, basis_projector(4, [1]), b, basis_projector(4, [3])])
+        if refines:
+            assert is_refinement(fine, coarse) == (0, 0, 1, 1)
+        else:
+            with pytest.raises(NotARefinementError, match="fine projector 0"):
+                is_refinement(fine, coarse)
 
 
 def test_random_refinement_grouping_is_verified():
@@ -260,6 +307,21 @@ def test_theorem2_rejects_basis_that_does_not_diagonalize():
     u = haar_unitary(2, 44)
     with pytest.raises(ValueError):
         theorem2_check(rho, sigma, basis=u)
+
+
+def test_theorem2_non_diagonalizing_basis_is_package_error():
+    u = haar_unitary(2, 44)
+    with pytest.raises(NotDiagonalizingError) as info:
+        theorem2_check(diag_state(0.5, 0.5), diag_state(0.75, 0.25), basis=u)
+    assert isinstance(info.value, QrelentError)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1)])
+def test_theorem2_rejects_nan_basis(entry):
+    basis = np.eye(2, dtype=complex)
+    basis[entry] = math.nan
+    with pytest.raises(NotOrthonormalError):
+        theorem2_check(diag_state(0.5, 0.5), diag_state(0.75, 0.25), basis=basis)
 
 
 @pytest.mark.parametrize("seed", range(5))

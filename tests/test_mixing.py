@@ -264,6 +264,15 @@ def test_classical_embedding_rejects_non_orthonormal():
         classical_embedding_check(p, p, basis)
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (2, 1)])
+def test_classical_embedding_rejects_nan_basis(entry):
+    p = ProbabilityVector.validated([0.5, 0.5])
+    basis = np.eye(3, 2, dtype=complex)
+    basis[entry] = math.nan
+    with pytest.raises(NotOrthonormalError):
+        classical_embedding_check(p, p, basis)
+
+
 def test_classical_embedding_length_mismatch():
     p = ProbabilityVector.validated([0.5, 0.5])
     w = ProbabilityVector.validated([0.5, 0.25, 0.25])
