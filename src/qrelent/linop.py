@@ -134,9 +134,12 @@ class SpectralDecomposition:
     """Eigensystem of a Hermitian matrix.
 
     ``eigenvalues`` is real and ascending; column ``k`` of
-    ``eigenvectors`` is the eigenvector for ``eigenvalues[k]``.
-    Instances are produced by :func:`eigh` and are assumed valid; they
-    are not re-checked on attribute access.
+    ``eigenvectors`` is the eigenvector for ``eigenvalues[k]``.  The
+    system may be thin: ``eigenvectors`` is a ``dim x n`` isometry with
+    ``n <= dim`` eigenvalues, and the orthogonal complement of its
+    columns is the 0-eigenspace.  Instances are produced by :func:`eigh`
+    and the state constructors and are assumed valid; they are not
+    re-checked on attribute access.
     """
 
     eigenvalues: np.ndarray
@@ -144,7 +147,7 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
+        return int(self.eigenvectors.shape[0])
 
     def reconstruct(self) -> np.ndarray:
         """``V diag(w) V^dag`` as a fresh writable array."""
@@ -160,7 +163,8 @@ class DensityOperator:
     validation, so the two fields are exactly consistent: eigenvalues
     are clamped to ``>= 0`` and renormalized to sum to 1, and
     ``matrix == V diag(w) V^dag`` up to round-off.  Construct through
-    :func:`validate_density`.
+    :func:`validate_density`; a state built inside a known range carries
+    a thin spectrum on that range's basis.
     """
 
     matrix: np.ndarray
@@ -301,6 +305,33 @@ def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposi
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
 
 
+def _clean_spectrum(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The validation body shared by the state constructors.
+
+    Takes an exactly Hermitian ``m`` (from :func:`symmetrize`), runs the
+    checked :func:`eigh`, gates positivity and unit trace, and returns
+    the eigenvalues clamped to ``>= 0`` and renormalized to sum to 1,
+    with the eigenvectors.
+    """
+    spec = eigh(m, tol)
+    w = spec.eigenvalues
+    if not (float(w[0]) >= -tol.psd):
+        raise NotPositiveError(f"smallest eigenvalue {float(w[0]):.3e} below -{tol.psd:.1e}")
+    trace = math.fsum(float(x) for x in w)
+    if not (abs(trace - 1.0) <= tol.trace):
+        raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
+    w = np.clip(w, 0.0, None)
+    return w / math.fsum(float(x) for x in w), spec.eigenvectors
+
+
+def _density(w: np.ndarray, v: np.ndarray) -> DensityOperator:
+    """The state ``V diag(w) V^dag`` with spectrum ``(w, V)``."""
+    matrix = (v * w) @ v.conj().T
+    matrix = (matrix + matrix.conj().T) / 2.0
+    cleaned = SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
+    return DensityOperator(matrix=_readonly(matrix), spectrum=cleaned)
+
+
 def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     """Validate a raw matrix as a quantum state and clean it up.
 
@@ -314,21 +345,31 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     ------
     NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
     """
-    m = symmetrize(raw, tol)
-    spec = eigh(m, tol)
-    w = spec.eigenvalues
-    if not (float(w[0]) >= -tol.psd):
-        raise NotPositiveError(f"smallest eigenvalue {float(w[0]):.3e} below -{tol.psd:.1e}")
-    trace = math.fsum(float(x) for x in w)
-    if not (abs(trace - 1.0) <= tol.trace):
-        raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
-    w = np.clip(w, 0.0, None)
-    w = w / math.fsum(float(x) for x in w)
-    v = spec.eigenvectors
-    matrix = (v * w) @ v.conj().T
-    matrix = (matrix + matrix.conj().T) / 2.0
-    cleaned = SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=v)
-    return DensityOperator(matrix=_readonly(matrix), spectrum=cleaned)
+    return _density(*_clean_spectrum(symmetrize(raw, tol), tol))
+
+
+def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) -> DensityOperator:
+    """Validate the state ``V S V^dag`` in the ``r x r`` frame of ``S``.
+
+    ``basis`` is a ``d x r`` isometry ``V`` (a projector's range basis)
+    and ``small`` an ``r x r`` matrix ``S``.  The checks of
+    :func:`validate_density` run on ``S``, which is equivalent because
+    ``V`` preserves Frobenius norms and traces: the result equals
+    ``validate_density(V S V^dag)`` up to round-off, but its spectrum
+    is thin, ``r`` eigenvalues on the eigenvectors ``V U``.
+
+    Raises
+    ------
+    NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
+        As :func:`validate_density`.
+    DimensionMismatchError
+        If ``V`` does not have one column per row of ``S``.
+    """
+    s = symmetrize(small, tol)
+    if basis.shape[1] != s.shape[0]:
+        raise DimensionMismatchError(f"basis with {basis.shape[1]} columns, block of size {s.shape[0]}")
+    w, u = _clean_spectrum(s, tol)
+    return _density(w, basis @ u)
 
 
 def _kept(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -377,11 +418,19 @@ def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     NotPositiveError
         If an eigenvalue is below ``-tol.psd``.
     """
-    m = symmetrize(matrix, tol)
-    spec = eigh(m, tol)
+    spec = eigh(symmetrize(matrix, tol), tol)
+    lam_min = float(spec.eigenvalues[0])
+    if not (lam_min >= -tol.psd):
+        raise NotPositiveError(f"extended log of a non-positive matrix (lambda_min = {lam_min:.3e})")
+    return _spectral_log(spec, tol)
+
+
+def _spectral_log(spec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
+    """``sum_{lam_k > cutoff} ln(lam_k) |v_k><v_k|`` from a spectrum, no solve.
+
+    Zero on the kernel, including the complement of a thin spectrum.
+    """
     w = spec.eigenvalues
-    if not (float(w[0]) >= -tol.psd):
-        raise NotPositiveError(f"extended log of a non-positive matrix (lambda_min = {float(w[0]):.3e})")
     logs = np.zeros_like(w)
     keep = _kept(w, tol)
     logs[keep] = np.log(w[keep])

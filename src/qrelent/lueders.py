@@ -30,7 +30,6 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
-    pinch,
     support_contained,
     validate_density,
     _check_mutually_orthogonal,
@@ -125,12 +124,19 @@ def lueders_state(
 
     With ``detectable_only=True`` the sum runs only over outcomes with
     nonzero probability — a distinct code path that must agree with the
-    full sum, since zero-probability outcomes contribute nothing.
+    full sum, since zero-probability outcomes contribute nothing.  The
+    observable's orthogonality and completeness were checked when it
+    was built, so neither is checked again here.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the state and the observable live on different dimensions.
     """
-    if detectable_only:
-        v, labels = _stack(detectable_projectors(rho, obs, tol), rho.dim)
-        return validate_density(_pinched(rho.matrix, v, labels), tol)
-    return pinch(rho, obs.projectors, tol)
+    if rho.dim != obs.dim:
+        raise DimensionMismatchError(f"state on dim {rho.dim}, observable on dim {obs.dim}")
+    projectors = detectable_projectors(rho, obs, tol) if detectable_only else obs.projectors
+    return validate_density(_pinched(rho.matrix, *_stack(projectors, rho.dim)), tol)
 
 
 def corollary1_check(
@@ -276,9 +282,10 @@ def theorem2_check(
     Pinches ``rho`` in an orthonormal eigenbasis of ``sigma`` to get
     ``M`` and returns the line report for
     ``S(rho || sigma) = S(rho || M) + S(M || sigma)`` plus ``M``
-    itself.  For degenerate ``sigma`` the eigenbasis is not unique;
-    pass ``basis`` (columns) to pick one explicitly — it must be
-    orthonormal and diagonalize ``sigma``.
+    itself.  A thin spectrum of ``sigma`` is completed with an
+    orthonormal basis of its kernel.  For degenerate ``sigma`` the
+    eigenbasis is not unique; pass ``basis`` (columns) to pick one
+    explicitly — it must be orthonormal and diagonalize ``sigma``.
 
     Raises
     ------
@@ -297,6 +304,10 @@ def theorem2_check(
 
     if basis is None:
         v = sigma.spectrum.eigenvectors
+        if v.shape[1] < sigma.dim:
+            # A thin spectrum: complete it with a basis of the kernel,
+            # so the pinching keeps rho's trace mass there as well.
+            v = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]], axis=1)
     else:
         v = np.asarray(basis, dtype=complex)
         if v.shape != (sigma.dim, sigma.dim):

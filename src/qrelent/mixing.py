@@ -28,14 +28,15 @@ from .linop import (
     DensityOperator,
     Projector,
     Tolerances,
-    extended_log,
     support_contained,
     support_projector,
     validate_density,
     _check_mutually_orthogonal,
     _gram_defect,
     _pinched,
+    _spectral_log,
     _stack,
+    _validate_in_range,
 )
 from .entropy import (
     INFINITY,
@@ -128,7 +129,7 @@ def decompose_by_projectors(
             parts.append(None)
             supports.append(Projector.zero(d))
             continue
-        part = validate_density(b.basis @ (c / w) @ b.basis.conj().T, tol)
+        part = _validate_in_range(b.basis, c / w, tol)
         parts.append(part)
         supports.append(support_projector(part, tol))
 
@@ -154,7 +155,8 @@ def lemma1_log_decomposition(d: OrthogonalDecomposition, tol: Tolerances = DEFAU
     primed sums skip empty blocks.  For a valid decomposition this
     equals ``logz(sigma)`` (compare with :func:`~qrelent.linop.extended_log`
     applied to ``d.sigma``); computing it this way exercises the
-    identity rather than assuming it.
+    identity rather than assuming it.  Each ``logz(sigma_k)`` comes from
+    the part's own block-local spectrum, with no further eigensolve.
     """
     dim = d.dim
     out = np.zeros((dim, dim), dtype=complex)
@@ -162,7 +164,7 @@ def lemma1_log_decomposition(d: OrthogonalDecomposition, tol: Tolerances = DEFAU
         if part is None:
             continue
         out += math.log(w) * q.matrix
-        out += extended_log(part.matrix, tol)
+        out += _spectral_log(part.spectrum, tol)
     return (out + out.conj().T) / 2.0
 
 
@@ -209,7 +211,7 @@ def _conditional_states(
         if pk <= tol.supp:
             states.append(None)
             continue
-        states.append(validate_density(q.basis @ (c / pk) @ q.basis.conj().T, tol))
+        states.append(_validate_in_range(q.basis, c / pk, tol))
     p.setflags(write=False)
     return p, tuple(states)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpecError
-from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density
+from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _validate_in_range
 from .lueders import ProjectiveObservable, RefinementPair
 
 __all__ = [
@@ -129,7 +129,11 @@ def random_block_projectors(spec: GenSpec, tol: Tolerances = DEFAULT_TOL) -> lis
 def random_state_in_support(
     p: Projector, rank: int, seed: int, tol: Tolerances = DEFAULT_TOL
 ) -> DensityOperator:
-    """A random rank-``rank`` state supported inside ``range(p)``."""
+    """A random rank-``rank`` state supported inside ``range(p)``.
+
+    The state is validated in the ``p.rank``-dimensional frame of
+    ``p.basis``, so its spectrum is thin.
+    """
     if p.rank < 1:
         raise BadSpecError("cannot place a state inside a rank-0 projector")
     if not 1 <= rank <= p.rank:
@@ -138,7 +142,7 @@ def random_state_in_support(
     g = _ginibre(rng, p.rank, rank)
     small = g @ g.conj().T
     small /= np.trace(small).real
-    return validate_density(p.basis @ small @ p.basis.conj().T, tol)
+    return _validate_in_range(p.basis, small, tol)
 
 
 def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int]:

@@ -30,16 +30,17 @@ def span_projector(columns: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
 
 
 def count_solver_calls(monkeypatch) -> list:
-    """Count every ``numpy.linalg.eigh``/``eigvalsh`` call from here on.
+    """Record every ``numpy.linalg.eigh``/``eigvalsh`` call from here on.
 
-    Returns a list that grows by one entry per call.
+    Returns a list that grows by one entry per call: the shape of the
+    matrix solved, so its length is the call count.
     """
     calls: list = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, **kwargs):
-            calls.append(1)
+            calls.append(np.shape(args[0] if args else kwargs["a"]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrelent import (
+    DEFAULT_TOL,
     BadTraceError,
     DimensionMismatchError,
     MassLossError,
@@ -33,7 +34,7 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _overlaps, _stack
+from qrelent.linop import _kept, _overlaps, _stack, _validate_in_range
 from helpers import basis_projector, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
@@ -150,6 +151,85 @@ def test_density_arrays_are_readonly():
         rho.matrix[0, 0] = 9.0
     with pytest.raises(ValueError):
         rho.spectrum.eigenvalues[0] = 9.0
+
+
+# -- states in a known range -------------------------------------------
+
+
+def _range_fixture(dim: int, r: int, rank: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Haar ``dim x r`` isometry and a unit-trace Ginibre ``r x r`` block of rank ``rank``."""
+    v = haar_unitary(dim, seed)[:, :r]
+    rng = np.random.default_rng(seed + 1)
+    g = rng.standard_normal((r, rank)) + 1j * rng.standard_normal((r, rank))
+    small = g @ g.conj().T
+    return v, small / np.trace(small).real
+
+
+@st.composite
+def _range_shapes(draw):
+    dim = draw(st.integers(1, 8))
+    r = draw(st.integers(1, dim))
+    return dim, r, draw(st.integers(1, r)), draw(st.integers(0, 2**31))
+
+
+@given(shape=_range_shapes())
+@settings(deadline=None, max_examples=80)
+def test_validate_in_range_matches_full_validation(shape):
+    tol = DEFAULT_TOL
+    dim, r, rank, seed = shape
+    v, small = _range_fixture(dim, r, rank, seed)
+    thin = _validate_in_range(v, small, tol)
+    full = validate_density(v @ small @ v.conj().T, tol)
+    assert thin.spectrum.eigenvectors.shape == (dim, r)
+    assert thin.spectrum.eigenvalues.shape == (r,)
+    assert thin.spectrum.dim == thin.dim == dim
+    assert frobenius(thin.matrix - full.matrix) <= 1e-12
+    kept_thin = thin.spectrum.eigenvalues[_kept(thin.spectrum.eigenvalues, tol)]
+    kept_full = full.spectrum.eigenvalues[_kept(full.spectrum.eigenvalues, tol)]
+    assert kept_thin.shape == kept_full.shape
+    assert np.abs(kept_thin - kept_full).max() <= 1e-12
+    q_thin, q_full = support_projector(thin, tol), support_projector(full, tol)
+    assert q_thin.rank == q_full.rank
+    assert frobenius(q_thin.matrix - q_full.matrix) <= 1e-10
+
+
+def _spoiled(small: np.ndarray, kind: str) -> np.ndarray:
+    out = small.astype(complex)
+    if kind == "non-hermitian":
+        out[-1, 0] += 0.3j
+    elif kind == "negative":
+        # Move the smallest eigenvalue to -0.2.
+        w, u = np.linalg.eigh(out)
+        out -= (w[0] + 0.2) * np.outer(u[:, 0], u[:, 0].conj())
+    elif kind == "bad-trace":
+        out = 1.5 * out
+    elif kind == "nan":
+        out[0, 0] = math.nan
+    return out
+
+
+@given(
+    shape=_range_shapes(),
+    kind=st.sampled_from(["non-hermitian", "negative", "bad-trace", "nan"]),
+)
+@settings(deadline=None, max_examples=80)
+def test_validate_in_range_rejects_like_full_validation(shape, kind):
+    tol = DEFAULT_TOL
+    dim, r, rank, seed = shape
+    v, small = _range_fixture(dim, r, rank, seed)
+    bad = _spoiled(small, kind)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(QrelentError) as full:
+            validate_density(v @ bad @ v.conj().T, tol)
+        with pytest.raises(QrelentError) as thin:
+            _validate_in_range(v, bad, tol)
+    assert type(thin.value) is type(full.value)
+
+
+def test_validate_in_range_rejects_mismatched_block(tol):
+    v, small = _range_fixture(5, 3, 2, 7)
+    with pytest.raises(DimensionMismatchError):
+        _validate_in_range(v[:, :2], small, tol)
 
 
 # -- Projector ----------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import qrelent.linop
+import qrelent.lueders
 from qrelent import (
     BadObservableError,
     DimensionMismatchError,
@@ -32,6 +34,7 @@ from qrelent import (
     random_refinement,
     random_state_in_support,
     support_contained,
+    support_projector,
     theorem2_check,
     validate_density,
 )
@@ -113,6 +116,28 @@ def test_detectable_projectors_dimension_mismatch():
         detectable_projectors(diag_state(0.5, 0.5), obs)
     with pytest.raises(DimensionMismatchError):
         lueders_state(diag_state(0.5, 0.5), obs, detectable_only=True)
+    with pytest.raises(DimensionMismatchError):
+        lueders_state(diag_state(0.5, 0.5), obs)
+
+
+def test_lueders_state_does_not_recheck_orthogonality(monkeypatch):
+    # The observable was checked when it was built; the Lüders state
+    # pinches in its stacked frame without a second Gram check.
+    rho = random_density(GenSpec(dim=6, seed=3))
+    obs = block_observable(6, [0, 1], [2, 3, 4], [5])
+    expected = pinch(rho, obs.projectors)
+    checked = []
+
+    def spy(*args):
+        checked.append(args)
+        raise AssertionError("orthogonality re-checked")
+
+    monkeypatch.setattr(qrelent.linop, "_check_mutually_orthogonal", spy)
+    monkeypatch.setattr(qrelent.lueders, "_check_mutually_orthogonal", spy)
+    for detectable_only in (False, True):
+        out = lueders_state(rho, obs, detectable_only=detectable_only)
+        assert frobenius(out.matrix - expected.matrix) <= 1e-15
+    assert checked == []
 
 
 # -- corollary1_check ------------------------------------------------------
@@ -322,6 +347,27 @@ def test_theorem2_rejects_nan_basis(entry):
     basis[entry] = math.nan
     with pytest.raises(NotOrthonormalError):
         theorem2_check(diag_state(0.5, 0.5), diag_state(0.75, 0.25), basis=basis)
+
+
+@pytest.mark.parametrize("leak", [0.0, 1e-10])
+def test_theorem2_thin_reference_matches_full_spectrum(leak):
+    # A decomposition part carries a thin spectrum (3 eigenvalues on a
+    # 6 x 3 basis); theorem2_check completes it with a kernel basis.  The
+    # leaking rho puts mass tol.supp / 10 outside the block, which a
+    # pinching in the thin columns alone would drop.
+    blocks = random_block_projectors(GenSpec(dim=6, seed=81, block_sizes=(3, 3)))
+    mixture = 0.5 * random_state_in_support(blocks[0], 2, 82).matrix + 0.5 * random_state_in_support(
+        blocks[1], 3, 83
+    ).matrix
+    part = decompose_by_projectors(validate_density(mixture), blocks).parts[0]
+    assert part.spectrum.eigenvectors.shape == (6, 3)
+    inside = random_state_in_support(support_projector(part), 2, 84)
+    outside = random_state_in_support(blocks[1], 1, 85)
+    rho = validate_density((1.0 - leak) * inside.matrix + leak * outside.matrix)
+    thin, _ = theorem2_check(rho, part)
+    full, _ = theorem2_check(rho, validate_density(part.matrix))
+    for a, b in ((thin.d_total, full.d_total), (thin.d_first, full.d_first), (thin.d_second, full.d_second)):
+        assert abs(a.value - b.value) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -23,13 +23,14 @@ from qrelent import (
     lemma1_log_decomposition,
     quantum_relative_entropy,
     random_block_projectors,
+    random_density,
     random_state_in_support,
     support_lemma_check,
     support_projector,
     theorem1_breakdown,
     validate_density,
 )
-from helpers import basis_projector, diag_state, pure
+from helpers import basis_projector, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
 
@@ -112,6 +113,41 @@ def test_decompose_rank_deficient_part():
     sigma = validate_density(0.5 * np.diag([1.0, 0, 0]) + 0.5 * part.matrix)
     d = decompose_by_projectors(sigma, [basis_projector(3, [0]), basis_projector(3, [1, 2])])
     assert d.supports[1].rank == 1  # support, not block, rank
+
+
+def _ranked_blocks_fixture():
+    """A full-rank state at d=8 and blocks of ranks (2, 3, 3)."""
+    blocks = random_block_projectors(GenSpec(dim=8, seed=91, block_sizes=(2, 3, 3)))
+    return random_density(GenSpec(dim=8, seed=92)), blocks
+
+
+def test_decompose_solves_parts_in_their_blocks(monkeypatch):
+    sigma, blocks = _ranked_blocks_fixture()
+    calls = count_solver_calls(monkeypatch)
+    d = decompose_by_projectors(sigma, blocks)
+    # One 8x8 solve for the rebuilt sigma (route A), the parts block-locally.
+    assert sorted(calls) == [(2, 2), (3, 3), (3, 3), (8, 8)]
+    assert [part.spectrum.eigenvectors.shape for part in d.parts] == [(8, 2), (8, 3), (8, 3)]
+
+
+def test_route_a_keeps_full_space_solves(monkeypatch):
+    sigma, blocks = _ranked_blocks_fixture()
+    d = decompose_by_projectors(sigma, blocks)
+    assert d.sigma.spectrum.eigenvectors.shape == (8, 8)
+    rho = random_density(GenSpec(dim=8, rank=5, seed=93))
+    calls = count_solver_calls(monkeypatch)
+    lhs = extended_log(d.sigma.matrix)
+    assert calls == [(8, 8)]
+    rhs = lemma1_log_decomposition(d)
+    assert calls == [(8, 8)]  # route B reads the parts' block-local spectra
+    assert frobenius(lhs - rhs) <= 1e-10
+    del calls[:]
+    bd = theorem1_breakdown(rho, d)
+    # Conditional states solve in their blocks, the pinched entropy in
+    # the full space; S(rho||sigma) reads sigma's full spectrum.
+    assert sorted(calls) == [(2, 2), (3, 3), (3, 3), (8, 8)]
+    assert [s.spectrum.eigenvectors.shape for s in bd.conditional_states] == [(8, 2), (8, 3), (8, 3)]
+    assert bd.residual <= 1e-10
 
 
 # -- lemma1 --------------------------------------------------------------

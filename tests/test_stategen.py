@@ -19,6 +19,7 @@ from qrelent import (
     random_state_in_support,
     support_projector,
 )
+from helpers import count_solver_calls
 
 
 # -- GenSpec --------------------------------------------------------------
@@ -123,6 +124,16 @@ def test_state_in_support_confined_and_ranked():
     inside = float(np.einsum("ij,ji->", rho.matrix, p.matrix).real)
     assert inside == pytest.approx(1.0, abs=1e-12)
     assert support_projector(rho).rank == 2
+
+
+@pytest.mark.parametrize("r", [1, 3, 7])
+def test_state_in_support_solves_in_its_range(monkeypatch, r):
+    p = Projector.from_basis(haar_unitary(8, 5)[:, :r])
+    calls = count_solver_calls(monkeypatch)
+    rho = random_state_in_support(p, max(1, r - 1), 6)
+    assert calls == [(r, r)]
+    assert rho.spectrum.eigenvectors.shape == (8, r)
+    assert support_projector(rho).rank == max(1, r - 1)
 
 
 def test_state_in_support_rejects_bad_rank():
