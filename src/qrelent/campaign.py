@@ -26,12 +26,12 @@ from .linop import (
     DensityOperator,
     Projector,
     Tolerances,
-    extended_log,
     frobenius,
     support_leakage,
     support_projector,
     validate_density,
     _kept,
+    _spectral_log,
 )
 from .entropy import ProbabilityVector, quantum_relative_entropy, von_neumann_entropy
 from .mixing import (
@@ -52,6 +52,7 @@ from .stategen import (
     random_refinement,
     random_state_in_support,
     _composition,
+    _ginibre_block,
 )
 
 __all__ = [
@@ -176,7 +177,11 @@ def _mixture_fixture(
     include_singular: bool,
     allow_zero_weight: bool = True,
 ) -> OrthogonalDecomposition:
-    """A random state mixed over the given blocks, decomposed back."""
+    """A random state mixed over the given blocks, decomposed back.
+
+    The blocks are raw draws; only the mixture is validated, once, and
+    the decomposition then validates each part in its block.
+    """
     weights = _random_weights(rng, len(blocks), allow_zero_weight)
     dim = blocks[0].dim
     mixture = np.zeros((dim, dim), dtype=complex)
@@ -184,10 +189,14 @@ def _mixture_fixture(
         if w == 0.0:
             continue
         rank = int(rng.integers(1, b.rank + 1)) if include_singular else b.rank
-        part = random_state_in_support(b, rank, _sub_seed(rng), tol)
-        mixture += w * part.matrix
+        mixture += w * _raw_state_in(b, rank, _sub_seed(rng))
     sigma = validate_density(mixture, tol)
     return decompose_by_projectors(sigma, blocks, tol)
+
+
+def _raw_state_in(p: Projector, rank: int, seed: int) -> np.ndarray:
+    """The matrix of ``random_state_in_support(p, rank, seed)``, unvalidated."""
+    return p.basis @ _ginibre_block(p, rank, seed) @ p.basis.conj().T
 
 
 def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list[Projector]:
@@ -198,7 +207,7 @@ def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list
 
 def _trial_lemma1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
-    lhs = extended_log(d.sigma.matrix, cfg.tol)
+    lhs = _spectral_log(d.sigma.spectrum, cfg.tol)
     rhs = lemma1_log_decomposition(d, cfg.tol)
     return True, True, frobenius(lhs - rhs), _min_nonzero_eig(d.sigma, cfg.tol), None
 
@@ -221,11 +230,11 @@ def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
         blocks = _blocks_fixture(rng, dim, tol)
         inside, outside = blocks[:-1], blocks[-1]
         d = _mixture_fixture(rng, inside, tol, cfg.include_singular, allow_zero_weight=False)
-        rho_out = random_state_in_support(outside, 1, _sub_seed(rng), tol)
+        rho_out = _raw_state_in(outside, 1, _sub_seed(rng))
         supp = support_projector(d.sigma, tol)
-        rho_in = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
+        rho_in = _raw_state_in(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng))
         mix = rng.uniform(0.2, 0.8)
-        rho = validate_density(mix * rho_in.matrix + (1.0 - mix) * rho_out.matrix, tol)
+        rho = validate_density(mix * rho_in + (1.0 - mix) * rho_out, tol)
     else:
         d = _mixture_fixture(rng, _blocks_fixture(rng, dim, tol), tol, cfg.include_singular)
         supp = support_projector(d.sigma, tol)

@@ -64,6 +64,11 @@ class LeakedSupportError(QrelentError):
     """A state has weight outside the union of the given subspaces."""
 
 
+class NotBlockDiagonalError(QrelentError):
+    """A state has coherences between subspaces it is required to be
+    block diagonal in."""
+
+
 class SupportViolationError(QrelentError):
     """An operation that requires supp(rho) <= supp(sigma) was invoked on
     a pair that violates it."""

@@ -317,11 +317,11 @@ def _clean_spectrum(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndar
     w = spec.eigenvalues
     if not (float(w[0]) >= -tol.psd):
         raise NotPositiveError(f"smallest eigenvalue {float(w[0]):.3e} below -{tol.psd:.1e}")
-    trace = math.fsum(float(x) for x in w)
+    trace = math.fsum(w.tolist())
     if not (abs(trace - 1.0) <= tol.trace):
         raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
     w = np.clip(w, 0.0, None)
-    return w / math.fsum(float(x) for x in w), spec.eigenvectors
+    return w / math.fsum(w.tolist()), spec.eigenvectors
 
 
 def _density(w: np.ndarray, v: np.ndarray) -> DensityOperator:

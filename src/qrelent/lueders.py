@@ -37,6 +37,7 @@ from .linop import (
     _pinched,
     _populations,
     _stack,
+    _validate_in_range,
 )
 from .entropy import ExtendedReal, quantum_relative_entropy, von_neumann_entropy
 
@@ -321,10 +322,9 @@ def theorem2_check(
             raise NotDiagonalizingError(f"basis does not diagonalize the reference state: off-diagonal {off:.3e}")
 
     # Pinching in an orthonormal basis keeps the diagonal of rho in
-    # that basis and kills everything else.
-    rotated_rho = v.conj().T @ rho.matrix @ v
-    pinched = (v * np.diag(rotated_rho).real) @ v.conj().T
-    middle = validate_density(pinched, tol)
+    # that basis and kills everything else: validated in the frame of
+    # v, the middle state is a diagonal block.
+    middle = _validate_in_range(v, np.diag(_populations(rho.matrix, v)), tol)
 
     report = LineReport(
         d_total=quantum_relative_entropy(rho, sigma, tol),

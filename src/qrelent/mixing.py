@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     LeakedSupportError,
     LengthMismatchError,
+    NotBlockDiagonalError,
     NotOrthonormalError,
 )
 from .linop import (
@@ -28,6 +29,7 @@ from .linop import (
     DensityOperator,
     Projector,
     Tolerances,
+    frobenius,
     support_contained,
     support_projector,
     validate_density,
@@ -35,7 +37,6 @@ from .linop import (
     _gram_defect,
     _pinched,
     _spectral_log,
-    _stack,
     _validate_in_range,
 )
 from .entropy import (
@@ -68,9 +69,11 @@ class OrthogonalDecomposition:
     ``parts[k]`` is the normalized block state, or ``None`` for blocks
     carrying no weight; ``supports[k]`` projects onto ``supp(sigma_k)``
     (the rank-0 projector for empty blocks).  ``sigma`` is the
-    validated mixture rebuilt from weights and parts, so the
-    reconstruction identity holds by construction and everything
-    downstream can rely on the fields being mutually consistent.
+    caller's validated state itself, not a copy rebuilt from the parts:
+    :func:`decompose_by_projectors` only accepts a ``sigma`` that is
+    block diagonal in the blocks, so it equals ``sum_k w_k sigma_k``
+    up to ``tol.identity`` and round-off, and routes that read
+    ``sigma`` stay independent of routes that read the parts.
     """
 
     weights: ProbabilityVector
@@ -99,6 +102,10 @@ def decompose_by_projectors(
     stored per block are those of the *states* ``sigma_k``, which may
     have lower rank than the blocks themselves.
 
+    The state must be block diagonal in the blocks,
+    ``||sigma - sum_k B_k sigma B_k||_F <= tol.identity``; it is then
+    kept as :attr:`OrthogonalDecomposition.sigma` as it is.
+
     Raises
     ------
     DimensionMismatchError
@@ -108,12 +115,15 @@ def decompose_by_projectors(
     LeakedSupportError
         If more than ``tol.supp`` of the state's trace mass lies
         outside the union of the blocks.
+    NotBlockDiagonalError
+        If ``sigma`` has coherences between (or outside) the blocks
+        beyond ``tol.identity``.
     """
     d = sigma.dim
     for b in blocks:
         if b.dim != d:
             raise DimensionMismatchError(f"block on dim {b.dim}, state on dim {d}")
-    _check_mutually_orthogonal(blocks, d, tol)
+    stacked = _check_mutually_orthogonal(blocks, d, tol)
 
     # Each block in its range frame: sigma compressed to V_k^dag sigma V_k.
     compressed = [b.basis.conj().T @ sigma.matrix @ b.basis for b in blocks]
@@ -121,6 +131,9 @@ def decompose_by_projectors(
     leak = 1.0 - math.fsum(weights)
     if not (leak <= tol.supp):
         raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
+    coherence = frobenius(sigma.matrix - _pinched(sigma.matrix, *stacked))
+    if not (coherence <= tol.identity):
+        raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
 
     parts: list[DensityOperator | None] = []
     supports: list[Projector] = []
@@ -133,18 +146,12 @@ def decompose_by_projectors(
         parts.append(part)
         supports.append(support_projector(part, tol))
 
-    mixture = np.zeros((d, d), dtype=complex)
-    for part, w in zip(parts, weights):
-        if part is not None:
-            mixture += w * part.matrix
-    rebuilt = validate_density(mixture, tol)
-
     w_arr = np.array(weights, dtype=float)
     return OrthogonalDecomposition(
         weights=ProbabilityVector.validated(w_arr, tol),
         parts=tuple(parts),
         supports=tuple(supports),
-        sigma=rebuilt,
+        sigma=sigma,
     )
 
 
@@ -186,23 +193,14 @@ def entropy_mixing_identity(
     return lhs, rhs
 
 
-def _entropy_of_psd(matrix: np.ndarray, tol: Tolerances) -> float:
-    """``-sum lam ln lam`` over the significant spectrum of a PSD matrix.
-
-    Unlike :func:`~qrelent.entropy.von_neumann_entropy` this does not
-    require unit trace, so it applies to the raw pinched matrix even
-    when that matrix is subnormalized.
-    """
-    return _spectral_entropy(np.linalg.eigvalsh(matrix), tol)
-
-
 def _conditional_states(
     rho: DensityOperator, d: OrthogonalDecomposition, tol: Tolerances
-) -> tuple[np.ndarray, tuple[DensityOperator | None, ...]]:
+) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], list[np.ndarray]]:
     """Block weights ``p_k = tr(rho Q_k)`` and states ``Q_k rho Q_k / p_k``.
 
     Blocks with ``p_k <= tol.supp`` get ``None``.  Empty blocks of the
     decomposition have rank-0 ``Q_k``, so their ``p_k`` is exactly 0.
+    Also returns the compressed blocks ``V_k^dag rho V_k``.
     """
     compressed = [q.basis.conj().T @ rho.matrix @ q.basis for q in d.supports]
     p = np.array([max(0.0, float(np.trace(c).real)) for c in compressed], dtype=float)
@@ -213,7 +211,26 @@ def _conditional_states(
             continue
         states.append(_validate_in_range(q.basis, c / pk, tol))
     p.setflags(write=False)
-    return p, tuple(states)
+    return p, tuple(states), compressed
+
+
+def _pinched_entropy(
+    p: np.ndarray, states: tuple[DensityOperator | None, ...], compressed: list[np.ndarray], tol: Tolerances
+) -> float:
+    """Entropy of the raw pinched matrix ``sum_k Q_k rho Q_k`` from its blocks.
+
+    Its spectrum is the union of the block spectra: ``p_k spec(rho_k)``
+    of the conditional states already solved, and a raw solve of the
+    compressed block where ``p_k <= tol.supp`` left no state.  The matrix
+    may be subnormalized when ``rho`` leaks outside the block supports,
+    so no unit trace is required.
+    """
+    spectra = [
+        pk * rho_k.spectrum.eigenvalues if rho_k is not None else np.linalg.eigvalsh(c)
+        for pk, rho_k, c in zip(p.tolist(), states, compressed)
+        if c.shape[0] > 0
+    ]
+    return _spectral_entropy(np.sort(np.concatenate(spectra)), tol)
 
 
 @dataclass(frozen=True)
@@ -265,9 +282,9 @@ def theorem1_breakdown(
     if rho.dim != d.dim:
         raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
 
-    p, states = _conditional_states(rho, d, tol)
+    p, states, compressed = _conditional_states(rho, d, tol)
 
-    s_pinched = _entropy_of_psd(_pinched(rho.matrix, *_stack(d.supports, d.dim)), tol)
+    s_pinched = _pinched_entropy(p, states, compressed, tol)
     s_rho = von_neumann_entropy(rho, tol)
 
     p_vec = ProbabilityVector(probs=p)
@@ -326,7 +343,7 @@ def support_lemma_check(
     a consequence of ``supp(rho) <= supp(sigma)``, and is what makes
     every term ``S(rho_k || sigma_k)`` finite in that regime.
     """
-    _, states = _conditional_states(rho, d, tol)
+    _, states, _ = _conditional_states(rho, d, tol)
     for rho_k, sigma_k in zip(states, d.parts):
         if rho_k is None:
             continue

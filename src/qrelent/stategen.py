@@ -138,11 +138,19 @@ def random_state_in_support(
         raise BadSpecError("cannot place a state inside a rank-0 projector")
     if not 1 <= rank <= p.rank:
         raise BadSpecError(f"rank {rank} outside [1, {p.rank}]")
-    rng = _rng(seed)
-    g = _ginibre(rng, p.rank, rank)
+    return _validate_in_range(p.basis, _ginibre_block(p, rank, seed), tol)
+
+
+def _ginibre_block(p: Projector, rank: int, seed: int) -> np.ndarray:
+    """The unvalidated ``p.rank x p.rank`` block ``S`` of :func:`random_state_in_support`.
+
+    A trace-normalized Ginibre draw of the given rank in the frame of
+    ``p.basis``; the state is ``V S V^dag``.  Callers that mix several
+    such blocks validate the mixture instead of each block.
+    """
+    g = _ginibre(_rng(seed), p.rank, rank)
     small = g @ g.conj().T
-    small /= np.trace(small).real
-    return _validate_in_range(p.basis, small, tol)
+    return small / np.trace(small).real
 
 
 def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import count_solver_calls
-from qrelent import ConfigError
+from qrelent import DEFAULT_TOL, ConfigError, GenSpec, random_block_projectors, random_state_in_support
 from qrelent.campaign import (
     IDENTITIES,
     INFINITE_CONSISTENT,
@@ -15,6 +15,8 @@ from qrelent.campaign import (
     report_document,
     run_campaign,
     write_report,
+    _mixture_fixture,
+    _raw_state_in,
 )
 
 
@@ -63,6 +65,36 @@ def test_corollary1_trial_builds_lueders_state_once(monkeypatch):
     result = run_campaign(VerifyConfig(identity="corollary1", dims=(4,), trials=1, seed=7))
     assert result.failures == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("identity", ["lemma1", "eq3a"])
+def test_mixture_trial_solves_sigma_once(monkeypatch, identity):
+    # One 8x8 solve validates the mixture; the decomposition's parts
+    # solve in their blocks, and both routes read stored spectra.
+    calls = count_solver_calls(monkeypatch)
+    result = run_campaign(VerifyConfig(identity=identity, dims=(8,), trials=1, seed=7))
+    assert result.failures == 0
+    assert calls.count((8, 8)) == 1
+    assert all(shape[0] < 8 for shape in calls if shape != (8, 8))
+
+
+def test_mixture_fixture_validates_each_state_once(monkeypatch):
+    # The block draws are mixed raw: one solve for the mixture, then
+    # one per part the decomposition validates in its block.
+    blocks = random_block_projectors(GenSpec(dim=8, seed=5, block_sizes=(2, 3, 3)))
+    calls = count_solver_calls(monkeypatch)
+    d = _mixture_fixture(np.random.default_rng(6), blocks, DEFAULT_TOL, True, allow_zero_weight=False)
+    parts = [(b.rank, b.rank) for b, part in zip(blocks, d.parts) if part is not None]
+    assert sorted(calls) == sorted([(8, 8), *parts])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_raw_fixture_state_matches_random_state_in_support(rank):
+    # The campaign mixes raw blocks drawn as random_state_in_support
+    # draws them: the same state, before validation.
+    p = random_block_projectors(GenSpec(dim=6, seed=3, block_sizes=(3, 3)))[1]
+    raw = _raw_state_in(p, rank, 17)
+    assert np.abs(raw - random_state_in_support(p, rank, 17).matrix).max() <= 1e-14
 
 
 def test_report_is_deterministic():

@@ -187,6 +187,20 @@ def test_breakdown_infinite_case(tmp_path, capsys):
     assert "residual |lhs - rhs|        = n/a" in out
 
 
+def test_breakdown_rejects_sigma_not_block_diagonal(tmp_path, capsys):
+    # sigma has coherences between the two 1-blocks.  Decomposing it
+    # would silently replace it by its pinching, so that the "direct"
+    # line printed S(rho||pinched sigma) instead of S(rho||sigma).
+    rho_path = tmp_path / "r.json"
+    sigma_path = tmp_path / "s.json"
+    save_matrix(rho_path, np.diag([0.9, 0.1]).astype(complex))
+    save_matrix(sigma_path, np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex))
+    assert main(["breakdown", str(rho_path), str(sigma_path), "--blocks", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "direct" not in captured.out
+    assert "not block diagonal" in captured.err
+
+
 def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

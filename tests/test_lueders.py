@@ -11,6 +11,7 @@ from qrelent import (
     BadObservableError,
     DimensionMismatchError,
     GenSpec,
+    LineReport,
     NotARefinementError,
     NotDiagonalizingError,
     NotOrthonormalError,
@@ -368,6 +369,27 @@ def test_theorem2_thin_reference_matches_full_spectrum(leak):
     full, _ = theorem2_check(rho, validate_density(part.matrix))
     for a, b in ((thin.d_total, full.d_total), (thin.d_first, full.d_first), (thin.d_second, full.d_second)):
         assert abs(a.value - b.value) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [3, 6])
+def test_theorem2_middle_state_matches_dense_pinching(rank):
+    # The middle state is validated as a diagonal block in the frame of
+    # sigma's completed eigenbasis; the report equals the one against
+    # the pinched matrix validated in the full space.
+    sigma = random_density(GenSpec(dim=6, rank=rank, seed=86))
+    rho = random_state_in_support(support_projector(sigma), 2, 87)
+    report, middle = theorem2_check(rho, sigma)
+    v = sigma.spectrum.eigenvectors
+    v = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]], axis=1)
+    dense = validate_density((v * np.diag(v.conj().T @ rho.matrix @ v).real) @ v.conj().T)
+    assert frobenius(middle.matrix - dense.matrix) <= 1e-12
+    expected = LineReport(
+        d_total=quantum_relative_entropy(rho, sigma),
+        d_first=quantum_relative_entropy(rho, dense),
+        d_second=quantum_relative_entropy(dense, sigma),
+    )
+    for leg in ("d_total", "d_first", "d_second"):
+        assert abs(getattr(report, leg).value - getattr(expected, leg).value) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))

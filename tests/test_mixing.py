@@ -10,10 +10,12 @@ from qrelent import (
     GenSpec,
     LeakedSupportError,
     LengthMismatchError,
+    NotBlockDiagonalError,
     NotOrthogonalError,
     NotOrthonormalError,
     ProbabilityVector,
     Projector,
+    QrelentError,
     classical_embedding_check,
     decompose_by_projectors,
     entropy_mixing_identity,
@@ -30,6 +32,8 @@ from qrelent import (
     theorem1_breakdown,
     validate_density,
 )
+from qrelent.entropy import _spectral_entropy
+from qrelent.linop import _pinched, _stack
 from helpers import basis_projector, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -115,18 +119,25 @@ def test_decompose_rank_deficient_part():
     assert d.supports[1].rank == 1  # support, not block, rank
 
 
-def _ranked_blocks_fixture():
-    """A full-rank state at d=8 and blocks of ranks (2, 3, 3)."""
+def _ranked_blocks_fixture(ranks=(2, 3, 3)):
+    """A state at d=8, block diagonal in blocks of ranks (2, 3, 3).
+
+    Its part in block k has rank ``ranks[k]``; full rank by default.
+    """
     blocks = random_block_projectors(GenSpec(dim=8, seed=91, block_sizes=(2, 3, 3)))
-    return random_density(GenSpec(dim=8, seed=92)), blocks
+    mixture = sum(
+        w * random_state_in_support(b, r, 92 + k).matrix
+        for k, (b, r, w) in enumerate(zip(blocks, ranks, (0.2, 0.35, 0.45)))
+    )
+    return validate_density(mixture), blocks
 
 
 def test_decompose_solves_parts_in_their_blocks(monkeypatch):
     sigma, blocks = _ranked_blocks_fixture()
     calls = count_solver_calls(monkeypatch)
     d = decompose_by_projectors(sigma, blocks)
-    # One 8x8 solve for the rebuilt sigma (route A), the parts block-locally.
-    assert sorted(calls) == [(2, 2), (3, 3), (3, 3), (8, 8)]
+    # The parts solve block-locally; sigma is the caller's, not rebuilt.
+    assert sorted(calls) == [(2, 2), (3, 3), (3, 3)]
     assert [part.spectrum.eigenvectors.shape for part in d.parts] == [(8, 2), (8, 3), (8, 3)]
 
 
@@ -143,11 +154,70 @@ def test_route_a_keeps_full_space_solves(monkeypatch):
     assert frobenius(lhs - rhs) <= 1e-10
     del calls[:]
     bd = theorem1_breakdown(rho, d)
-    # Conditional states solve in their blocks, the pinched entropy in
-    # the full space; S(rho||sigma) reads sigma's full spectrum.
-    assert sorted(calls) == [(2, 2), (3, 3), (3, 3), (8, 8)]
+    # Conditional states solve in their blocks, and the pinched entropy
+    # reads their spectra; S(rho||sigma) reads sigma's full spectrum.
+    assert sorted(calls) == [(2, 2), (3, 3), (3, 3)]
     assert [s.spectrum.eigenvectors.shape for s in bd.conditional_states] == [(8, 2), (8, 3), (8, 3)]
     assert bd.residual <= 1e-10
+
+
+def _dense_pinched_entropy(rho, d, tol):
+    """S of the raw pinched matrix by one d x d solve (the reference)."""
+    pinched = _pinched(rho.matrix, *_stack(d.supports, d.dim))
+    return _spectral_entropy(np.linalg.eigvalsh(pinched), tol)
+
+
+@pytest.mark.parametrize("confined", [True, False])
+def test_theorem1_breakdown_solves_no_full_matrix(monkeypatch, confined, tol):
+    # Ranks (1, 3, 3) leave a kernel in block 0.  A confined rho lives
+    # in the supports of parts 0 and 1, so p_2 = 0 and block 2 of the
+    # pinched spectrum needs its own small solve; a full-rank rho leaks
+    # into the kernel, so the pinched matrix is subnormalized.
+    sigma, blocks = _ranked_blocks_fixture(ranks=(1, 3, 3))
+    d = decompose_by_projectors(sigma, blocks)
+    if confined:
+        span = Projector.from_basis(np.concatenate([d.supports[0].basis, d.supports[1].basis], axis=1))
+        rho = random_state_in_support(span, 4, 94)
+    else:
+        rho = random_density(GenSpec(dim=8, seed=94))
+    calls = count_solver_calls(monkeypatch)
+    bd = theorem1_breakdown(rho, d)
+    assert calls and all(shape[0] < 8 for shape in calls)
+    assert (bd.conditional_states[2] is None) == confined
+    assert bd.total_rhs.is_finite == confined
+    assert abs(bd.s_pinched - _dense_pinched_entropy(rho, d, tol)) <= 1e-12
+
+
+# -- the block-diagonal gate -------------------------------------------------
+
+
+def test_decompose_keeps_callers_sigma():
+    sigma, blocks = _ranked_blocks_fixture()
+    assert decompose_by_projectors(sigma, blocks).sigma is sigma
+
+
+def _coherent_qubit(offblock_norm):
+    """diag(1/2, 1/2) plus a real coherence of the given Frobenius norm."""
+    c = offblock_norm / math.sqrt(2.0)
+    return validate_density(np.array([[0.5, c], [c, 0.5]], dtype=complex))
+
+
+def test_decompose_block_diagonal_boundary(tol):
+    blocks = [basis_projector(2, [0]), basis_projector(2, [1])]
+    decompose_by_projectors(_coherent_qubit(0.99 * tol.identity), blocks)  # no raise
+    with pytest.raises(NotBlockDiagonalError):
+        decompose_by_projectors(_coherent_qubit(1.01 * tol.identity), blocks)
+
+
+def test_decompose_checks_leak_before_coherence():
+    # Coherent and leaking at once: the incomplete family is reported.
+    sigma = random_density(GenSpec(dim=3, seed=95))
+    with pytest.raises(LeakedSupportError):
+        decompose_by_projectors(sigma, [basis_projector(3, [0]), basis_projector(3, [1])])
+
+
+def test_not_block_diagonal_is_package_error():
+    assert issubclass(NotBlockDiagonalError, QrelentError)
 
 
 # -- lemma1 --------------------------------------------------------------
