@@ -6,15 +6,15 @@ identity by independent routes, and records a residual — or, for
 trials built to violate a support hypothesis, whether both routes
 agree on infinity.  Records depend only on the configuration and the
 per-trial seed derived from ``(master seed, dim, trial index)``, so a
-report is byte-for-byte reproducible regardless of scheduling.
+report is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +96,8 @@ class VerifyConfig:
             raise ConfigError(f"unknown identity {self.identity!r}; expected one of {', '.join(IDENTITIES)}")
         if not self.dims or any(d < 2 for d in self.dims):
             raise ConfigError(f"dims must all be >= 2, got {self.dims}")
+        if len(set(self.dims)) != len(self.dims):
+            raise ConfigError(f"dims must not repeat, got {self.dims}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -341,40 +343,21 @@ _TRIALS = {
 }
 
 
-def run_campaign(config: VerifyConfig, threads: int = 1) -> CampaignResult:
-    """Run every trial of a campaign, optionally on a thread pool.
+def run_campaign(config: VerifyConfig) -> CampaignResult:
+    """Run every trial of a campaign, in ``(dim, trial)`` order.
 
     The records are a pure function of ``config``: per-trial seeds are
-    derived from ``(config.seed, dim, trial)``, and the record order is
-    by ``(dim, trial)``, so thread count affects wall time only.
+    derived from ``(config.seed, dim, trial)``.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     trial_fn = _TRIALS[config.identity]
-    jobs = [(dim, t) for dim in sorted(config.dims) for t in range(config.trials)]
-
-    def run_one(job: tuple[int, int]) -> TrialRecord:
-        dim, t = job
-        seed = derive_seed(config.seed, dim, t)
-        lhs_finite, rhs_finite, residual, min_eig, leakage = trial_fn(config, dim, t, np.random.default_rng(seed))
-        residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
-        return TrialRecord(
-            identity=config.identity,
-            dim=dim,
-            trial=t,
-            seed=seed,
-            residual=residual,
-            min_nonzero_eig=min_eig,
-            leakage=leakage,
-            passed=passed,
-        )
-
     start = time.perf_counter()
-    if threads == 1:
-        records = [run_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_one, jobs))
+    records = []
+    for dim in sorted(config.dims):
+        for t in range(config.trials):
+            seed = derive_seed(config.seed, dim, t)
+            lhs_finite, rhs_finite, residual, min_eig, leakage = trial_fn(config, dim, t, np.random.default_rng(seed))
+            residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
+            records.append(TrialRecord(config.identity, dim, t, seed, residual, min_eig, leakage, passed))
     wall = time.perf_counter() - start
 
     failures = sum(1 for r in records if not r.passed)
@@ -390,7 +373,7 @@ def run_campaign(config: VerifyConfig, threads: int = 1) -> CampaignResult:
 
 def report_document(result: CampaignResult) -> dict:
     """The report as a JSON-ready dict (no wall time: reports must be
-    byte-identical across runs and thread counts)."""
+    byte-identical across runs)."""
     cfg = result.config
     return {
         "schema_version": 1,
@@ -403,19 +386,7 @@ def report_document(result: CampaignResult) -> dict:
             "include_infinite": cfg.include_infinite,
             "tolerances": {name: getattr(cfg.tol, name) for name in cfg.tol.__dataclass_fields__},
         },
-        "records": [
-            {
-                "identity": r.identity,
-                "dim": r.dim,
-                "trial": r.trial,
-                "seed": r.seed,
-                "residual": r.residual,
-                "min_nonzero_eig": r.min_nonzero_eig,
-                "leakage": r.leakage,
-                "passed": r.passed,
-            }
-            for r in result.records
-        ],
+        "records": [dataclasses.asdict(r) for r in result.records],
         "summary": {
             "trials": len(result.records),
             "failures": result.failures,

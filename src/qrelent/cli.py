@@ -112,7 +112,9 @@ def cmd_verify(args) -> int:
         include_singular=args.include_singular,
         include_infinite=args.include_infinite,
     )
-    result = run_campaign(config, threads=args.threads)
+    if args.threads < 1:
+        raise QrelentError(f"--threads must be >= 1, got {args.threads}")
+    result = run_campaign(config)
     out = args.out if args.out is not None else f"verify_{config.identity}.json"
     write_report(result, out)
     consistent = sum(1 for r in result.records if r.residual == "infinite-consistent")
@@ -162,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="include support-violating trials that must agree on +inf",
     )
-    p_verify.add_argument("--threads", type=int, default=1, help="worker threads (does not affect the report)")
+    p_verify.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; any value >= 1 runs serially"
+    )
     p_verify.add_argument("--out", default=None, help="report path (default: verify_<identity>.json)")
     p_verify.set_defaults(fn=cmd_verify)
 

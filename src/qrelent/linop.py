@@ -19,6 +19,11 @@ Conventions
 * A projector is stored as an orthonormal basis ``V`` of its range, and
   the maps on projector families work in that frame: ``V^dag M V``
   rather than ``P M P``.
+* Every projector family passes through :func:`_stack`, which owns the
+  one dimension check on families.  :func:`_block_states` owns the
+  split of an operator into weighted block states: the weight of a
+  block is the trace of its compression, clamped at 0, and a block
+  whose weight is at most ``tol.supp`` carries no state.
 """
 
 from __future__ import annotations
@@ -440,7 +445,16 @@ def _spectral_log(spec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
 
 
 def _stack(projectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``[V_1 ... V_K]`` and, per column, the index ``k`` of its projector."""
+    """``[V_1 ... V_K]`` and, per column, the index ``k`` of its projector.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If some projector does not live on ``dim``.
+    """
+    for k, p in enumerate(projectors):
+        if p.dim != dim:
+            raise DimensionMismatchError(f"projector {k} on dim {p.dim}, expected dim {dim}")
     v = np.concatenate([np.zeros((dim, 0), dtype=complex), *(p.basis for p in projectors)], axis=1)
     labels = np.repeat(np.arange(len(projectors)), [p.rank for p in projectors])
     return v, labels
@@ -495,15 +509,31 @@ def pinch(
         If the pinched trace falls below ``1 - tol.supp`` (the family
         does not cover the state's support).
     """
-    d = rho.dim
-    for p in projectors:
-        if p.dim != d:
-            raise DimensionMismatchError(f"projector on dim {p.dim}, state on dim {d}")
-    out = _pinched(rho.matrix, *_check_mutually_orthogonal(projectors, d, tol))
+    out = _pinched(rho.matrix, *_check_mutually_orthogonal(projectors, rho.dim, tol))
     kept = float(np.trace(out).real)
     if not (1.0 - tol.supp <= kept):
         raise MassLossError(f"pinching kept only trace {kept!r} of the state")
     return validate_density(out, tol)
+
+
+def _block_states(
+    matrix: np.ndarray, projectors, tol: Tolerances
+) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], list[np.ndarray]]:
+    """Split ``M`` into block weights and normalized block states.
+
+    Per projector ``V_k``: the compressed block ``C_k = V_k^dag M V_k``,
+    the weight ``p_k = tr C_k`` clamped at 0, and the state
+    ``V_k (C_k / p_k) V_k^dag`` validated in the range frame, or
+    ``None`` where ``p_k <= tol.supp``.  Returns the read-only weights,
+    the states and the compressed blocks.
+    """
+    compressed = [p.basis.conj().T @ matrix @ p.basis for p in projectors]
+    weights = np.array([max(0.0, float(np.trace(c).real)) for c in compressed], dtype=float)
+    states = tuple(
+        _validate_in_range(p.basis, c / w, tol) if w > tol.supp else None
+        for p, c, w in zip(projectors, compressed, weights.tolist())
+    )
+    return _readonly(weights), states, compressed
 
 
 def _populations(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:

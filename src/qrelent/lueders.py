@@ -84,9 +84,6 @@ class ProjectiveObservable:
         if len(set(eigs)) != len(eigs):
             raise BadObservableError(f"eigenvalues must be distinct, got {eigs}")
         d = projs[0].dim
-        for p in projs:
-            if p.dim != d:
-                raise DimensionMismatchError("projectors on mixed dimensions")
         v, _ = _check_mutually_orthogonal(projs, d, tol)
         defect = frobenius(v @ v.conj().T - np.eye(d))
         if not (defect <= tol.identity):
@@ -105,10 +102,8 @@ def detectable_projectors(
     Raises
     ------
     DimensionMismatchError
-        If the state and the observable live on different dimensions.
+        If a projector of the observable is not on the state's dimension.
     """
-    if rho.dim != obs.dim:
-        raise DimensionMismatchError(f"state on dim {rho.dim}, observable on dim {obs.dim}")
     v, labels = _stack(obs.projectors, rho.dim)
     weights = np.bincount(labels, weights=_populations(rho.matrix, v), minlength=len(obs.projectors))
     return [p for p, weight in zip(obs.projectors, weights.tolist()) if weight > tol.supp]
@@ -132,10 +127,8 @@ def lueders_state(
     Raises
     ------
     DimensionMismatchError
-        If the state and the observable live on different dimensions.
+        If a projector of the observable is not on the state's dimension.
     """
-    if rho.dim != obs.dim:
-        raise DimensionMismatchError(f"state on dim {rho.dim}, observable on dim {obs.dim}")
     projectors = detectable_projectors(rho, obs, tol) if detectable_only else obs.projectors
     return validate_density(_pinched(rho.matrix, *_stack(projectors, rho.dim)), tol)
 
@@ -175,12 +168,10 @@ def is_refinement(
     NotARefinementError
         If either condition fails.
     DimensionMismatchError
-        If the observables live on different dimensions.
+        If a fine projector is not on the coarse observable's dimension.
     """
-    if fine.dim != coarse.dim:
-        raise DimensionMismatchError(f"observables on dims {fine.dim} and {coarse.dim}")
     vc, coarse_labels = _stack(coarse.projectors, coarse.dim)
-    vf, fine_labels = _stack(fine.projectors, fine.dim)
+    vf, fine_labels = _stack(fine.projectors, coarse.dim)
     overlap = vc.conj().T @ vf
     n_fine = len(fine.projectors)
     absorbed = np.empty((len(coarse.projectors), n_fine), dtype=bool)

@@ -33,11 +33,11 @@ from .linop import (
     support_contained,
     support_projector,
     validate_density,
+    _block_states,
     _check_mutually_orthogonal,
     _gram_defect,
     _pinched,
     _spectral_log,
-    _validate_in_range,
 )
 from .entropy import (
     INFINITY,
@@ -119,39 +119,20 @@ def decompose_by_projectors(
         If ``sigma`` has coherences between (or outside) the blocks
         beyond ``tol.identity``.
     """
-    d = sigma.dim
-    for b in blocks:
-        if b.dim != d:
-            raise DimensionMismatchError(f"block on dim {b.dim}, state on dim {d}")
-    stacked = _check_mutually_orthogonal(blocks, d, tol)
-
-    # Each block in its range frame: sigma compressed to V_k^dag sigma V_k.
-    compressed = [b.basis.conj().T @ sigma.matrix @ b.basis for b in blocks]
-    weights = [max(0.0, float(np.trace(c).real)) for c in compressed]
-    leak = 1.0 - math.fsum(weights)
+    stacked = _check_mutually_orthogonal(blocks, sigma.dim, tol)
+    weights, parts, _ = _block_states(sigma.matrix, blocks, tol)
+    leak = 1.0 - math.fsum(weights.tolist())
     if not (leak <= tol.supp):
         raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
     coherence = frobenius(sigma.matrix - _pinched(sigma.matrix, *stacked))
     if not (coherence <= tol.identity):
         raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
 
-    parts: list[DensityOperator | None] = []
-    supports: list[Projector] = []
-    for b, c, w in zip(blocks, compressed, weights):
-        if w <= tol.supp:
-            parts.append(None)
-            supports.append(Projector.zero(d))
-            continue
-        part = _validate_in_range(b.basis, c / w, tol)
-        parts.append(part)
-        supports.append(support_projector(part, tol))
-
-    w_arr = np.array(weights, dtype=float)
+    supports = tuple(
+        support_projector(part, tol) if part is not None else Projector.zero(sigma.dim) for part in parts
+    )
     return OrthogonalDecomposition(
-        weights=ProbabilityVector.validated(w_arr, tol),
-        parts=tuple(parts),
-        supports=tuple(supports),
-        sigma=sigma,
+        weights=ProbabilityVector.validated(weights, tol), parts=parts, supports=supports, sigma=sigma
     )
 
 
@@ -191,27 +172,6 @@ def entropy_mixing_identity(
         if part is not None
     )
     return lhs, rhs
-
-
-def _conditional_states(
-    rho: DensityOperator, d: OrthogonalDecomposition, tol: Tolerances
-) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], list[np.ndarray]]:
-    """Block weights ``p_k = tr(rho Q_k)`` and states ``Q_k rho Q_k / p_k``.
-
-    Blocks with ``p_k <= tol.supp`` get ``None``.  Empty blocks of the
-    decomposition have rank-0 ``Q_k``, so their ``p_k`` is exactly 0.
-    Also returns the compressed blocks ``V_k^dag rho V_k``.
-    """
-    compressed = [q.basis.conj().T @ rho.matrix @ q.basis for q in d.supports]
-    p = np.array([max(0.0, float(np.trace(c).real)) for c in compressed], dtype=float)
-    states: list[DensityOperator | None] = []
-    for q, c, pk in zip(d.supports, compressed, p.tolist()):
-        if pk <= tol.supp:
-            states.append(None)
-            continue
-        states.append(_validate_in_range(q.basis, c / pk, tol))
-    p.setflags(write=False)
-    return p, tuple(states), compressed
 
 
 def _pinched_entropy(
@@ -282,7 +242,7 @@ def theorem1_breakdown(
     if rho.dim != d.dim:
         raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
 
-    p, states, compressed = _conditional_states(rho, d, tol)
+    p, states, compressed = _block_states(rho.matrix, d.supports, tol)
 
     s_pinched = _pinched_entropy(p, states, compressed, tol)
     s_rho = von_neumann_entropy(rho, tol)
@@ -343,7 +303,7 @@ def support_lemma_check(
     a consequence of ``supp(rho) <= supp(sigma)``, and is what makes
     every term ``S(rho_k || sigma_k)`` finite in that regime.
     """
-    _, states, _ = _conditional_states(rho, d, tol)
+    _, states, _ = _block_states(rho.matrix, d.supports, tol)
     for rho_k, sigma_k in zip(states, d.parts):
         if rho_k is None:
             continue

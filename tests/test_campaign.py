@@ -32,6 +32,7 @@ def small(identity, **kw):
         dict(identity="nonsense"),
         dict(identity="lemma1", dims=(1, 2)),
         dict(identity="lemma1", dims=()),
+        dict(identity="lemma1", dims=(2, 2)),
         dict(identity="lemma1", trials=0),
         dict(identity="lemma1", seed=-1),
     ],
@@ -41,11 +42,6 @@ def test_config_rejects(kwargs):
     base.update(kwargs)
     with pytest.raises(ConfigError):
         VerifyConfig(**base)
-
-
-def test_run_campaign_rejects_bad_threads():
-    with pytest.raises(ConfigError):
-        run_campaign(small("lemma1"), threads=0)
 
 
 @pytest.mark.parametrize("identity", IDENTITIES)
@@ -102,13 +98,6 @@ def test_report_is_deterministic():
     a = report_document(run_campaign(cfg))
     b = report_document(run_campaign(cfg))
     assert a == b
-
-
-def test_threads_do_not_change_report():
-    cfg = small("corollary2")
-    serial = report_document(run_campaign(cfg, threads=1))
-    parallel = report_document(run_campaign(cfg, threads=3))
-    assert serial == parallel
 
 
 def test_infinite_slots_appear():

@@ -122,6 +122,20 @@ def test_verify_rejects_non_finite_tolerance(tmp_path, monkeypatch, capsys, tol)
     assert "--tol must be a finite positive number" in capsys.readouterr().err
 
 
+def test_verify_rejects_bad_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "lemma1", "--dims", "2", "--trials", "1", "--threads", "0"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_rejects_repeated_dims(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "eq3a", "--dims", "2,2", "--trials", "2"]) == 2
+    assert "dims must not repeat" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_reports_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["verify", "theorem1", "--dims", "2,3", "--trials", "3", "--seed", "11", "--include-infinite"]

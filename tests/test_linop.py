@@ -18,12 +18,17 @@ from qrelent import (
     NotOrthonormalError,
     NotPositiveError,
     Projector,
+    ProjectiveObservable,
     QrelentError,
     Tolerances,
+    decompose_by_projectors,
+    detectable_projectors,
     eigh,
     extended_log,
     frobenius,
     haar_unitary,
+    is_refinement,
+    lueders_state,
     pinch,
     quantum_relative_entropy,
     random_density,
@@ -447,6 +452,35 @@ def test_pinch_over_rank_one_family_makes_one_eigensolve(monkeypatch, tol):
 def test_pinch_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         pinch(diag_state(0.5, 0.5), [basis_projector(3, [0])])
+
+
+def _unchecked_observable(projectors):
+    """An observable built without validation, so a stray projector reaches the maps."""
+    return ProjectiveObservable(eigenvalues=tuple(range(len(projectors))), projectors=tuple(projectors))
+
+
+_WHOLE_SPACE = ProjectiveObservable.validated((0.0,), [basis_projector(3, [0, 1, 2])])
+
+_FAMILY_MAPS = {
+    "pinch": lambda rho, family: pinch(rho, family),
+    "decompose_by_projectors": lambda rho, family: decompose_by_projectors(rho, family),
+    "ProjectiveObservable.validated": lambda rho, family: ProjectiveObservable.validated(range(3), family),
+    "lueders_state": lambda rho, family: lueders_state(rho, _unchecked_observable(family)),
+    "lueders_state_detectable_only": lambda rho, family: lueders_state(
+        rho, _unchecked_observable(family), detectable_only=True
+    ),
+    "detectable_projectors": lambda rho, family: detectable_projectors(rho, _unchecked_observable(family)),
+    "is_refinement": lambda rho, family: is_refinement(_unchecked_observable(family), _WHOLE_SPACE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_MAPS))
+def test_family_with_a_stray_dimension_is_rejected(name):
+    # The first projectors match the state, so only the per-projector
+    # check in _stack can catch the last one.
+    family = [basis_projector(3, [0]), basis_projector(3, [1]), basis_projector(4, [2])]
+    with pytest.raises(DimensionMismatchError, match="projector 2 on dim 4, expected dim 3"):
+        _FAMILY_MAPS[name](diag_state(0.5, 0.25, 0.25), family)
 
 
 # -- support containment ------------------------------------------------

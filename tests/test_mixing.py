@@ -84,6 +84,25 @@ def test_decompose_zero_weight_block():
     assert d.weights.probs[1] == 0.0
 
 
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_empty_block_policy_at_supp_boundary(factor, tol):
+    # One policy for parts of sigma and conditional states of rho: a
+    # block weighted at most tol.supp carries no state.
+    eps = factor * tol.supp
+    blocks = [basis_projector(2, [0]), basis_projector(2, [1])]
+    skewed = diag_state(1.0 - eps, eps)
+    d = decompose_by_projectors(skewed, blocks, tol)
+    bd = theorem1_breakdown(skewed, decompose_by_projectors(diag_state(0.5, 0.5), blocks, tol), tol)
+    if factor < 1.0:
+        assert d.parts[1] is None and d.supports[1].rank == 0
+        assert bd.conditional_states[1] is None
+    else:
+        assert d.supports[1].rank == 1
+        for state in (d.parts[1], bd.conditional_states[1]):
+            assert np.allclose(state.matrix, np.diag([0.0, 1.0]), atol=1e-12)
+            assert state.spectrum.eigenvalues.tolist() == [1.0]
+
+
 def test_decompose_rejects_leaked_support():
     sigma = validate_density(np.eye(3) / 3)
     with pytest.raises(LeakedSupportError):
