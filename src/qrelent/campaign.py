@@ -375,6 +375,7 @@ def report_document(result: CampaignResult) -> dict:
     """The report as a JSON-ready dict (no wall time: reports must be
     byte-identical across runs)."""
     cfg = result.config
+    fields = [f.name for f in dataclasses.fields(TrialRecord)]
     return {
         "schema_version": 1,
         "identity": cfg.identity,
@@ -386,7 +387,7 @@ def report_document(result: CampaignResult) -> dict:
             "include_infinite": cfg.include_infinite,
             "tolerances": {name: getattr(cfg.tol, name) for name in cfg.tol.__dataclass_fields__},
         },
-        "records": [dataclasses.asdict(r) for r in result.records],
+        "records": [{name: getattr(r, name) for name in fields} for r in result.records],
         "summary": {
             "trials": len(result.records),
             "failures": result.failures,

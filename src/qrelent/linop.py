@@ -24,6 +24,13 @@ Conventions
   split of an operator into weighted block states: the weight of a
   block is the trace of its compression, clamped at 0, and a block
   whose weight is at most ``tol.supp`` carries no state.
+* A pinched state — a Lüders state, or Theorem 2's middle state as the
+  pinching over the rank-1 family of an eigenbasis — is validated by
+  :func:`_pinched_state` from its block spectra: one batched
+  eigensolve per distinct block size, rank-1 blocks read off the
+  diagonal, and no ``d x d`` solve.  :func:`pinch` keeps the full
+  :func:`validate_density`, since its family need only be orthogonal
+  within ``tol.identity``.
 """
 
 from __future__ import annotations
@@ -310,23 +317,28 @@ def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposi
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
 
 
-def _clean_spectrum(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The validation body shared by the state constructors.
+def _clean_eigenvalues(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The validation tail shared by the state constructors.
 
-    Takes an exactly Hermitian ``m`` (from :func:`symmetrize`), runs the
-    checked :func:`eigh`, gates positivity and unit trace, and returns
-    the eigenvalues clamped to ``>= 0`` and renormalized to sum to 1,
-    with the eigenvectors.
+    Takes ascending eigenvalues ``w``, gates positivity and unit trace,
+    and returns them clamped to ``>= 0`` and renormalized to sum to 1.
     """
-    spec = eigh(m, tol)
-    w = spec.eigenvalues
     if not (float(w[0]) >= -tol.psd):
         raise NotPositiveError(f"smallest eigenvalue {float(w[0]):.3e} below -{tol.psd:.1e}")
     trace = math.fsum(w.tolist())
     if not (abs(trace - 1.0) <= tol.trace):
         raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
     w = np.clip(w, 0.0, None)
-    return w / math.fsum(w.tolist()), spec.eigenvectors
+    return w / math.fsum(w.tolist())
+
+
+def _clean_spectrum(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The checked :func:`eigh` of an exactly Hermitian ``m`` (from
+    :func:`symmetrize`), cleaned by :func:`_clean_eigenvalues`; returns
+    the eigenvalues and the eigenvectors.
+    """
+    spec = eigh(m, tol)
+    return _clean_eigenvalues(spec.eigenvalues, tol), spec.eigenvectors
 
 
 def _density(w: np.ndarray, v: np.ndarray) -> DensityOperator:
@@ -480,11 +492,71 @@ def _check_mutually_orthogonal(projectors, dim: int, tol: Tolerances) -> tuple[n
     return v, labels
 
 
-def _pinched(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """``sum_k P_k M P_k`` as ``V B V^dag``, ``B`` the block diagonal of ``V^dag M V``."""
+def _block_diagonal(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``B``, the block diagonal of ``V^dag M V``: entries between columns of one label."""
     b = v.conj().T @ matrix @ v
     b[labels[:, None] != labels[None, :]] = 0.0
-    return v @ b @ v.conj().T
+    return b
+
+
+def _pinched(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``sum_k P_k M P_k`` as ``V B V^dag``, ``B`` from :func:`_block_diagonal`."""
+    return v @ _block_diagonal(matrix, v, labels) @ v.conj().T
+
+
+def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:
+    """Validate the pinching ``sum_k V_k (V_k^dag M V_k) V_k^dag`` from its blocks.
+
+    ``v`` stacks the range bases ``V_k`` and ``labels`` names the block
+    of each column, in ascending order, as :func:`_stack` returns them.
+    The spectrum of a pinching is the union of the spectra of its blocks
+    ``B_k``, on the eigenvectors ``V_k U_k``, so no ``d x d`` matrix is
+    solved: blocks of one size share one batched eigensolve, and rank-1
+    blocks are read off the diagonal of ``B``.  The gates of
+    :func:`validate_density` run in the block frame, where ``V``
+    preserves norms and traces: Hermiticity of the whole block-diagonal
+    ``B``, the reconstruction defect summed over the blocks, one Gram
+    check of the assembled eigenvectors at ``tol.orth``, then positivity
+    and unit trace.  The result equals
+    ``validate_density(_pinched(M, V, labels))`` up to round-off; its
+    spectrum is thin when ``V`` does not span the space.
+
+    Raises
+    ------
+    NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
+        As :func:`validate_density`.
+    NotOrthonormalError
+        If the eigenvectors ``V_k U_k`` are not orthonormal within
+        ``tol.orth``: the family is no eigenbasis to that precision.
+    """
+    b = symmetrize(_block_diagonal(matrix, v, labels), tol)
+    # A rank-1 block is its own eigenvalue on its own column; larger
+    # blocks overwrite their entries.
+    w = b.diagonal().real.copy()
+    vectors = v.copy()
+    sizes = np.bincount(labels)
+    column_sizes = sizes[labels]
+    recon_sq = 0.0
+    for s in sorted(set(sizes.tolist()) - {0, 1}):
+        # Blocks are runs of consecutive columns: one row per block.
+        cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
+        blocks = b[cols[:, :, None], cols[:, None, :]]
+        try:
+            bw, bu = np.linalg.eigh(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"eigensolver failed: {exc}") from exc
+        recon = (bu * bw[:, None, :]) @ bu.conj().transpose(0, 2, 1) - blocks
+        recon_sq += float(np.vdot(recon, recon).real)
+        w[cols] = bw
+        vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
+    recon_defect = math.sqrt(recon_sq)
+    if not (recon_defect <= tol.recon * max(1.0, frobenius(b))):
+        raise SolverFailureError(f"spectral reconstruction error {recon_defect:.3e}")
+    gram_defect = _gram_defect(vectors)
+    if not (gram_defect <= tol.orth):
+        raise NotOrthonormalError(f"pinched eigenvectors not orthonormal: defect {gram_defect:.3e}")
+    ascending = np.argsort(w, kind="stable")
+    return _density(_clean_eigenvalues(w[ascending], tol), vectors[:, ascending])
 
 
 def pinch(

@@ -31,13 +31,11 @@ from .linop import (
     Tolerances,
     frobenius,
     support_contained,
-    validate_density,
     _check_mutually_orthogonal,
     _gram_defect,
-    _pinched,
+    _pinched_state,
     _populations,
     _stack,
-    _validate_in_range,
 )
 from .entropy import ExtendedReal, quantum_relative_entropy, von_neumann_entropy
 
@@ -120,17 +118,24 @@ def lueders_state(
 
     With ``detectable_only=True`` the sum runs only over outcomes with
     nonzero probability — a distinct code path that must agree with the
-    full sum, since zero-probability outcomes contribute nothing.  The
-    observable's orthogonality and completeness were checked when it
-    was built, so neither is checked again here.
+    full sum, since zero-probability outcomes contribute nothing; its
+    spectrum is thin.  The state is validated from its block spectra,
+    with no ``d x d`` eigensolve.  The observable's orthogonality and
+    completeness were checked when it was built, at ``tol.identity``;
+    as an eigenbasis the stacked range bases must also pass the Gram
+    check at ``tol.orth``.
 
     Raises
     ------
     DimensionMismatchError
         If a projector of the observable is not on the state's dimension.
+    NotOrthonormalError
+        If the projectors' range bases are orthogonal to within
+        ``tol.identity`` but not to within ``tol.orth``, so they cannot
+        carry the state's eigenvectors.
     """
     projectors = detectable_projectors(rho, obs, tol) if detectable_only else obs.projectors
-    return validate_density(_pinched(rho.matrix, *_stack(projectors, rho.dim)), tol)
+    return _pinched_state(rho.matrix, *_stack(projectors, rho.dim), tol)
 
 
 def corollary1_check(
@@ -313,9 +318,9 @@ def theorem2_check(
             raise NotDiagonalizingError(f"basis does not diagonalize the reference state: off-diagonal {off:.3e}")
 
     # Pinching in an orthonormal basis keeps the diagonal of rho in
-    # that basis and kills everything else: validated in the frame of
-    # v, the middle state is a diagonal block.
-    middle = _validate_in_range(v, np.diag(_populations(rho.matrix, v)), tol)
+    # that basis and kills everything else: the pinching over the
+    # rank-1 family of v's columns, its spectrum read off that diagonal.
+    middle = _pinched_state(rho.matrix, v, np.arange(sigma.dim), tol)
 
     report = LineReport(
         d_total=quantum_relative_entropy(rho, sigma, tol),

@@ -302,7 +302,14 @@ def support_lemma_check(
     ``supp(Q_k rho Q_k / p_k) <= supp(sigma_k)``.  This containment is
     a consequence of ``supp(rho) <= supp(sigma)``, and is what makes
     every term ``S(rho_k || sigma_k)`` finite in that regime.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``rho`` and the decomposition live on different dimensions.
     """
+    if rho.dim != d.dim:
+        raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
     _, states, _ = _block_states(rho.matrix, d.supports, tol)
     for rho_k, sigma_k in zip(states, d.parts):
         if rho_k is None:

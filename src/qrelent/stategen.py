@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpecError
-from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _validate_in_range
+from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _readonly, _validate_in_range
 from .lueders import ProjectiveObservable, RefinementPair
 
 __all__ = [
@@ -181,17 +181,20 @@ def random_refinement(
     Within each coarse subspace a Haar-rotated basis is partitioned
     into consecutive groups (all singletons when ``rank_one=True``);
     the returned pair's grouping is re-derived by the refinement check
-    rather than trusted from construction.
+    rather than trusted from construction.  The rotated basis is
+    checked orthonormal once: a group's Gram matrix is a principal
+    submatrix of the whole basis's, so its defect is no larger.
     """
     rng = _rng(seed)
     coarse_obs = ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol)
     fine_projs: list[Projector] = []
     for p in coarse:
-        rotated = p.basis @ _haar(rng, p.rank)
+        rotated = Projector.from_basis(p.basis @ _haar(rng, p.rank), tol).basis
         sizes = [1] * p.rank if rank_one else _random_composition(rng, p.rank)
         start = 0
         for s in sizes:
-            fine_projs.append(Projector.from_basis(rotated[:, start : start + s], tol))
+            # A C-contiguous copy per group, the array from_basis would store.
+            fine_projs.append(Projector(basis=_readonly(rotated[:, start : start + s].copy())))
             start += s
     fine_obs = ProjectiveObservable.validated(range(len(fine_projs)), tuple(fine_projs), tol)
     return RefinementPair.checked(coarse_obs, fine_obs, tol)

@@ -1,5 +1,6 @@
 """Campaign configuration, determinism, and report structure."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -54,13 +55,30 @@ def test_small_campaign_passes(identity):
         assert rec.identity == identity
 
 
+def _block_solves_only(calls, dim: int) -> bool:
+    """Whether every solve but the ``dim x dim`` ones is a batched block solve."""
+    return all(len(shape) == 3 and shape[-1] < dim for shape in calls if shape != (dim, dim))
+
+
 def test_corollary1_trial_builds_lueders_state_once(monkeypatch):
-    # One eigensolve validates the probe state, one the Lueders state;
-    # the relative entropy reads both cached spectra.
+    # One 8x8 eigensolve validates the probe state; the Lueders state is
+    # validated from its block spectra, and the relative entropy reads
+    # both cached spectra.
     calls = count_solver_calls(monkeypatch)
-    result = run_campaign(VerifyConfig(identity="corollary1", dims=(4,), trials=1, seed=7))
+    result = run_campaign(VerifyConfig(identity="corollary1", dims=(8,), trials=1, seed=8))
     assert result.failures == 0
-    assert len(calls) == 2
+    assert calls.count((8, 8)) == 1
+    assert _block_solves_only(calls, 8)
+
+
+def test_corollary2_trial_solves_only_the_probe_in_full(monkeypatch):
+    # The three Lueders states (coarse, fine, fine after coarse) make
+    # block solves only; the probe state is the one 8x8 solve.
+    calls = count_solver_calls(monkeypatch)
+    result = run_campaign(VerifyConfig(identity="corollary2", dims=(8,), trials=1, seed=9))
+    assert result.failures == 0
+    assert calls.count((8, 8)) == 1
+    assert _block_solves_only(calls, 8)
 
 
 @pytest.mark.parametrize("identity", ["lemma1", "eq3a"])
@@ -143,6 +161,13 @@ def test_report_document_shape():
     assert doc["summary"]["max_residual"] == max(finite)
     for rec in records:
         assert set(rec) >= {"identity", "dim", "trial", "seed", "residual", "passed"}
+
+
+def test_report_records_match_dataclass_fields():
+    # Same keys in the same order as dataclasses.asdict, so the same bytes.
+    result = run_campaign(small("theorem1", include_infinite=True))
+    records = report_document(result)["records"]
+    assert json.dumps(records) == json.dumps([dataclasses.asdict(r) for r in result.records])
 
 
 def test_write_report_roundtrip(tmp_path):

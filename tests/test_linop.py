@@ -32,6 +32,7 @@ from qrelent import (
     pinch,
     quantum_relative_entropy,
     random_density,
+    random_state_in_support,
     GenSpec,
     support_contained,
     support_leakage,
@@ -39,7 +40,7 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _kept, _overlaps, _stack, _validate_in_range
+from qrelent.linop import _kept, _overlaps, _pinched, _pinched_state, _stack, _validate_in_range
 from helpers import basis_projector, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
@@ -447,6 +448,80 @@ def test_pinch_over_rank_one_family_makes_one_eigensolve(monkeypatch, tol):
     rotated = u.conj().T @ out.matrix @ u
     assert frobenius(rotated - np.diag(np.diag(rotated))) <= tol.identity
     assert np.allclose(np.diag(rotated), np.diag(u.conj().T @ rho.matrix @ u), atol=1e-14)
+
+
+@st.composite
+def _pinched_fixtures(draw):
+    """A Haar family of mixed block sizes (or rank-1 blocks) and a state.
+
+    The state lives in the first ``populated`` blocks, so with
+    ``detectable_only`` the remaining blocks drop out of the family.
+    """
+    dim = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        sizes = [1] * dim
+    else:
+        sizes = []
+        while sum(sizes) < dim:
+            sizes.append(draw(st.integers(1, dim - sum(sizes))))
+    u = haar_unitary(dim, draw(st.integers(0, 2**31)))
+    edges = np.cumsum([0, *sizes])
+    family = [Projector.from_basis(u[:, a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    populated = draw(st.integers(1, len(family)))
+    inside = Projector.from_basis(u[:, : edges[populated]])
+    rank = draw(st.integers(1, inside.rank))
+    rho = random_state_in_support(inside, rank, draw(st.integers(0, 2**31)))
+    return rho, family, draw(st.booleans())
+
+
+@given(fixture=_pinched_fixtures())
+@settings(deadline=None, max_examples=120)
+def test_pinched_state_matches_full_validation(fixture):
+    # lueders_state validates through _pinched_state; the reference
+    # validates the dense pinched matrix with one d x d solve.
+    tol = DEFAULT_TOL
+    rho, family, detectable_only = fixture
+    obs = ProjectiveObservable.validated(range(len(family)), family)
+    blocks = lueders_state(rho, obs, tol, detectable_only=detectable_only)
+    if detectable_only:
+        family = detectable_projectors(rho, obs)
+    stacked = _stack(family, rho.dim)
+    full = validate_density(_pinched(rho.matrix, *stacked), tol)
+    n = stacked[0].shape[1]
+    assert blocks.spectrum.eigenvectors.shape == (rho.dim, n)
+    assert frobenius(blocks.matrix - full.matrix) <= 1e-12
+    w = np.sort(np.concatenate([blocks.spectrum.eigenvalues, np.zeros(rho.dim - n)]))
+    assert np.abs(w - full.spectrum.eigenvalues).max() <= 1e-12
+    assert np.all(np.diff(blocks.spectrum.eigenvalues) >= 0.0)
+    assert frobenius(blocks.spectrum.reconstruct() - blocks.matrix) <= 1e-14
+
+
+@given(
+    fixture=_pinched_fixtures(),
+    kind=st.sampled_from(["non-hermitian", "negative", "bad-trace", "nan"]),
+)
+@settings(deadline=None, max_examples=80)
+def test_pinched_state_rejects_like_full_validation(fixture, kind):
+    # Each spoiling survives the pinching: it sits inside the first block.
+    tol = DEFAULT_TOL
+    rho, family, _ = fixture
+    v, labels = _stack(family, rho.dim)
+    first = v[:, labels == 0]
+    bad = rho.matrix.copy()
+    if kind == "non-hermitian":
+        bad += 0.3j * np.outer(first[:, -1], first[:, 0].conj())
+    elif kind == "negative":
+        bad -= 2.0 * np.outer(first[:, 0], first[:, 0].conj())
+    elif kind == "bad-trace":
+        bad *= 1.5
+    else:
+        bad[0, 0] = math.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(QrelentError) as full:
+            validate_density(_pinched(bad, v, labels), tol)
+        with pytest.raises(QrelentError) as blocks:
+            _pinched_state(bad, v, labels, tol)
+    assert type(blocks.value) is type(full.value)
 
 
 def test_pinch_dimension_mismatch():

@@ -39,7 +39,7 @@ from qrelent import (
     theorem2_check,
     validate_density,
 )
-from helpers import basis_projector, diag_state, pure
+from helpers import basis_projector, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
 
@@ -139,6 +139,22 @@ def test_lueders_state_does_not_recheck_orthogonality(monkeypatch):
         out = lueders_state(rho, obs, detectable_only=detectable_only)
         assert frobenius(out.matrix - expected.matrix) <= 1e-15
     assert checked == []
+
+
+def test_lueders_state_needs_an_orthonormal_family(tol):
+    # e2 tilted toward e0 by 1e-9: orthogonal within tol.identity, so
+    # the observable validates and pinch accepts it, but the stacked
+    # bases fail the eigenvector Gram check at tol.orth.
+    tilted = np.zeros((3, 1))
+    tilted[2, 0], tilted[0, 0] = math.sqrt(1.0 - 1e-18), 1e-9
+    e = np.eye(3)
+    family = [Projector.from_basis(cols) for cols in (e[:, [0]], e[:, [1]], tilted)]
+    obs = ProjectiveObservable.validated(range(3), family)
+    rho = random_density(GenSpec(dim=3, seed=9))
+    pinch(rho, obs.projectors)
+    for detectable_only in (False, True):
+        with pytest.raises(NotOrthonormalError, match="not orthonormal"):
+            lueders_state(rho, obs, detectable_only=detectable_only)
 
 
 # -- corollary1_check ------------------------------------------------------
@@ -390,6 +406,18 @@ def test_theorem2_middle_state_matches_dense_pinching(rank):
     )
     for leg in ("d_total", "d_first", "d_second"):
         assert abs(getattr(report, leg).value - getattr(expected, leg).value) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [3, 6])
+def test_theorem2_middle_state_makes_no_eigensolve(monkeypatch, rank):
+    # The middle state's spectrum is diag(v^dag rho v) on the columns of
+    # v, and the three distances read cached spectra.
+    sigma = random_density(GenSpec(dim=6, rank=rank, seed=86))
+    rho = random_state_in_support(support_projector(sigma), 2, 87)
+    calls = count_solver_calls(monkeypatch)
+    _, middle = theorem2_check(rho, sigma)
+    assert calls == []
+    assert middle.spectrum.eigenvectors.shape == (6, 6)
 
 
 @pytest.mark.parametrize("seed", range(5))

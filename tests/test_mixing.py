@@ -352,6 +352,14 @@ def test_breakdown_dimension_mismatch():
         theorem1_breakdown(diag_state(0.5, 0.5), d)
 
 
+def test_support_lemma_dimension_mismatch():
+    # A state on another dimension is a package error, not a bare numpy
+    # ValueError from the block compression.
+    d = decompose_by_projectors(diag_state(0.5, 0.5), [basis_projector(2, [0]), basis_projector(2, [1])])
+    with pytest.raises(DimensionMismatchError, match="state on dim 3, decomposition on dim 2"):
+        support_lemma_check(diag_state(0.5, 0.25, 0.25), d)
+
+
 # -- classical_embedding_check ---------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrelent.linop
 from qrelent import (
     BadSpecError,
     GenSpec,
@@ -155,6 +156,24 @@ def test_random_refinement_is_refinement_and_deterministic():
     for p1, p2 in zip(pair1.fine.projectors, pair2.fine.projectors):
         assert np.array_equal(p1.matrix, p2.matrix)
     assert is_refinement(pair1.fine, pair1.coarse) == pair1.grouping
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_random_refinement_checks_each_rotated_block_once(monkeypatch, rank_one):
+    # The rotated coarse basis is Gram-checked once and then sliced;
+    # the coarse and fine observables check pairwise overlaps instead.
+    blocks = random_block_projectors(GenSpec(dim=9, seed=4, block_sizes=(2, 3, 4)))
+    checked = []
+    real = qrelent.linop._gram_defect
+
+    def spy(v):
+        checked.append(v.shape)
+        return real(v)
+
+    monkeypatch.setattr(qrelent.linop, "_gram_defect", spy)
+    pair = random_refinement(blocks, seed=12, rank_one=rank_one)
+    assert checked == [b.basis.shape for b in blocks]
+    assert sum(p.rank for p in pair.fine.projectors) == 9
 
 
 def test_random_refinement_rank_one_mode():
