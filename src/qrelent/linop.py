@@ -276,13 +276,14 @@ def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
+    adj = m.conj().T
     scale = frobenius(m)
-    defect = frobenius(m - m.conj().T)
+    defect = frobenius(m - adj)
     if not (defect <= tol.herm * max(scale, 1e-300)):
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds {tol.herm:.1e} * ||M||_F = {tol.herm * scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + adj) / 2.0
 
 
 def _gram_defect(v: np.ndarray) -> float:

@@ -13,6 +13,13 @@ A matrix file is a JSON document::
 ``matrix`` holds ``dim`` rows of ``dim`` entries, each entry a
 ``[real, imag]`` pair.  A projector file carries ``dim`` plus a
 ``projectors`` list of matrices in the same row encoding.
+
+Files are read as strict UTF-8 JSON by ``orjson``, whose floats are
+bit-identical to the standard library's.  A byte that is not UTF-8,
+a ``NaN`` or ``Infinity`` literal, and a number outside double range
+(such as ``1e999``) are file errors, as is a ``dim`` that is not a
+positive integer (``true`` is not one).  Files are written with the
+standard ``json`` module.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import FileFormatError
 
@@ -34,7 +42,7 @@ def _matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
 def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
     try:
         m = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
         raise FileFormatError(f"{what}: entries must be [real, imag] pairs ({exc})") from exc
     if m.shape != (dim, dim):
         raise FileFormatError(f"{what}: expected shape ({dim}, {dim}), got {m.shape}")
@@ -43,10 +51,10 @@ def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
 
 def _load_json(path: str | Path, what: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = orjson.loads(Path(path).read_bytes())
     except OSError as exc:
         raise FileFormatError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise FileFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{what} file {path}: top level must be an object")
@@ -55,7 +63,7 @@ def _load_json(path: str | Path, what: str) -> dict:
 
 def _get_dim(doc: dict, path: str | Path, what: str) -> int:
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FileFormatError(f"{what} file {path}: 'dim' must be a positive integer")
     return dim
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,43 @@ def test_compute_rejects_nan_file(tmp_path, qubit_files, capsys):
     save_matrix(bad, np.array([[math.nan, 0.0], [0.0, 1.0]], dtype=complex))
     assert main(["compute", str(bad), sigma]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b'{"dim": 1, "matrix": [[[1.0, 0.0]]], "note": "\xff"}', "not valid JSON"),
+        (b'{"dim": 1, "matrix": [[[1' + b"0" * 400 + b', 0.0]]]}', "not valid JSON"),
+        (b'{"dim": 1, "matrix": [[[1e999, 0.0]]]}', "not valid JSON"),
+        (b'{"dim": 1, "matrix": [[[NaN, 0.0]]]}', "not valid JSON"),
+        (b'{"dim": 1, "matrix": [[[0.0, Infinity]]]}', "not valid JSON"),
+        (b'{"dim": 1, "matrix": [[{"a": 1}]]}', "[real, imag] pairs"),
+        (b'{"dim": true, "matrix": [[[1.0, 0.0]]]}', "'dim' must be a positive integer"),
+    ],
+    ids=["non-utf8", "huge-int", "1e999", "NaN", "Infinity", "object-entry", "boolean-dim"],
+)
+def test_compute_rejects_malformed_file(tmp_path, body, message, capsys):
+    # Each is a file error that names the file, raised at load: no
+    # traceback, and no numpy warning from a later check on NaN or inf.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err
+    assert message in err
+
+
+def test_breakdown_rejects_non_utf8_blocks_file(tmp_path, qubit_files, capsys):
+    rho, sigma = qubit_files
+    blocks = tmp_path / "blocks.json"
+    blocks.write_bytes(b'{"dim": 2, "projectors": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]], "n": "\xfe"}')
+    assert main(["breakdown", rho, sigma, "--blocks-file", str(blocks)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(blocks) in err
 
 
 def test_compute_missing_file(tmp_path, qubit_files, capsys):

@@ -80,3 +80,81 @@ def test_load_projectors_requires_list(tmp_path):
     path.write_text(json.dumps({"dim": 2, "projectors": []}))
     with pytest.raises(FileFormatError):
         load_projectors(path)
+
+
+def _reference_matrix(rows) -> np.ndarray:
+    """One matrix from rows that the standard library's ``json`` decoded."""
+    return np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+
+
+def _edge_numbers() -> list[str]:
+    return [
+        "-0.0",
+        "0",
+        "5e-324",
+        "-4.9406564584124654e-324",
+        "2.2250738585072011e-308",
+        "2.2250738585072014e-308",
+        "1.7976931348623157e308",
+        "9007199254740993",
+        "9007199254740993.0",
+        "-9223372036854775809",
+        "18446744073709551615",
+        "18446744073709551617",
+        "123456789012345678901234567890",
+        "1e23",
+        "1.00000000000000011102230246251565404236316680908203125",
+        "0.1",
+        "0.30000000000000004",
+    ]
+
+
+def _random_numbers(rng, count: int) -> list[str]:
+    # 17 significant digits, the most a double needs; many are longer
+    # than the shortest form that round-trips.
+    mags = 10.0 ** rng.uniform(-300, 300, count)
+    vals = mags * rng.choice([-1.0, 1.0], count)
+    herm = rng.standard_normal(count)
+    return [f"{v:.17g}" for v in vals] + [f"{v:.17g}" for v in herm]
+
+
+def _rows_text(numbers: list[str], dim: int) -> str:
+    pairs = [f"[{numbers[2 * k % len(numbers)]}, {numbers[(2 * k + 1) % len(numbers)]}]" for k in range(dim * dim)]
+    return "[" + ", ".join("[" + ", ".join(pairs[r * dim:(r + 1) * dim]) + "]" for r in range(dim)) + "]"
+
+
+def _assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype == np.complex128
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_load_matrix_bit_exact_against_stdlib(tmp_path, rng):
+    dim = 64
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    saved = tmp_path / "h.json"
+    save_matrix(saved, (g + g.conj().T) / 2)
+    edge = tmp_path / "edge.json"
+    edge.write_text(f'{{"dim": {dim}, "matrix": {_rows_text(_edge_numbers() + _random_numbers(rng, 4000), dim)}}}')
+    for path in (saved, edge):
+        ref = _reference_matrix(json.loads(path.read_text())["matrix"])
+        _assert_bits_equal(load_matrix(path), ref)
+
+
+def test_load_projectors_bit_exact_against_stdlib(tmp_path, rng):
+    dim = 64
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    blocks = [q[:, :20], q[:, 20:40], q[:, 40:]]
+    saved = tmp_path / "p.json"
+    save_projectors(saved, [b @ b.conj().T for b in blocks])
+    edge = tmp_path / "edge.json"
+    numbers = _edge_numbers() + _random_numbers(rng, 6000)
+    edge.write_text(
+        f'{{"dim": {dim}, "projectors": [{_rows_text(numbers, dim)}, {_rows_text(numbers[::-1], dim)}]}}'
+    )
+    for path in (saved, edge):
+        refs = [_reference_matrix(rows) for rows in json.loads(path.read_text())["projectors"]]
+        loaded = load_projectors(path)
+        assert len(loaded) == len(refs)
+        for got, ref in zip(loaded, refs):
+            _assert_bits_equal(got, ref)
