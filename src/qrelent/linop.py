@@ -20,17 +20,16 @@ Conventions
   the maps on projector families work in that frame: ``V^dag M V``
   rather than ``P M P``.
 * Every projector family passes through :func:`_stack`, which owns the
-  one dimension check on families.  :func:`_block_states` owns the
-  split of an operator into weighted block states: the weight of a
-  block is the trace of its compression, clamped at 0, and a block
-  whose weight is at most ``tol.supp`` carries no state.
-* A pinched state — a Lüders state, or Theorem 2's middle state as the
-  pinching over the rank-1 family of an eigenbasis — is validated by
-  :func:`_pinched_state` from its block spectra: one batched
-  eigensolve per distinct block size, rank-1 blocks read off the
-  diagonal, and no ``d x d`` solve.  :func:`pinch` keeps the full
-  :func:`validate_density`, since its family need only be orthogonal
-  within ``tol.identity``.
+  one dimension check on families.
+* Every state built from blocks ends in :func:`_block_spectra`, which
+  solves the compression ``B = V^dag M V`` with one batched eigensolve
+  per distinct block size, rank-1 blocks read off the diagonal, and no
+  ``d x d`` solve: states in a known range (:func:`_validate_in_range`),
+  Lüders states and Theorem 2's middle state (:func:`_pinched_state`),
+  and the weighted block states of a decomposition
+  (:func:`_block_states`).  Hermiticity and positivity are judged on
+  ``B``, never after division by a block's weight.
+  :func:`validate_density` and :func:`pinch` keep their ``d x d`` solve.
 """
 
 from __future__ import annotations
@@ -276,8 +275,12 @@ def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
+    return _hermitian_part(m, frobenius(m), tol)
+
+
+def _hermitian_part(m: np.ndarray, scale: float, tol: Tolerances) -> np.ndarray:
+    """``(M + M^dag) / 2`` of a square ``m``, if ``||M - M^dag||_F <= tol.herm * scale``."""
     adj = m.conj().T
-    scale = frobenius(m)
     defect = frobenius(m - adj)
     if not (defect <= tol.herm * max(scale, 1e-300)):
         raise NotHermitianError(
@@ -287,8 +290,8 @@ def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def _gram_defect(v: np.ndarray) -> float:
-    """``max |V^dag V - 1|`` entrywise; NaN if ``V`` holds a NaN."""
-    return float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max(initial=0.0))
+    """``max |V^dag V - 1|`` entrywise, over a batch of ``V`` too; NaN if ``V`` holds a NaN."""
+    return float(np.abs(np.swapaxes(v, -1, -2).conj() @ v - np.eye(v.shape[-1])).max(initial=0.0))
 
 
 def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
@@ -318,28 +321,30 @@ def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposi
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
 
 
-def _clean_eigenvalues(w: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The validation tail shared by the state constructors.
+def _check_positive(w: np.ndarray, tol: Tolerances) -> None:
+    """Gate positivity: no eigenvalue in ``w`` below ``-tol.psd``."""
+    lam_min = float(w.min(initial=0.0))
+    if not (lam_min >= -tol.psd):
+        raise NotPositiveError(f"smallest eigenvalue {lam_min:.3e} below -{tol.psd:.1e}")
 
-    Takes ascending eigenvalues ``w``, gates positivity and unit trace,
-    and returns them clamped to ``>= 0`` and renormalized to sum to 1.
-    """
-    if not (float(w[0]) >= -tol.psd):
-        raise NotPositiveError(f"smallest eigenvalue {float(w[0]):.3e} below -{tol.psd:.1e}")
-    trace = math.fsum(w.tolist())
-    if not (abs(trace - 1.0) <= tol.trace):
-        raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
+
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """``w`` clamped to ``>= 0`` and renormalized to sum to 1."""
     w = np.clip(w, 0.0, None)
     return w / math.fsum(w.tolist())
 
 
-def _clean_spectrum(m: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The checked :func:`eigh` of an exactly Hermitian ``m`` (from
-    :func:`symmetrize`), cleaned by :func:`_clean_eigenvalues`; returns
-    the eigenvalues and the eigenvectors.
+def _clean_eigenvalues(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The validation tail shared by the state constructors.
+
+    Takes eigenvalues ``w``, gates positivity and unit trace, and
+    returns them clamped to ``>= 0`` and renormalized to sum to 1.
     """
-    spec = eigh(m, tol)
-    return _clean_eigenvalues(spec.eigenvalues, tol), spec.eigenvectors
+    _check_positive(w, tol)
+    trace = math.fsum(w.tolist())
+    if not (abs(trace - 1.0) <= tol.trace):
+        raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
+    return _normalized(w)
 
 
 def _density(w: np.ndarray, v: np.ndarray) -> DensityOperator:
@@ -363,31 +368,8 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     ------
     NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
     """
-    return _density(*_clean_spectrum(symmetrize(raw, tol), tol))
-
-
-def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) -> DensityOperator:
-    """Validate the state ``V S V^dag`` in the ``r x r`` frame of ``S``.
-
-    ``basis`` is a ``d x r`` isometry ``V`` (a projector's range basis)
-    and ``small`` an ``r x r`` matrix ``S``.  The checks of
-    :func:`validate_density` run on ``S``, which is equivalent because
-    ``V`` preserves Frobenius norms and traces: the result equals
-    ``validate_density(V S V^dag)`` up to round-off, but its spectrum
-    is thin, ``r`` eigenvalues on the eigenvectors ``V U``.
-
-    Raises
-    ------
-    NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
-        As :func:`validate_density`.
-    DimensionMismatchError
-        If ``V`` does not have one column per row of ``S``.
-    """
-    s = symmetrize(small, tol)
-    if basis.shape[1] != s.shape[0]:
-        raise DimensionMismatchError(f"basis with {basis.shape[1]} columns, block of size {s.shape[0]}")
-    w, u = _clean_spectrum(s, tol)
-    return _density(w, basis @ u)
+    spec = eigh(symmetrize(raw, tol), tol)
+    return _density(_clean_eigenvalues(spec.eigenvalues, tol), spec.eigenvectors)
 
 
 def _kept(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -505,39 +487,26 @@ def _pinched(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarra
     return v @ _block_diagonal(matrix, v, labels) @ v.conj().T
 
 
-def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:
-    """Validate the pinching ``sum_k V_k (V_k^dag M V_k) V_k^dag`` from its blocks.
+def _block_spectra(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The checked spectra of the blocks ``B_k`` of ``B = V^dag M V``.
 
-    ``v`` stacks the range bases ``V_k`` and ``labels`` names the block
-    of each column, in ascending order, as :func:`_stack` returns them.
-    The spectrum of a pinching is the union of the spectra of its blocks
-    ``B_k``, on the eigenvectors ``V_k U_k``, so no ``d x d`` matrix is
-    solved: blocks of one size share one batched eigensolve, and rank-1
-    blocks are read off the diagonal of ``B``.  The gates of
-    :func:`validate_density` run in the block frame, where ``V``
-    preserves norms and traces: Hermiticity of the whole block-diagonal
-    ``B``, the reconstruction defect summed over the blocks, one Gram
-    check of the assembled eigenvectors at ``tol.orth``, then positivity
-    and unit trace.  The result equals
-    ``validate_density(_pinched(M, V, labels))`` up to round-off; its
-    spectrum is thin when ``V`` does not span the space.
-
-    Raises
-    ------
-    NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
-        As :func:`validate_density`.
-    NotOrthonormalError
-        If the eigenvectors ``V_k U_k`` are not orthonormal within
-        ``tol.orth``: the family is no eigenbasis to that precision.
+    ``B`` is :func:`_block_diagonal` in the stacked frame of :func:`_stack`
+    (each block a run of consecutive columns), made exactly Hermitian by
+    the caller after its Hermiticity gate.  Blocks of one size share one
+    batched eigensolve, and rank-1 blocks are read off the diagonal.
+    The gates of :func:`eigh` follow, raising :class:`SolverFailureError`:
+    each ``U_k``'s Gram defect against ``tol.orth``, and the
+    reconstruction defect summed over the blocks against
+    ``tol.recon * max(1, ||B||_F)``.  Returns each column's eigenvalue,
+    ascending within its block, and the eigenvectors ``V_k U_k``.
     """
-    b = symmetrize(_block_diagonal(matrix, v, labels), tol)
-    # A rank-1 block is its own eigenvalue on its own column; larger
-    # blocks overwrite their entries.
+    # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
     w = b.diagonal().real.copy()
     vectors = v.copy()
     sizes = np.bincount(labels)
     column_sizes = sizes[labels]
     recon_sq = 0.0
+    gram_defect = 0.0
     for s in sorted(set(sizes.tolist()) - {0, 1}):
         # Blocks are runs of consecutive columns: one row per block.
         cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
@@ -548,11 +517,49 @@ def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: T
             raise SolverFailureError(f"eigensolver failed: {exc}") from exc
         recon = (bu * bw[:, None, :]) @ bu.conj().transpose(0, 2, 1) - blocks
         recon_sq += float(np.vdot(recon, recon).real)
+        gram_defect = max(gram_defect, _gram_defect(bu))
         w[cols] = bw
         vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
+    if not (gram_defect <= tol.orth):
+        raise SolverFailureError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
     recon_defect = math.sqrt(recon_sq)
     if not (recon_defect <= tol.recon * max(1.0, frobenius(b))):
         raise SolverFailureError(f"spectral reconstruction error {recon_defect:.3e}")
+    return w, _readonly(vectors)
+
+
+def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) -> DensityOperator:
+    """Validate the state ``V S V^dag`` in the ``r x r`` frame of ``S``.
+
+    ``basis`` is a ``d x r`` isometry ``V`` and ``small`` an ``r x r``
+    matrix ``S``, solved as the one block of :func:`_block_spectra`.
+    As ``V`` preserves norms and traces, the result equals
+    ``validate_density(V S V^dag)`` up to round-off, with a thin
+    spectrum: ``r`` eigenvalues on the eigenvectors ``V U``.  Raises as
+    :func:`validate_density`, and :class:`DimensionMismatchError` if
+    ``V`` does not have one column per row of ``S``.
+    """
+    s = symmetrize(small, tol)
+    if basis.shape[1] != s.shape[0]:
+        raise DimensionMismatchError(f"basis with {basis.shape[1]} columns, block of size {s.shape[0]}")
+    w, vectors = _block_spectra(s, basis, np.zeros(s.shape[0], dtype=int), tol)
+    return _density(_clean_eigenvalues(w, tol), vectors)
+
+
+def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:
+    """Validate the pinching ``sum_k V_k (V_k^dag M V_k) V_k^dag`` from its blocks.
+
+    ``v`` and ``labels`` come from :func:`_stack`.  The spectrum of a
+    pinching is the union of its block spectra, so no ``d x d`` matrix
+    is solved: :func:`_block_spectra` solves ``B`` after the Hermiticity
+    gate of :func:`symmetrize`, then the assembled eigenvectors pass one
+    Gram check at ``tol.orth``.  The result equals
+    ``validate_density(_pinched(M, V, labels))`` up to round-off; its
+    spectrum is thin when ``V`` does not span the space.  Raises as
+    :func:`validate_density`, and :class:`NotOrthonormalError` if the
+    family is no eigenbasis to within ``tol.orth``.
+    """
+    w, vectors = _block_spectra(symmetrize(_block_diagonal(matrix, v, labels), tol), v, labels, tol)
     gram_defect = _gram_defect(vectors)
     if not (gram_defect <= tol.orth):
         raise NotOrthonormalError(f"pinched eigenvectors not orthonormal: defect {gram_defect:.3e}")
@@ -590,23 +597,34 @@ def pinch(
 
 
 def _block_states(
-    matrix: np.ndarray, projectors, tol: Tolerances
-) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], list[np.ndarray]]:
+    matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, n: int, tol: Tolerances
+) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], tuple[np.ndarray, np.ndarray]]:
     """Split ``M`` into block weights and normalized block states.
 
-    Per projector ``V_k``: the compressed block ``C_k = V_k^dag M V_k``,
-    the weight ``p_k = tr C_k`` clamped at 0, and the state
-    ``V_k (C_k / p_k) V_k^dag`` validated in the range frame, or
-    ``None`` where ``p_k <= tol.supp``.  Returns the read-only weights,
-    the states and the compressed blocks.
+    ``v`` and ``labels`` stack ``n`` range bases ``V_k`` (:func:`_stack`);
+    one compression ``B`` is solved by :func:`_block_spectra`, and
+    ``p_k``, the trace of block ``B_k`` clamped at 0, is its weight.
+    Hermiticity and positivity are judged on ``B`` at the scale of ``M``
+    (``||B - B^dag||_F <= tol.herm * ||M||_F``, no eigenvalue below
+    ``-tol.psd``) before any division by ``p_k``, so round-off is not
+    magnified into a rejection of a light block.  Only then is each
+    block with ``p_k > tol.supp`` clamped and renormalized into the
+    thin state ``V_k (B_k / p_k) V_k^dag``; lighter blocks carry
+    ``None``.  Returns the read-only weights, the states and the raw
+    block spectrum (each column's eigenvalue of ``B``, and ``V_k U_k``).
+    Raises :class:`NotHermitianError`, :class:`NotPositiveError` or
+    :class:`SolverFailureError`.
     """
-    compressed = [p.basis.conj().T @ matrix @ p.basis for p in projectors]
-    weights = np.array([max(0.0, float(np.trace(c).real)) for c in compressed], dtype=float)
+    b = _hermitian_part(_block_diagonal(matrix, v, labels), frobenius(matrix), tol)
+    w, vectors = _block_spectra(b, v, labels, tol)
+    _check_positive(w, tol)
+    weights = np.clip(np.bincount(labels, weights=b.diagonal().real, minlength=n), 0.0, None)
+    edges = np.cumsum([0, *np.bincount(labels, minlength=n).tolist()])
     states = tuple(
-        _validate_in_range(p.basis, c / w, tol) if w > tol.supp else None
-        for p, c, w in zip(projectors, compressed, weights.tolist())
+        _density(_normalized(w[start:stop]), vectors[:, start:stop]) if pk > tol.supp else None
+        for pk, start, stop in zip(weights.tolist(), edges[:-1].tolist(), edges[1:].tolist())
     )
-    return _readonly(weights), states, compressed
+    return _readonly(weights), states, (w, vectors)
 
 
 def _populations(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:

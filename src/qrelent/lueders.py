@@ -166,7 +166,8 @@ def is_refinement(
     Each fine projector must match exactly one coarse projector, and
     each coarse projector must equal the sum of its group.  Absorption
     is judged in the range frame, as ``||V_c (V_c^dag V_f) - V_f||_F``,
-    which equals ``||P_c P_f - P_f||_F``.
+    which equals ``||P_c P_f - P_f||_F``; as both observables resolve
+    the identity, the group sum then reduces to an equality of ranks.
 
     Raises
     ------
@@ -193,10 +194,9 @@ def is_refinement(
                 f"fine projector {j} is absorbed by {len(matches)} coarse projectors, need exactly 1"
             )
         grouping.append(int(matches[0]))
-    column_group = np.array(grouping, dtype=int)[fine_labels]
+    group_ranks = np.bincount(np.array(grouping, dtype=int)[fine_labels], minlength=len(coarse.projectors))
     for k, pc in enumerate(coarse.projectors):
-        group = vf[:, column_group == k]
-        if not (frobenius(group @ group.conj().T - pc.matrix) <= tol.identity):
+        if group_ranks[k] != pc.rank:
             raise NotARefinementError(f"coarse projector {k} is not the sum of its fine group")
     return tuple(grouping)
 

@@ -19,7 +19,8 @@ bit-identical to the standard library's.  A byte that is not UTF-8,
 a ``NaN`` or ``Infinity`` literal, and a number outside double range
 (such as ``1e999``) are file errors, as is a ``dim`` that is not a
 positive integer (``true`` is not one).  Files are written with the
-standard ``json`` module.
+standard ``json`` module; a non-finite entry is a file error, and
+nothing is written.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ def _get_dim(doc: dict, path: str | Path, what: str) -> int:
     return dim
 
 
+def _write_json(path: str | Path, doc: dict, what: str) -> None:
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FileFormatError(f"cannot write {what} file {path}: entries must be finite ({exc})") from exc
+    Path(path).write_text(text + "\n")
+
+
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a complex square matrix from a matrix file."""
     doc = _load_json(path, "matrix")
@@ -81,8 +90,7 @@ def load_matrix(path: str | Path) -> np.ndarray:
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
     """Write a complex square matrix as a matrix file."""
     m = np.asarray(matrix, dtype=complex)
-    doc = {"dim": int(m.shape[0]), "matrix": _matrix_to_rows(m)}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, {"dim": int(m.shape[0]), "matrix": _matrix_to_rows(m)}, "matrix")
 
 
 def load_projectors(path: str | Path) -> list[np.ndarray]:
@@ -101,5 +109,4 @@ def load_projectors(path: str | Path) -> list[np.ndarray]:
 def save_projectors(path: str | Path, projectors) -> None:
     """Write a list of matrices as a projector file."""
     mats = [np.asarray(p, dtype=complex) for p in projectors]
-    doc = {"dim": int(mats[0].shape[0]), "projectors": [_matrix_to_rows(m) for m in mats]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(path, {"dim": int(mats[0].shape[0]), "projectors": [_matrix_to_rows(m) for m in mats]}, "projector")

@@ -36,8 +36,8 @@ from .linop import (
     _block_states,
     _check_mutually_orthogonal,
     _gram_defect,
-    _pinched,
     _spectral_log,
+    _stack,
 )
 from .entropy import (
     INFINITY,
@@ -119,12 +119,13 @@ def decompose_by_projectors(
         If ``sigma`` has coherences between (or outside) the blocks
         beyond ``tol.identity``.
     """
-    stacked = _check_mutually_orthogonal(blocks, sigma.dim, tol)
-    weights, parts, _ = _block_states(sigma.matrix, blocks, tol)
+    v, labels = _check_mutually_orthogonal(blocks, sigma.dim, tol)
+    weights, parts, (w, vectors) = _block_states(sigma.matrix, v, labels, len(blocks), tol)
     leak = 1.0 - math.fsum(weights.tolist())
     if not (leak <= tol.supp):
         raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
-    coherence = frobenius(sigma.matrix - _pinched(sigma.matrix, *stacked))
+    # V B V^dag, the pinching of sigma, rebuilt from B's block spectra.
+    coherence = frobenius(sigma.matrix - (vectors * w) @ vectors.conj().T)
     if not (coherence <= tol.identity):
         raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
 
@@ -174,33 +175,15 @@ def entropy_mixing_identity(
     return lhs, rhs
 
 
-def _pinched_entropy(
-    p: np.ndarray, states: tuple[DensityOperator | None, ...], compressed: list[np.ndarray], tol: Tolerances
-) -> float:
-    """Entropy of the raw pinched matrix ``sum_k Q_k rho Q_k`` from its blocks.
-
-    Its spectrum is the union of the block spectra: ``p_k spec(rho_k)``
-    of the conditional states already solved, and a raw solve of the
-    compressed block where ``p_k <= tol.supp`` left no state.  The matrix
-    may be subnormalized when ``rho`` leaks outside the block supports,
-    so no unit trace is required.
-    """
-    spectra = [
-        pk * rho_k.spectrum.eigenvalues if rho_k is not None else np.linalg.eigvalsh(c)
-        for pk, rho_k, c in zip(p.tolist(), states, compressed)
-        if c.shape[0] > 0
-    ]
-    return _spectral_entropy(np.sort(np.concatenate(spectra)), tol)
-
-
 @dataclass(frozen=True)
 class MixingBreakdown:
     """Both sides of the relative-entropy mixing identity, term by term.
 
     For ``rho`` against a decomposed ``sigma = sum_k w_k sigma_k``:
 
-    * ``s_pinched`` — entropy of ``sum_k Q_k rho Q_k`` (of the raw
-      pinched matrix; a diagnostic rather than a state entropy when
+    * ``s_pinched`` — entropy of ``sum_k Q_k rho Q_k``, read off the raw
+      spectrum of the blocks ``Q_k^dag rho Q_k`` that the conditional
+      states come from (a diagnostic rather than a state entropy when
       ``rho`` leaks outside the block supports),
     * ``s_rho`` — entropy of ``rho``,
     * ``h_rel`` — classical relative entropy of the block weights
@@ -233,40 +216,36 @@ def theorem1_breakdown(
 
     The left side is ``S(rho || sigma)`` by the direct definition; the
     right side assembles ``S(pinched rho) - S(rho) + H(p||w) +
-    sum_k p_k S(rho_k || sigma_k)`` from independently computed terms.
-    Infinity on the right is detected on its own evidence (trace mass
-    of ``rho`` missed by the block supports, or an infinite term),
-    never by copying the left side's verdict — agreement of the two
-    routes, finite or infinite, is exactly what callers verify.
+    sum_k p_k S(rho_k || sigma_k)`` from independently computed terms;
+    ``p_k``, the conditional states and ``S(pinched rho)`` all come
+    from one block solve of ``rho`` over the supports ``Q_k``, with no
+    ``d x d`` solve.  Infinity on the right is detected on its own
+    evidence (trace mass of ``rho`` missed by the block supports, or an
+    infinite term), never by copying the left side's verdict —
+    agreement of the two routes, finite or infinite, is exactly what
+    callers verify.
     """
     if rho.dim != d.dim:
         raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
 
-    p, states, compressed = _block_states(rho.matrix, d.supports, tol)
+    p, states, (pinched_spectrum, _) = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
 
-    s_pinched = _pinched_entropy(p, states, compressed, tol)
+    s_pinched = _spectral_entropy(np.sort(pinched_spectrum), tol)
     s_rho = von_neumann_entropy(rho, tol)
 
     p_vec = ProbabilityVector(probs=p)
     h_rel = classical_relative_entropy(p_vec, d.weights, tol)
 
-    avg_rel: ExtendedReal = ExtendedReal.finite(0.0)
-    block_terms: list[float] = []
-    for pk, rho_k, sigma_k in zip(p.tolist(), states, d.parts):
-        if rho_k is None:
-            continue
-        if sigma_k is None:
-            # rho_k lives in a block sigma gives zero weight; rank-0
-            # supports make this unreachable, but it would mean +inf.
-            avg_rel = INFINITY
-            break
-        term = quantum_relative_entropy(rho_k, sigma_k, tol)
-        if not term.is_finite:
-            avg_rel = INFINITY
-            break
-        block_terms.append(pk * term.value)
+    # An empty part has a rank-0 support, which carries no conditional state.
+    terms = [
+        (pk, quantum_relative_entropy(rho_k, sigma_k, tol))
+        for pk, rho_k, sigma_k in zip(p.tolist(), states, d.parts)
+        if rho_k is not None
+    ]
+    if all(term.is_finite for _, term in terms):
+        avg_rel = ExtendedReal.finite(math.fsum(pk * term.value for pk, term in terms))
     else:
-        avg_rel = ExtendedReal.finite(math.fsum(block_terms))
+        avg_rel = INFINITY
 
     missed_mass = 1.0 - math.fsum(p.tolist())
     if not (missed_mass <= tol.supp) or not (h_rel.is_finite and avg_rel.is_finite):
@@ -310,13 +289,8 @@ def support_lemma_check(
     """
     if rho.dim != d.dim:
         raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
-    _, states, _ = _block_states(rho.matrix, d.supports, tol)
-    for rho_k, sigma_k in zip(states, d.parts):
-        if rho_k is None:
-            continue
-        if sigma_k is None or not support_contained(rho_k, sigma_k, tol):
-            return False
-    return True
+    _, states, _ = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
+    return all(rho_k is None or support_contained(rho_k, sigma_k, tol) for rho_k, sigma_k in zip(states, d.parts))
 
 
 def classical_embedding_check(

@@ -89,17 +89,18 @@ def test_mixture_trial_solves_sigma_once(monkeypatch, identity):
     result = run_campaign(VerifyConfig(identity=identity, dims=(8,), trials=1, seed=7))
     assert result.failures == 0
     assert calls.count((8, 8)) == 1
-    assert all(shape[0] < 8 for shape in calls if shape != (8, 8))
+    assert _block_solves_only(calls, 8)
 
 
 def test_mixture_fixture_validates_each_state_once(monkeypatch):
     # The block draws are mixed raw: one solve for the mixture, then
-    # one per part the decomposition validates in its block.
+    # one batched solve per block size for the parts the decomposition
+    # validates in their blocks.
     blocks = random_block_projectors(GenSpec(dim=8, seed=5, block_sizes=(2, 3, 3)))
     calls = count_solver_calls(monkeypatch)
     d = _mixture_fixture(np.random.default_rng(6), blocks, DEFAULT_TOL, True, allow_zero_weight=False)
-    parts = [(b.rank, b.rank) for b, part in zip(blocks, d.parts) if part is not None]
-    assert sorted(calls) == sorted([(8, 8), *parts])
+    assert all(part is not None for part in d.parts)
+    assert sorted(calls) == [(1, 2, 2), (2, 3, 3), (8, 8)]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from qrelent import DEFAULT_TOL, haar_unitary
 from qrelent.cli import main
 from qrelent.matio import save_matrix, save_projectors
 
@@ -56,7 +58,10 @@ def test_compute_self_distance_of_pure_state_is_zero(tmp_path, capsys):
 def test_compute_rejects_nan_file(tmp_path, qubit_files, capsys):
     _, sigma = qubit_files
     bad = tmp_path / "nan.json"
-    save_matrix(bad, np.array([[math.nan, 0.0], [0.0, 1.0]], dtype=complex))
+    # The bytes json.dumps writes by default for diag(NaN, 1), with a NaN
+    # literal; save_matrix itself refuses to write a non-finite entry.
+    rows = [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    bad.write_text(json.dumps({"dim": 2, "matrix": rows}, indent=2) + "\n")
     assert main(["compute", str(bad), sigma]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -251,6 +256,26 @@ def test_breakdown_rejects_sigma_not_block_diagonal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "direct" not in captured.out
     assert "not block diagonal" in captured.err
+
+
+def test_breakdown_accepts_a_block_of_weight_1e_7(tmp_path, capsys):
+    # sigma puts weight 1e-7 on one Haar-rotated 4-dim block.  Judging
+    # that block's state after division by its weight magnified
+    # round-off into a Hermiticity rejection (exit 2).
+    u = haar_unitary(8, 5)
+    rho, sigma, blocks = (str(tmp_path / name) for name in ("r.json", "s.json", "p.json"))
+    save_projectors(blocks, [u[:, :4] @ u[:, :4].conj().T, u[:, 4:] @ u[:, 4:].conj().T])
+    spectrum = [0.4, 0.3, 0.2, 0.1 - 1e-7, 4e-8, 3e-8, 2e-8, 1e-8]
+    save_matrix(sigma, u @ np.diag(spectrum) @ u.conj().T)
+    save_matrix(rho, np.eye(8) / 8)
+    assert main(["compute", rho, sigma]) == 0
+    direct = re.search(r"S\(rho\|\|sigma\) = (\S+) nats", capsys.readouterr().out).group(1)
+    assert direct == "7.48767804424"
+    assert main(["breakdown", rho, sigma, "--blocks-file", blocks]) == 0
+    out = capsys.readouterr().out
+    assert f"S(rho||sigma), direct       = {direct}\n" in out
+    residual = re.search(r"residual \|lhs - rhs\| += (\S+) nats", out).group(1)
+    assert float(residual) <= DEFAULT_TOL.identity
 
 
 def test_no_command_is_usage_error(capsys):

@@ -20,6 +20,7 @@ from qrelent import (
     Projector,
     ProjectiveObservable,
     QrelentError,
+    SolverFailureError,
     Tolerances,
     decompose_by_projectors,
     detectable_projectors,
@@ -242,6 +243,20 @@ def test_validate_in_range_rejects_like_full_validation(shape, kind):
         with pytest.raises(QrelentError) as thin:
             _validate_in_range(v, bad, tol)
     assert type(thin.value) is type(full.value)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(lambda w, u: (w, u * (1.0 + 1e-6)), "not orthonormal"), (lambda w, u: (w + 1e-6, u), "reconstruction")],
+)
+def test_block_solver_gates_each_block_solve(monkeypatch, spoil, message, tol):
+    # The checks of eigh, per block: each U_k's Gram defect, then the
+    # summed reconstruction defect.
+    v, small = _range_fixture(5, 3, 2, 7)
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: spoil(*real(a)))
+    with pytest.raises(SolverFailureError, match=message):
+        _validate_in_range(v, small, tol)
 
 
 def test_validate_in_range_rejects_mismatched_block(tol):

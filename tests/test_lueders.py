@@ -239,6 +239,15 @@ def test_is_refinement_rejects_fine_projector_tilted_out_of_range():
                 is_refinement(fine, coarse)
 
 
+def test_is_refinement_forms_no_coarse_projector_matrix():
+    # The group sum is checked on ranks; no d x d projector is formed.
+    blocks = random_block_projectors(GenSpec(dim=8, seed=5, block_sizes=(3, 5)))
+    pair = random_refinement(blocks, seed=6)
+    coarse = ProjectiveObservable.validated(range(2), [Projector.from_basis(b.basis) for b in blocks])
+    assert is_refinement(pair.fine, coarse) == pair.grouping
+    assert all("matrix" not in pc.__dict__ for pc in coarse.projectors)
+
+
 def test_random_refinement_grouping_is_verified():
     blocks = random_block_projectors(GenSpec(dim=6, seed=3, block_sizes=(3, 3)))
     pair = random_refinement(blocks, seed=4)

@@ -1,6 +1,7 @@
 """Matrix and projector file round-trips and format errors."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,18 @@ def test_projectors_roundtrip(tmp_path):
     assert len(loaded) == 2
     for a, b in zip(loaded, ps):
         assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("save", [save_matrix, lambda path, m: save_projectors(path, [np.eye(2), m])])
+def test_save_refuses_non_finite_entry(tmp_path, save, value):
+    # A NaN or Infinity literal would make a file load_* rejects.
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = value
+    path = tmp_path / "m.json"
+    with pytest.raises(FileFormatError, match="m.json"):
+        save(path, m)
+    assert not path.exists()
 
 
 def test_load_matrix_missing_file(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrelent import (
     DimensionMismatchError,
@@ -12,7 +14,9 @@ from qrelent import (
     LengthMismatchError,
     NotBlockDiagonalError,
     NotOrthogonalError,
+    NotHermitianError,
     NotOrthonormalError,
+    NotPositiveError,
     ProbabilityVector,
     Projector,
     QrelentError,
@@ -33,7 +37,7 @@ from qrelent import (
     validate_density,
 )
 from qrelent.entropy import _spectral_entropy
-from qrelent.linop import _pinched, _stack
+from qrelent.linop import _block_states, _pinched, _stack
 from helpers import basis_projector, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -155,8 +159,9 @@ def test_decompose_solves_parts_in_their_blocks(monkeypatch):
     sigma, blocks = _ranked_blocks_fixture()
     calls = count_solver_calls(monkeypatch)
     d = decompose_by_projectors(sigma, blocks)
-    # The parts solve block-locally; sigma is the caller's, not rebuilt.
-    assert sorted(calls) == [(2, 2), (3, 3), (3, 3)]
+    # The parts solve block-locally, one batched solve per block size;
+    # sigma is the caller's, not rebuilt.
+    assert sorted(calls) == [(1, 2, 2), (2, 3, 3)]
     assert [part.spectrum.eigenvectors.shape for part in d.parts] == [(8, 2), (8, 3), (8, 3)]
 
 
@@ -173,9 +178,10 @@ def test_route_a_keeps_full_space_solves(monkeypatch):
     assert frobenius(lhs - rhs) <= 1e-10
     del calls[:]
     bd = theorem1_breakdown(rho, d)
-    # Conditional states solve in their blocks, and the pinched entropy
-    # reads their spectra; S(rho||sigma) reads sigma's full spectrum.
-    assert sorted(calls) == [(2, 2), (3, 3), (3, 3)]
+    # Conditional states solve in their blocks, one batched solve per
+    # block size, and the pinched entropy reads the same block spectra;
+    # S(rho||sigma) reads sigma's full spectrum.
+    assert sorted(calls) == [(1, 2, 2), (2, 3, 3)]
     assert [s.spectrum.eigenvectors.shape for s in bd.conditional_states] == [(8, 2), (8, 3), (8, 3)]
     assert bd.residual <= 1e-10
 
@@ -189,9 +195,9 @@ def _dense_pinched_entropy(rho, d, tol):
 @pytest.mark.parametrize("confined", [True, False])
 def test_theorem1_breakdown_solves_no_full_matrix(monkeypatch, confined, tol):
     # Ranks (1, 3, 3) leave a kernel in block 0.  A confined rho lives
-    # in the supports of parts 0 and 1, so p_2 = 0 and block 2 of the
-    # pinched spectrum needs its own small solve; a full-rank rho leaks
-    # into the kernel, so the pinched matrix is subnormalized.
+    # in the supports of parts 0 and 1, so p_2 = 0 and block 2 carries
+    # no state but still enters the pinched spectrum; a full-rank rho
+    # leaks into the kernel, so the pinched matrix is subnormalized.
     sigma, blocks = _ranked_blocks_fixture(ranks=(1, 3, 3))
     d = decompose_by_projectors(sigma, blocks)
     if confined:
@@ -201,10 +207,120 @@ def test_theorem1_breakdown_solves_no_full_matrix(monkeypatch, confined, tol):
         rho = random_density(GenSpec(dim=8, seed=94))
     calls = count_solver_calls(monkeypatch)
     bd = theorem1_breakdown(rho, d)
-    assert calls and all(shape[0] < 8 for shape in calls)
+    assert calls and all(len(shape) == 3 and shape[-1] < 8 for shape in calls)
     assert (bd.conditional_states[2] is None) == confined
     assert bd.total_rhs.is_finite == confined
     assert abs(bd.s_pinched - _dense_pinched_entropy(rho, d, tol)) <= 1e-12
+
+
+# -- the block solver: weights, states and gates ------------------------------
+
+
+def _light_block_fixture(weight, light_rank):
+    """sigma and rho at d=16, block diagonal over Haar blocks of sizes (4, 4, 8).
+
+    Block 0 carries ``weight`` in both states, with a part of rank
+    ``light_rank``; each conditional state of rho lives in the support
+    of its part.  Returns the states, the blocks and the block states
+    mixed in.
+    """
+    blocks = random_block_projectors(GenSpec(dim=16, seed=31, block_sizes=(4, 4, 8)))
+    ranks = (light_rank, 2, 8)
+    parts = [random_state_in_support(b, r, 40 + k) for k, (b, r) in enumerate(zip(blocks, ranks))]
+    conditionals = [
+        random_state_in_support(Projector.from_basis(part.spectrum.eigenvectors[:, -r:]), r, 50 + k)
+        for k, (part, r) in enumerate(zip(parts, ranks))
+    ]
+    sigma = validate_density(sum(w * s.matrix for w, s in zip((weight, 0.4, 0.6 - weight), parts)))
+    rho = validate_density(sum(p * s.matrix for p, s in zip((weight, 0.7, 0.3 - weight), conditionals)))
+    return sigma, rho, blocks, parts, conditionals
+
+
+@pytest.mark.parametrize("light_rank", [4, 2])
+@pytest.mark.parametrize("weight", [1e-7, 1e-8])
+def test_blocks_of_small_weight_are_accepted(weight, light_rank):
+    # Judging a block's state after division by its weight magnified
+    # round-off past tol.herm; the gates now run on the compression at
+    # the scale of the state it came from.
+    sigma, rho, blocks, parts, conditionals = _light_block_fixture(weight, light_rank)
+    d = decompose_by_projectors(sigma, blocks)
+    bd = theorem1_breakdown(rho, d)
+    assert support_lemma_check(rho, d)
+    assert d.weights.probs[0] == pytest.approx(weight, rel=1e-6)
+    assert bd.p.probs[0] == pytest.approx(weight, rel=1e-6)
+    for got, mixed_in in zip((*d.parts, *bd.conditional_states), (*parts, *conditionals)):
+        assert frobenius(got.matrix - mixed_in.matrix) <= 1e-6
+
+
+@st.composite
+def _weighted_families(draw):
+    """sigma block diagonal over a Haar family, every weight >= 1e-3, and a random rho."""
+    dim = draw(st.integers(2, 8))
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(draw(st.integers(1, dim - sum(sizes))))
+    seed = draw(st.integers(0, 2**31))
+    blocks = random_block_projectors(GenSpec(dim=dim, seed=seed, block_sizes=tuple(sizes)))
+    w = np.array([draw(st.floats(1e-3, 1.0)) for _ in blocks])
+    ranks = [draw(st.integers(1, b.rank)) for b in blocks]
+    parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(blocks, ranks))]
+    sigma = validate_density(sum(wk * part.matrix for wk, part in zip(w / w.sum(), parts)))
+    rho = random_density(GenSpec(dim=dim, rank=draw(st.integers(1, dim)), seed=seed + 100))
+    return sigma, rho, blocks
+
+
+def _dense_block_state(matrix, basis):
+    """``validate_density(V C V^dag / p)`` with ``C = V^dag M V``: one d x d solve."""
+    c = basis.conj().T @ matrix @ basis
+    return validate_density(basis @ c @ basis.conj().T / np.trace(c).real)
+
+
+def _assert_same_state(got, want):
+    assert frobenius(got.matrix - want.matrix) <= 1e-12
+    w = got.spectrum.eigenvalues
+    assert np.all(np.diff(w) >= 0.0)
+    padded = np.sort(np.concatenate([w, np.zeros(got.dim - len(w))]))
+    assert np.abs(padded - want.spectrum.eigenvalues).max() <= 1e-12
+
+
+@given(fixture=_weighted_families())
+@settings(deadline=None, max_examples=80)
+def test_block_states_match_dense_validation(fixture):
+    sigma, rho, blocks = fixture
+    d = decompose_by_projectors(sigma, blocks)
+    for part, b in zip(d.parts, blocks):
+        _assert_same_state(part, _dense_block_state(sigma.matrix, b.basis))
+    bd = theorem1_breakdown(rho, d)
+    for pk, rho_k, q in zip(bd.p.probs.tolist(), bd.conditional_states, d.supports):
+        if pk >= 1e-3:
+            _assert_same_state(rho_k, _dense_block_state(rho.matrix, q.basis))
+
+
+@pytest.mark.parametrize("kind, error", [("non-hermitian", NotHermitianError), ("negative", NotPositiveError)])
+def test_block_states_reject_bad_matrix(kind, error, tol):
+    sigma, _, blocks, _, _ = _light_block_fixture(1e-7, 4)
+    v, labels = _stack(blocks, 16)
+    first = blocks[0].basis
+    bad = sigma.matrix.copy()
+    if kind == "non-hermitian":
+        bad += 0.3j * np.outer(first[:, -1], first[:, 0].conj())
+    else:
+        bad -= 1e-3 * np.outer(first[:, 0], first[:, 0].conj())
+    with pytest.raises(error):
+        _block_states(bad, v, labels, len(blocks), tol)
+
+
+def test_rho_outside_every_support_is_infinite():
+    # rho is orthogonal to supp(sigma) and its compression onto the
+    # supports is round-off only; Hermiticity is judged at rho's scale,
+    # not that compression's, so both routes report +inf.
+    u = haar_unitary(6, 3)
+    blocks = [Projector.from_basis(u[:, :3]), Projector.from_basis(u[:, 3:])]
+    sigma = validate_density(u[:, :2] @ np.diag([0.6, 0.4]) @ u[:, :2].conj().T)
+    rho = validate_density(u[:, 3:5] @ np.diag([0.5, 0.5]) @ u[:, 3:5].conj().T)
+    bd = theorem1_breakdown(rho, decompose_by_projectors(sigma, blocks))
+    assert not bd.total_lhs.is_finite and not bd.total_rhs.is_finite
+    assert bd.conditional_states == (None, None)
 
 
 # -- the block-diagonal gate -------------------------------------------------
