@@ -1,4 +1,11 @@
-"""Command-line front end: compute, verify, breakdown."""
+"""Command-line front end: compute, verify, breakdown.
+
+:func:`main` may be called repeatedly in one process.  It parses every
+call with one parser, built once when the module is imported;
+:func:`build_parser` still returns a fresh one.  The file layer
+(:mod:`qrelent.matio`, and with it ``orjson``) is imported only by the
+commands that read files, so ``verify`` never loads it.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +20,6 @@ from .linop import DEFAULT_TOL, Projector, Tolerances, support_projector, valida
 from .entropy import ExtendedReal, quantum_relative_entropy
 from .mixing import decompose_by_projectors, theorem1_breakdown
 from .campaign import IDENTITIES, VerifyConfig, run_campaign, write_report
-from . import matio
 
 LN2 = math.log(2.0)
 
@@ -51,6 +57,8 @@ def _tolerances(args) -> Tolerances:
 
 
 def cmd_compute(args) -> int:
+    from . import matio
+
     tol = _tolerances(args)
     rho = validate_density(matio.load_matrix(args.rho), tol)
     sigma = validate_density(matio.load_matrix(args.sigma), tol)
@@ -75,6 +83,8 @@ def _basis_blocks(sizes: tuple[int, ...], dim: int) -> list[Projector]:
 
 
 def cmd_breakdown(args) -> int:
+    from . import matio
+
     tol = _tolerances(args)
     rho = validate_density(matio.load_matrix(args.rho), tol)
     sigma = validate_density(matio.load_matrix(args.sigma), tol)
@@ -185,9 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Reused by every call: parse_args returns a fresh Namespace, every
+# default is immutable, and help width is read when help is formatted.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except QrelentError as exc:

@@ -1,9 +1,17 @@
-"""End-to-end CLI behaviour through ``main`` (no subprocesses)."""
+"""End-to-end CLI behaviour through ``main``.
 
+Only ``test_verify_loads_no_file_layer`` starts a subprocess: a fresh
+interpreter shows what importing the CLI loads.
+"""
+
+import argparse
 import json
 import math
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +291,93 @@ def test_no_command_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_second_call_builds_no_parser(qubit_files, capsys, monkeypatch):
+    rho, sigma = qubit_files
+    assert main(["compute", rho, sigma]) == 0
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["compute", rho, sigma]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_reuse_keeps_no_singular_toggle(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["verify", "eq3a", "--dims", "2", "--trials", "2"]
+    assert main([*args, "--no-include-singular", "--out", "a.json"]) == 0
+    assert main([*args, "--out", "b.json"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "a.json").read_text())["config"]["include_singular"] is False
+    assert json.loads((tmp_path / "b.json").read_text())["config"]["include_singular"] is True
+
+
+def test_reuse_keeps_no_bits_toggle(qubit_files, capsys):
+    rho, sigma = qubit_files
+    assert main(["compute", rho, sigma, "--bits"]) == 0
+    assert "S(rho||sigma) = 1 bits" in capsys.readouterr().out
+    assert main(["compute", rho, sigma]) == 0
+    assert f"S(rho||sigma) = {math.log(2.0):.12g} nats" in capsys.readouterr().out
+
+
+def test_reuse_keeps_no_block_flag(tmp_path, qubit_files, capsys):
+    # The two flags are mutually exclusive; the first call's --blocks must
+    # not linger and collide with the second call's --blocks-file.
+    rho, sigma = qubit_files
+    blocks = tmp_path / "blocks.json"
+    save_projectors(blocks, [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
+    assert main(["breakdown", rho, sigma, "--blocks", "1,1"]) == 0
+    assert main(["breakdown", rho, sigma, "--blocks-file", str(blocks)]) == 0
+    assert "2 projectors from" in capsys.readouterr().out
+
+
+def test_usage_error_leaves_next_call_unchanged(qubit_files, capsys):
+    rho, sigma = qubit_files
+    valid = ["breakdown", rho, sigma, "--blocks", "1,1"]
+    first = main(valid), capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["breakdown", rho, sigma, "--blocks", "1,1", "--blocks-file", "x.json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert (main(valid), capsys.readouterr().out) == first
+
+
+def test_help_width_follows_the_terminal_of_each_call(monkeypatch, capsys):
+    # The parser is built once, but help is laid out for the width of
+    # the terminal at the time help is asked for.
+    widest = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--help"])
+        assert exc.value.code == 0
+        widest[columns] = max(len(line) for line in capsys.readouterr().out.splitlines())
+    assert widest["40"] <= 40 < widest["120"]
+
+
+def test_verify_loads_no_file_layer(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import qrelent.cli\n"
+        "assert 'orjson' not in sys.modules, 'import'\n"
+        "rc = qrelent.cli.main(['verify', 'eq3a', '--dims', '2', '--trials', '2', '--out', sys.argv[1]])\n"
+        "assert rc == 0, rc\n"
+        "assert 'orjson' not in sys.modules and 'qrelent.matio' not in sys.modules, 'verify'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "v.json")], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "v.json").exists()

@@ -239,6 +239,16 @@ def test_is_refinement_rejects_fine_projector_tilted_out_of_range():
                 is_refinement(fine, coarse)
 
 
+def test_is_refinement_rejects_group_short_of_its_coarse_projector():
+    # Built without ``validated``, the fine family misses e1: each fine
+    # projector is absorbed by exactly one coarse projector, but coarse
+    # projector 0 (rank 2) is not the sum of its group (rank 1).
+    coarse = ProjectiveObservable((0.0, 1.0), (basis_projector(3, [0, 1]), basis_projector(3, [2])))
+    fine = ProjectiveObservable((0.0, 1.0), (basis_projector(3, [0]), basis_projector(3, [2])))
+    with pytest.raises(NotARefinementError, match=r"^coarse projector 0 is not the sum of its fine group$"):
+        is_refinement(fine, coarse)
+
+
 def test_is_refinement_forms_no_coarse_projector_matrix():
     # The group sum is checked on ranks; no d x d projector is formed.
     blocks = random_block_projectors(GenSpec(dim=8, seed=5, block_sizes=(3, 5)))
