@@ -33,7 +33,7 @@ from .linop import (
     _kept,
     _spectral_log,
 )
-from .entropy import ProbabilityVector, quantum_relative_entropy, von_neumann_entropy
+from .entropy import ProbabilityVector
 from .mixing import (
     OrthogonalDecomposition,
     classical_embedding_check,
@@ -42,7 +42,7 @@ from .mixing import (
     lemma1_log_decomposition,
     theorem1_breakdown,
 )
-from .lueders import ProjectiveObservable, corollary2_check, lueders_state, theorem2_check
+from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _corollary1
 from .stategen import (
     GenSpec,
     derive_seed,
@@ -272,9 +272,7 @@ def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Ge
     blocks = _blocks_fixture(rng, dim, tol)
     obs = ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol)
     rho = _random_probe(rng, dim, cfg.include_singular, tol)
-    rho_l = lueders_state(rho, obs, tol)
-    direct = quantum_relative_entropy(rho, rho_l, tol)
-    gap = von_neumann_entropy(rho_l, tol) - von_neumann_entropy(rho, tol)
+    direct, gap, rho_l = _corollary1(rho, obs, tol)
     residual = abs(direct.value - gap) if direct.is_finite else None
     return direct.is_finite, True, residual, _min_nonzero_eig(rho_l, tol), support_leakage(rho, rho_l, tol)
 

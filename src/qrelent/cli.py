@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("sigma", help="matrix file for sigma")
     p_compute.add_argument("--tol", type=float, default=None, help="identity-check tolerance override")
     p_compute.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-    p_compute.set_defaults(fn=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run a randomized verification campaign")
     p_verify.add_argument("identity", choices=IDENTITIES, help="which identity to verify")
@@ -178,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="accepted for compatibility; any value >= 1 runs serially"
     )
     p_verify.add_argument("--out", default=None, help="report path (default: verify_<identity>.json)")
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_break = sub.add_parser(
         "breakdown", help="term-by-term mixing breakdown of S(rho||sigma) for a block decomposition"
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--blocks-file", default=None, help="projector file with the block family")
     p_break.add_argument("--tol", type=float, default=None, help="identity-check tolerance override")
     p_break.add_argument("--bits", action="store_true", help="report in bits instead of nats")
-    p_break.set_defaults(fn=cmd_breakdown)
 
     return parser
 
@@ -203,7 +200,8 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        # Looked up per call, so a replaced module attribute is what runs.
+        return globals()[f"cmd_{args.command}"](args)
     except QrelentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,19 +16,22 @@ Conventions
 * Scalar sums over eigenvalues use :func:`math.fsum`, so results do not
   depend on summation order.
 * Arrays stored on the frozen value types are marked read-only.
+* A state stores only its cleaned spectrum; ``matrix`` is derived lazily.
 * A projector is stored as an orthonormal basis ``V`` of its range, and
   the maps on projector families work in that frame: ``V^dag M V``
   rather than ``P M P``.
 * Every projector family passes through :func:`_stack`, which owns the
   one dimension check on families.
+* Every eigensolve is one call of the kernel :func:`_solve` (a matrix
+  or a batch), gated by :func:`_check_solve`; a state in a known range
+  (:func:`_validate_in_range`) is solved in its ``r x r`` frame.
 * Every state built from blocks ends in :func:`_block_spectra`, which
   solves the compression ``B = V^dag M V`` with one batched eigensolve
   per distinct block size, rank-1 blocks read off the diagonal, and no
-  ``d x d`` solve: states in a known range (:func:`_validate_in_range`),
-  Lüders states and Theorem 2's middle state (:func:`_pinched_state`),
-  and the weighted block states of a decomposition
-  (:func:`_block_states`).  Hermiticity and positivity are judged on
-  ``B``, never after division by a block's weight.
+  ``d x d`` solve: Lüders states and Theorem 2's middle state
+  (:func:`_pinched_state`), and the weighted block states of a
+  decomposition (:func:`_block_states`).  Hermiticity and positivity
+  are judged on ``B``, never after division by a block's weight.
   :func:`validate_density` and :func:`pinch` keep their ``d x d`` solve.
 """
 
@@ -168,22 +171,26 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A validated quantum state.
+    """A validated quantum state, stored as its cleaned spectrum.
 
-    ``matrix`` is rebuilt from the cleaned ``spectrum`` during
-    validation, so the two fields are exactly consistent: eigenvalues
-    are clamped to ``>= 0`` and renormalized to sum to 1, and
-    ``matrix == V diag(w) V^dag`` up to round-off.  Construct through
-    :func:`validate_density`; a state built inside a known range carries
-    a thin spectrum on that range's basis.
+    ``spectrum`` holds eigenvalues clamped to ``>= 0`` and renormalized
+    to sum to 1; :attr:`matrix`, ``V diag(w) V^dag``, is derived from it
+    on first access.  Construct through :func:`validate_density`; a
+    state built inside a known range carries a thin spectrum on that
+    range's basis.
     """
 
-    matrix: np.ndarray
     spectrum: SpectralDecomposition
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
+        return self.spectrum.dim
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """``V diag(w) V^dag``, made exactly Hermitian, as a read-only ``dim x dim`` array."""
+        m = self.spectrum.reconstruct()
+        return _readonly((m + m.conj().T) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -294,6 +301,26 @@ def _gram_defect(v: np.ndarray) -> float:
     return float(np.abs(np.swapaxes(v, -1, -2).conj() @ v - np.eye(v.shape[-1])).max(initial=0.0))
 
 
+def _solve(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Eigenpairs of a Hermitian ``(s, s)`` matrix or ``(k, s, s)`` batch, with the
+    batch's largest entrywise ``|U^dag U - 1|`` and summed ``||U diag(w) U^dag - M||_F^2``."""
+    try:
+        w, u = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailureError(f"eigensolver failed: {exc}") from exc
+    recon = (u * w[..., None, :]) @ np.swapaxes(u, -1, -2).conj() - m
+    return w, u, _gram_defect(u), float(np.vdot(recon, recon).real)
+
+
+def _check_solve(gram_defect: float, recon_sq: float, scale: float, tol: Tolerances) -> None:
+    """Gate :func:`_solve`'s defects: Gram at ``tol.orth``, reconstruction at ``tol.recon * max(1, scale)``."""
+    if not (gram_defect <= tol.orth):
+        raise SolverFailureError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
+    recon_defect = math.sqrt(recon_sq)
+    if not (recon_defect <= tol.recon * max(1.0, scale)):
+        raise SolverFailureError(f"spectral reconstruction error {recon_defect:.3e}")
+
+
 def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, with quality checks.
 
@@ -308,16 +335,8 @@ def eigh(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposi
         If the solver does not converge or a quality check fails.
     """
     m = np.asarray(matrix, dtype=complex)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailureError(f"eigensolver failed: {exc}") from exc
-    gram_defect = _gram_defect(v)
-    if not (gram_defect <= tol.orth):
-        raise SolverFailureError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
-    recon_defect = frobenius((v * w) @ v.conj().T - m)
-    if not (recon_defect <= tol.recon * max(1.0, frobenius(m))):
-        raise SolverFailureError(f"spectral reconstruction error {recon_defect:.3e}")
+    w, v, gram_defect, recon_sq = _solve(m)
+    _check_solve(gram_defect, recon_sq, frobenius(m), tol)
     return SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
 
 
@@ -348,11 +367,8 @@ def _clean_eigenvalues(w: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _density(w: np.ndarray, v: np.ndarray) -> DensityOperator:
-    """The state ``V diag(w) V^dag`` with spectrum ``(w, V)``."""
-    matrix = (v * w) @ v.conj().T
-    matrix = (matrix + matrix.conj().T) / 2.0
-    cleaned = SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v))
-    return DensityOperator(matrix=_readonly(matrix), spectrum=cleaned)
+    """The state with cleaned spectrum ``(w, V)``."""
+    return DensityOperator(spectrum=SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v)))
 
 
 def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
@@ -361,8 +377,9 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     Checks, in order: Hermiticity (``tol.herm``, relative), positivity
     (all eigenvalues ``>= -tol.psd``), and unit trace (``tol.trace``,
     checked on the input before any repair).  On success the spectrum
-    is clamped to ``>= 0`` and renormalized to sum to exactly 1, and
-    the stored matrix is rebuilt from that cleaned spectrum.
+    is clamped to ``>= 0`` and renormalized to sum to exactly 1; the
+    state stores that cleaned spectrum, and its matrix is rebuilt from
+    it on first access.
 
     Raises
     ------
@@ -383,11 +400,6 @@ def _kept(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     return w > tol.rank * lam_max
 
 
-def _support_columns(spec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
-    """Eigenvector columns whose eigenvalues count as nonzero."""
-    return spec.eigenvectors[:, _kept(spec.eigenvalues, tol)]
-
-
 def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
     """Projector onto the support (range) of a state.
 
@@ -395,7 +407,7 @@ def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Pr
     so the rank reported here is the numerically meaningful one.  The
     result satisfies ``P @ rho == rho @ P == rho`` up to round-off.
     """
-    return Projector(basis=_readonly(_support_columns(rho.spectrum, tol)))
+    return Projector(basis=_readonly(rho.spectrum.eigenvectors[:, _kept(rho.spectrum.eigenvalues, tol)]))
 
 
 def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -419,9 +431,7 @@ def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
         If an eigenvalue is below ``-tol.psd``.
     """
     spec = eigh(symmetrize(matrix, tol), tol)
-    lam_min = float(spec.eigenvalues[0])
-    if not (lam_min >= -tol.psd):
-        raise NotPositiveError(f"extended log of a non-positive matrix (lambda_min = {lam_min:.3e})")
+    _check_positive(spec.eigenvalues, tol)
     return _spectral_log(spec, tol)
 
 
@@ -493,38 +503,27 @@ def _block_spectra(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolera
     ``B`` is :func:`_block_diagonal` in the stacked frame of :func:`_stack`
     (each block a run of consecutive columns), made exactly Hermitian by
     the caller after its Hermiticity gate.  Blocks of one size share one
-    batched eigensolve, and rank-1 blocks are read off the diagonal.
-    The gates of :func:`eigh` follow, raising :class:`SolverFailureError`:
-    each ``U_k``'s Gram defect against ``tol.orth``, and the
-    reconstruction defect summed over the blocks against
-    ``tol.recon * max(1, ||B||_F)``.  Returns each column's eigenvalue,
-    ascending within its block, and the eigenvectors ``V_k U_k``.
+    :func:`_solve`, and rank-1 blocks are read off the diagonal.  Then
+    :func:`_check_solve` gates the largest Gram defect of the ``U_k``
+    and the reconstruction defect summed over all blocks, at the scale
+    ``||B||_F``.  Returns each column's eigenvalue, ascending within its
+    block, and the eigenvectors ``V_k U_k``.
     """
     # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
     w = b.diagonal().real.copy()
     vectors = v.copy()
     sizes = np.bincount(labels)
     column_sizes = sizes[labels]
-    recon_sq = 0.0
-    gram_defect = 0.0
+    recon_sq = gram_defect = 0.0
     for s in sorted(set(sizes.tolist()) - {0, 1}):
         # Blocks are runs of consecutive columns: one row per block.
         cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
-        blocks = b[cols[:, :, None], cols[:, None, :]]
-        try:
-            bw, bu = np.linalg.eigh(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"eigensolver failed: {exc}") from exc
-        recon = (bu * bw[:, None, :]) @ bu.conj().transpose(0, 2, 1) - blocks
-        recon_sq += float(np.vdot(recon, recon).real)
-        gram_defect = max(gram_defect, _gram_defect(bu))
+        bw, bu, gram, recon = _solve(b[cols[:, :, None], cols[:, None, :]])
+        gram_defect = float(np.maximum(gram_defect, gram))  # keeps a NaN, unlike max()
+        recon_sq += recon
         w[cols] = bw
         vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
-    if not (gram_defect <= tol.orth):
-        raise SolverFailureError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
-    recon_defect = math.sqrt(recon_sq)
-    if not (recon_defect <= tol.recon * max(1.0, frobenius(b))):
-        raise SolverFailureError(f"spectral reconstruction error {recon_defect:.3e}")
+    _check_solve(gram_defect, recon_sq, frobenius(b), tol)
     return w, _readonly(vectors)
 
 
@@ -532,18 +531,17 @@ def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) ->
     """Validate the state ``V S V^dag`` in the ``r x r`` frame of ``S``.
 
     ``basis`` is a ``d x r`` isometry ``V`` and ``small`` an ``r x r``
-    matrix ``S``, solved as the one block of :func:`_block_spectra`.
-    As ``V`` preserves norms and traces, the result equals
-    ``validate_density(V S V^dag)`` up to round-off, with a thin
-    spectrum: ``r`` eigenvalues on the eigenvectors ``V U``.  Raises as
-    :func:`validate_density`, and :class:`DimensionMismatchError` if
-    ``V`` does not have one column per row of ``S``.
+    matrix ``S``, solved by :func:`eigh`.  As ``V`` preserves norms and
+    traces, the result equals ``validate_density(V S V^dag)`` up to
+    round-off, with a thin spectrum: ``r`` eigenvalues on ``V U``.
+    Raises as :func:`validate_density`, and :class:`DimensionMismatchError`
+    if ``V`` does not have one column per row of ``S``.
     """
     s = symmetrize(small, tol)
     if basis.shape[1] != s.shape[0]:
         raise DimensionMismatchError(f"basis with {basis.shape[1]} columns, block of size {s.shape[0]}")
-    w, vectors = _block_spectra(s, basis, np.zeros(s.shape[0], dtype=int), tol)
-    return _density(_clean_eigenvalues(w, tol), vectors)
+    spec = eigh(s, tol)
+    return _density(_clean_eigenvalues(spec.eigenvalues, tol), basis @ spec.eigenvectors)
 
 
 def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:

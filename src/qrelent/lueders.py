@@ -32,7 +32,6 @@ from .linop import (
     frobenius,
     support_contained,
     _check_mutually_orthogonal,
-    _gram_defect,
     _pinched_state,
     _populations,
     _stack,
@@ -148,10 +147,17 @@ def corollary1_check(
     particular the distance is finite, because the Lüders state's
     support always contains the state's own.
     """
+    return _corollary1(rho, obs, tol)[:2]
+
+
+def _corollary1(
+    rho: DensityOperator, obs: ProjectiveObservable, tol: Tolerances
+) -> tuple[ExtendedReal, float, DensityOperator]:
+    """:func:`corollary1_check`'s two routes, and the Lüders state they measure against."""
     rho_l = lueders_state(rho, obs, tol)
     direct = quantum_relative_entropy(rho, rho_l, tol)
     gap = von_neumann_entropy(rho_l, tol) - von_neumann_entropy(rho, tol)
-    return direct, gap
+    return direct, gap, rho_l
 
 
 def is_refinement(
@@ -306,12 +312,9 @@ def theorem2_check(
             # so the pinching keeps rho's trace mass there as well.
             v = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]], axis=1)
     else:
-        v = np.asarray(basis, dtype=complex)
+        v = Projector.from_basis(basis, tol).basis
         if v.shape != (sigma.dim, sigma.dim):
             raise NotOrthonormalError(f"need a full square basis, got shape {v.shape}")
-        gram_defect = _gram_defect(v)
-        if not (gram_defect <= tol.orth):
-            raise NotOrthonormalError(f"basis not orthonormal: defect {gram_defect:.3e}")
         rotated = v.conj().T @ sigma.matrix @ v
         off = frobenius(rotated - np.diag(np.diag(rotated)))
         if not (off <= tol.identity):

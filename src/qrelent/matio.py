@@ -11,8 +11,9 @@ A matrix file is a JSON document::
     }
 
 ``matrix`` holds ``dim`` rows of ``dim`` entries, each entry a
-``[real, imag]`` pair.  A projector file carries ``dim`` plus a
-``projectors`` list of matrices in the same row encoding.
+``[real, imag]`` pair of numbers (not booleans).  A projector file
+carries ``dim`` plus a ``projectors`` list of matrices in the same row
+encoding.
 
 Files are read as strict UTF-8 JSON by ``orjson``, whose floats are
 bit-identical to the standard library's.  A byte that is not UTF-8,
@@ -40,26 +41,31 @@ def _matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
+def _rows_to_matrix(rows, dim: int, what: str, may_hold_bools: bool) -> np.ndarray:
     try:
-        m = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise FileFormatError(f"{what}: entries must be [real, imag] pairs ({exc})") from exc
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{what}: entries must be [real, imag] pairs of numbers ({exc})") from exc
     if m.shape != (dim, dim):
         raise FileFormatError(f"{what}: expected shape ({dim}, {dim}), got {m.shape}")
+    if may_hold_bools and any(type(x) is bool for row in rows for entry in row for x in entry):
+        raise FileFormatError(f"{what}: entries must be numbers, not booleans")
     return m
 
 
-def _load_json(path: str | Path, what: str) -> dict:
+def _load_json(path: str | Path, what: str) -> tuple[dict, bool]:
+    """The document, and whether it may hold a boolean, which complex() would take as 0 or 1:
+    ``true`` has a ``u`` byte and ``false`` an ``l``, a search far cheaper than a type scan."""
     try:
-        doc = orjson.loads(Path(path).read_bytes())
+        raw = Path(path).read_bytes()
+        doc = orjson.loads(raw)
     except OSError as exc:
         raise FileFormatError(f"cannot read {what} file {path}: {exc}") from exc
     except orjson.JSONDecodeError as exc:
         raise FileFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{what} file {path}: top level must be an object")
-    return doc
+    return doc, b"u" in raw or b"l" in raw
 
 
 def _get_dim(doc: dict, path: str | Path, what: str) -> int:
@@ -79,12 +85,12 @@ def _write_json(path: str | Path, doc: dict, what: str) -> None:
 
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a complex square matrix from a matrix file."""
-    doc = _load_json(path, "matrix")
+    doc, may_hold_bools = _load_json(path, "matrix")
     dim = _get_dim(doc, path, "matrix")
     rows = doc.get("matrix")
     if not isinstance(rows, list):
         raise FileFormatError(f"matrix file {path}: missing 'matrix' rows")
-    return _rows_to_matrix(rows, dim, f"matrix file {path}")
+    return _rows_to_matrix(rows, dim, f"matrix file {path}", may_hold_bools)
 
 
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
@@ -95,13 +101,13 @@ def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
 
 def load_projectors(path: str | Path) -> list[np.ndarray]:
     """Read a list of same-dimension complex matrices from a projector file."""
-    doc = _load_json(path, "projector")
+    doc, may_hold_bools = _load_json(path, "projector")
     dim = _get_dim(doc, path, "projector")
     entries = doc.get("projectors")
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"projector file {path}: missing non-empty 'projectors' list")
     return [
-        _rows_to_matrix(rows, dim, f"projector file {path} (entry {k})")
+        _rows_to_matrix(rows, dim, f"projector file {path} (entry {k})", may_hold_bools)
         for k, rows in enumerate(entries)
     ]
 

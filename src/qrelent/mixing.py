@@ -22,7 +22,6 @@ from .errors import (
     LeakedSupportError,
     LengthMismatchError,
     NotBlockDiagonalError,
-    NotOrthonormalError,
 )
 from .linop import (
     DEFAULT_TOL,
@@ -35,7 +34,6 @@ from .linop import (
     validate_density,
     _block_states,
     _check_mutually_orthogonal,
-    _gram_defect,
     _spectral_log,
     _stack,
 )
@@ -319,9 +317,7 @@ def classical_embedding_check(
         raise LengthMismatchError(
             f"need matching lengths: |p|={len(p)}, |w|={len(w)}, basis columns={b.shape[1] if b.ndim == 2 else '?'}"
         )
-    gram_defect = _gram_defect(b)
-    if not (gram_defect <= tol.orth):
-        raise NotOrthonormalError(f"basis columns not orthonormal: defect {gram_defect:.3e}")
+    Projector.from_basis(b, tol)
 
     rho_p = validate_density((b * p.probs) @ b.conj().T, tol)
     rho_w = validate_density((b * w.probs) @ b.conj().T, tol)

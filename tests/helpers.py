@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import qrelent.linop
 from qrelent import DensityOperator, Projector, validate_density
 
 
@@ -44,6 +45,23 @@ def count_solver_calls(monkeypatch) -> list:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record every call of the checked eigensolve kernel from here on.
+
+    Returns a list that grows by one entry per call: the shape of the
+    matrix or batch solved, as :func:`count_solver_calls` records it.
+    """
+    calls: list = []
+    real = qrelent.linop._solve
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(qrelent.linop, "_solve", counted)
     return calls
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import count_solver_calls
+from helpers import count_kernel_calls, count_solver_calls
 from qrelent import DEFAULT_TOL, ConfigError, GenSpec, random_block_projectors, random_state_in_support
 from qrelent.campaign import (
     IDENTITIES,
@@ -69,6 +69,15 @@ def test_corollary1_trial_builds_lueders_state_once(monkeypatch):
     assert result.failures == 0
     assert calls.count((8, 8)) == 1
     assert _block_solves_only(calls, 8)
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_every_eigensolve_goes_through_the_kernel(monkeypatch, identity):
+    # One checked kernel makes every solver call, with the same shapes.
+    solves = count_solver_calls(monkeypatch)
+    kernel = count_kernel_calls(monkeypatch)
+    assert run_campaign(small(identity, include_infinite=True)).failures == 0
+    assert solves and kernel == solves
 
 
 def test_corollary2_trial_solves_only_the_probe_in_full(monkeypatch):

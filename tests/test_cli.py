@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qrelent.cli
+from helpers import count_kernel_calls, count_solver_calls
 from qrelent import DEFAULT_TOL, haar_unitary
 from qrelent.cli import main
 from qrelent.matio import save_matrix, save_projectors
@@ -83,9 +85,14 @@ def test_compute_rejects_nan_file(tmp_path, qubit_files, capsys):
         (b'{"dim": 1, "matrix": [[[NaN, 0.0]]]}', "not valid JSON"),
         (b'{"dim": 1, "matrix": [[[0.0, Infinity]]]}', "not valid JSON"),
         (b'{"dim": 1, "matrix": [[{"a": 1}]]}', "[real, imag] pairs"),
+        (b'{"dim": 1, "matrix": [[[1.0, 0.0, 7.0]]]}', "[real, imag] pairs"),
+        (b'{"dim": 1, "matrix": [[[true, false]]]}', "not booleans"),
         (b'{"dim": true, "matrix": [[[1.0, 0.0]]]}', "'dim' must be a positive integer"),
     ],
-    ids=["non-utf8", "huge-int", "1e999", "NaN", "Infinity", "object-entry", "boolean-dim"],
+    ids=[
+        "non-utf8", "huge-int", "1e999", "NaN", "Infinity", "object-entry",
+        "three-numbers", "boolean-entry", "boolean-dim",
+    ],
 )
 def test_compute_rejects_malformed_file(tmp_path, body, message, capsys):
     # Each is a file error that names the file, raised at load: no
@@ -284,6 +291,31 @@ def test_breakdown_accepts_a_block_of_weight_1e_7(tmp_path, capsys):
     assert f"S(rho||sigma), direct       = {direct}\n" in out
     residual = re.search(r"residual \|lhs - rhs\| += (\S+) nats", out).group(1)
     assert float(residual) <= DEFAULT_TOL.identity
+
+
+def test_file_commands_solve_only_through_the_kernel(tmp_path, monkeypatch, capsys):
+    # One checked kernel makes every solver call of compute and breakdown.
+    u = haar_unitary(6, 3)
+    rho, sigma, blocks = (str(tmp_path / name) for name in ("r.json", "s.json", "p.json"))
+    save_matrix(rho, np.eye(6) / 6)
+    save_matrix(sigma, u @ np.diag([0.3, 0.2, 0.1, 0.2, 0.1, 0.1]) @ u.conj().T)
+    save_projectors(blocks, [u[:, :3] @ u[:, :3].conj().T, u[:, 3:] @ u[:, 3:].conj().T])
+    solves = count_solver_calls(monkeypatch)
+    kernel = count_kernel_calls(monkeypatch)
+    assert main(["compute", rho, sigma]) == 0
+    assert main(["breakdown", rho, sigma, "--blocks-file", blocks]) == 0
+    assert main(["breakdown", rho, rho, "--blocks", "2,4"]) == 0
+    capsys.readouterr()
+    assert (3, 3) in {shape[-2:] for shape in solves}
+    assert kernel == solves
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # A command replaced on the module after import, as a tracer does, is what runs.
+    ran = []
+    monkeypatch.setattr(qrelent.cli, "cmd_verify", lambda args: ran.append(args.identity) or 0)
+    assert main(["verify", "eq3a"]) == 0
+    assert ran == ["eq3a"]
 
 
 def test_no_command_is_usage_error(capsys):

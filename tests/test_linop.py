@@ -1,5 +1,6 @@
 """Operator validation, support machinery, extended log, pinching."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qrelent import (
     DEFAULT_TOL,
     BadTraceError,
+    DensityOperator,
     DimensionMismatchError,
     MassLossError,
     NotHermitianError,
@@ -170,6 +172,18 @@ def test_density_arrays_are_readonly():
         rho.matrix[0, 0] = 9.0
     with pytest.raises(ValueError):
         rho.spectrum.eigenvalues[0] = 9.0
+
+
+def test_state_stores_only_its_spectrum():
+    # The matrix is derived on first read, by the formula validation used.
+    rho = random_density(GenSpec(dim=5, rank=3, seed=2))
+    assert [f.name for f in dataclasses.fields(DensityOperator)] == ["spectrum"]
+    assert rho.dim == 5
+    assert "matrix" not in vars(rho)
+    v, w = rho.spectrum.eigenvectors, rho.spectrum.eigenvalues
+    m = (v * w) @ v.conj().T
+    assert np.array_equal(rho.matrix, (m + m.conj().T) / 2.0)
+    assert rho.matrix is rho.matrix
 
 
 # -- states in a known range -------------------------------------------

@@ -182,6 +182,21 @@ def test_corollary1_random_with_support_inclusion(seed, tol):
     assert support_contained(rho, rho_l)
 
 
+def test_corollary1_reads_the_lueders_state_only_through_its_spectrum(monkeypatch):
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(lueders_state(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(qrelent.lueders, "lueders_state", spy)
+    rho = random_density(GenSpec(dim=6, rank=4, seed=21))
+    direct, gap = corollary1_check(rho, block_observable(6, [0, 1, 2], [3, 4, 5]))
+    assert direct.is_finite
+    assert len(made) == 1
+    assert "matrix" not in vars(made[0])
+
+
 def test_corollary1_pinched_blocks_match_measurement_blocks(tol):
     # With sigma = rho_L, each block of the decomposition satisfies
     # Q_k rho Q_k = P_k rho P_k even though Q_k may have smaller rank.

@@ -81,11 +81,32 @@ def test_load_matrix_wrong_shape(tmp_path):
         load_matrix(path)
 
 
-def test_load_matrix_entries_not_pairs(tmp_path):
+@pytest.mark.parametrize(
+    "entry",
+    ["x", [True, False], [1.0, False], [0.5, True], [1.0, 0.0, 7.0], [1.0], []],
+    ids=["string", "booleans", "false-imag", "true-imag", "three-numbers", "one-number", "empty"],
+)
+def test_load_matrix_entries_not_pairs(tmp_path, entry):
+    # complex() would take true as 1, so booleans need their own check.
     path = tmp_path / "e.json"
-    path.write_text(json.dumps({"dim": 1, "matrix": [["x"]]}))
+    path.write_text(json.dumps({"dim": 1, "matrix": [[entry]]}))
     with pytest.raises(FileFormatError):
         load_matrix(path)
+
+
+def test_load_projectors_rejects_boolean_entry(tmp_path):
+    path = tmp_path / "p.json"
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [False, 0.0]]]
+    path.write_text(json.dumps({"dim": 2, "projectors": [rows]}))
+    with pytest.raises(FileFormatError, match="boolean"):
+        load_projectors(path)
+
+
+def test_booleans_and_words_outside_the_entries_load(tmp_path):
+    # A boolean or a "u"/"l" byte elsewhere in the file leaves the entries as they are.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 1, "matrix": [[[1, 0.0]]], "normalized": True, "label": "full"}))
+    assert load_matrix(path).tolist() == [[1 + 0j]]
 
 
 def test_load_projectors_requires_list(tmp_path):

@@ -132,8 +132,8 @@ def test_state_in_support_solves_in_its_range(monkeypatch, r):
     p = Projector.from_basis(haar_unitary(8, 5)[:, :r])
     calls = count_solver_calls(monkeypatch)
     rho = random_state_in_support(p, max(1, r - 1), 6)
-    # One batched r x r solve; a rank-1 range is read off its diagonal.
-    assert calls == ([(1, r, r)] if r > 1 else [])
+    # One r x r solve in the range's frame, and no d x d solve.
+    assert calls == [(r, r)]
     assert rho.spectrum.eigenvectors.shape == (8, r)
     assert support_projector(rho).rank == max(1, r - 1)
 
