@@ -30,7 +30,6 @@ from .linop import (
     support_leakage,
     support_projector,
     validate_density,
-    _kept,
     _spectral_log,
 )
 from .entropy import ProbabilityVector
@@ -140,9 +139,8 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def _min_nonzero_eig(state: DensityOperator, tol: Tolerances) -> float:
-    w = state.spectrum.eigenvalues
-    return min(w[_kept(w, tol)].tolist())
+def _min_nonzero_eig(state: DensityOperator) -> float:
+    return float(state.spectrum.eigenvalues[0])
 
 
 # What a trial returns: (lhs finite, rhs finite, residual, min_nonzero_eig,
@@ -209,15 +207,15 @@ def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list
 
 def _trial_lemma1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
-    lhs = _spectral_log(d.sigma.spectrum, cfg.tol)
+    lhs = _spectral_log(d.sigma.spectrum)
     rhs = lemma1_log_decomposition(d, cfg.tol)
-    return True, True, frobenius(lhs - rhs), _min_nonzero_eig(d.sigma, cfg.tol), None
+    return True, True, frobenius(lhs - rhs), _min_nonzero_eig(d.sigma), None
 
 
 def _trial_eq3a(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
     lhs, rhs = entropy_mixing_identity(d, cfg.tol)
-    return True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma, cfg.tol), None
+    return True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma), None
 
 
 def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
@@ -257,7 +255,7 @@ def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
         bd.total_lhs.is_finite,
         bd.total_rhs.is_finite,
         bd.residual,
-        _min_nonzero_eig(d.sigma, tol),
+        _min_nonzero_eig(d.sigma),
         support_leakage(rho, d.sigma, tol),
     )
 
@@ -274,7 +272,7 @@ def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Ge
     rho = _random_probe(rng, dim, cfg.include_singular, tol)
     direct, gap, rho_l = _corollary1(rho, obs, tol)
     residual = abs(direct.value - gap) if direct.is_finite else None
-    return direct.is_finite, True, residual, _min_nonzero_eig(rho_l, tol), support_leakage(rho, rho_l, tol)
+    return direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l, tol)
 
 
 def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
@@ -327,7 +325,7 @@ def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
     supp = support_projector(sigma, tol)
     rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
     report, _middle = theorem2_check(rho, sigma, tol)
-    return report.all_finite, True, report.residual, _min_nonzero_eig(sigma, tol), support_leakage(rho, sigma, tol)
+    return report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma, tol)
 
 
 _TRIALS = {

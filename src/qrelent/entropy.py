@@ -19,7 +19,6 @@ from .linop import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
-    _kept,
     _support_populations,
 )
 
@@ -112,7 +111,7 @@ def shannon_entropy(p: ProbabilityVector) -> float:
 
     Zero entries contribute zero (the ``0 ln 0 = 0`` convention).
     """
-    return -math.fsum(x * math.log(x) for x in p.probs.tolist() if x > 0.0) + 0.0
+    return _spectral_entropy(p.probs[p.probs > 0.0])
 
 
 def classical_relative_entropy(
@@ -140,21 +139,22 @@ def classical_relative_entropy(
     )
 
 
-def _spectral_entropy(w: np.ndarray, tol: Tolerances) -> float:
-    """``-sum x ln x`` over the kept eigenvalues of an ascending spectrum.
+def _spectral_entropy(w: np.ndarray) -> float:
+    """``-sum x ln x`` over positive ``w``: the one ``x ln x`` kernel.
 
     The ``+ 0.0`` turns the ``-0.0`` of an all-zero sum into ``0.0``.
     """
-    return -math.fsum(x * math.log(x) for x in w[_kept(w, tol)].tolist()) + 0.0
+    return -math.fsum(x * math.log(x) for x in w.tolist()) + 0.0
 
 
 def von_neumann_entropy(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
     """Von Neumann entropy ``S(rho) = -tr(rho ln rho)`` in nats.
 
-    Computed from the validated spectrum; eigenvalues at or below
-    ``tol.rank * lam_max`` count as zero and contribute nothing.
+    Computed from the validated spectrum, which holds only the
+    eigenvalues kept when the state was validated (``tol`` is not read
+    here).
     """
-    return _spectral_entropy(rho.spectrum.eigenvalues, tol)
+    return _spectral_entropy(rho.spectrum.eigenvalues)
 
 
 def quantum_relative_entropy(
@@ -173,19 +173,18 @@ def quantum_relative_entropy(
     of ``sigma`` then carries no weight of ``rho``, so the extension by
     zero does not distort the value.  Both terms come from the states'
     validated spectra: ``tr(rho logz(sigma))`` is
-    ``sum_k <v_k|rho|v_k> ln(lam_k)`` over the kept eigenpairs of
-    ``sigma``, so no further eigensolve runs.  The populations
-    ``<v_k|rho|v_k>`` are those the support test sums.
+    ``sum_k <v_k|rho|v_k> ln(lam_k)`` over the eigenpairs of ``sigma``,
+    which are exactly its kept ones, so no further eigensolve runs.  The
+    populations ``<v_k|rho|v_k>`` are those the support test sums.
 
     Raises
     ------
     DimensionMismatchError
         If the states live on different dimensions.
     """
-    populations, leakage = _support_populations(rho, sigma, tol)
+    populations, leakage = _support_populations(rho, sigma)
     if not (leakage <= tol.supp):
         return INFINITY
-    w = sigma.spectrum.eigenvalues
-    cross = math.fsum(p * math.log(lam) for p, lam in zip(populations, w[_kept(w, tol)].tolist()))
+    cross = math.fsum(p * math.log(lam) for p, lam in zip(populations, sigma.spectrum.eigenvalues.tolist()))
     # ``+ 0.0`` so that S(rho||rho) of a pure state is 0.0, not -0.0.
-    return ExtendedReal.finite(-von_neumann_entropy(rho, tol) - cross + 0.0)
+    return ExtendedReal.finite(-von_neumann_entropy(rho) - cross + 0.0)

@@ -12,11 +12,14 @@ Conventions
 * An eigenvalue ``lam`` of an operator with largest eigenvalue
   ``lam_max`` counts as zero iff ``lam <= tol.rank * lam_max``.  The
   cutoff is relative so that the notion of support does not depend on
-  an overall scale.
+  an overall scale.  :func:`_cut` applies it once per operator, at
+  validation; block parts are cut at their whole operator's scale.
+* A state stores only its kept eigenpairs (thin when its rank is below
+  ``dim``), so its support is the span of its eigenvectors and no
+  consumer cuts again; ``matrix`` is derived lazily.
 * Scalar sums over eigenvalues use :func:`math.fsum`, so results do not
   depend on summation order.
 * Arrays stored on the frozen value types are marked read-only.
-* A state stores only its cleaned spectrum; ``matrix`` is derived lazily.
 * A projector is stored as an orthonormal basis ``V`` of its range, and
   the maps on projector families work in that frame: ``V^dag M V``
   rather than ``P M P``.
@@ -100,7 +103,7 @@ class Tolerances:
         Allowed deviation of a density-matrix trace from 1.
     rank:
         Relative spectral cutoff: eigenvalues ``<= rank * lam_max``
-        count as zero (support/rank decisions, extended log).
+        count as zero; a state's support is fixed when it is validated.
     supp:
         Threshold on trace mass outside a subspace; decides support
         inclusion and therefore the finite/infinite dichotomy.
@@ -171,13 +174,13 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A validated quantum state, stored as its cleaned spectrum.
+    """A validated quantum state, stored as its kept spectrum.
 
-    ``spectrum`` holds eigenvalues clamped to ``>= 0`` and renormalized
-    to sum to 1; :attr:`matrix`, ``V diag(w) V^dag``, is derived from it
-    on first access.  Construct through :func:`validate_density`; a
-    state built inside a known range carries a thin spectrum on that
-    range's basis.
+    ``spectrum`` holds only the eigenpairs above ``tol.rank * lam_max``
+    of the tolerances the state was validated with, renormalized to sum
+    to 1; its eigenvectors span the support.  :attr:`matrix`,
+    ``V diag(w) V^dag``, is derived from it on first access.  Construct
+    through :func:`validate_density`.
     """
 
     spectrum: SpectralDecomposition
@@ -347,27 +350,29 @@ def _check_positive(w: np.ndarray, tol: Tolerances) -> None:
         raise NotPositiveError(f"smallest eigenvalue {lam_min:.3e} below -{tol.psd:.1e}")
 
 
-def _normalized(w: np.ndarray) -> np.ndarray:
-    """``w`` clamped to ``>= 0`` and renormalized to sum to 1."""
-    w = np.clip(w, 0.0, None)
-    return w / math.fsum(w.tolist())
+def _cut(scale: float, tol: Tolerances, w: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one support cut: eigenvalues ``w > tol.rank * scale`` (none if ``scale <= 0``),
+    with the matching entries of each of ``columns`` along its last axis."""
+    keep = w > tol.rank * scale if scale > 0.0 else np.zeros(w.shape, dtype=bool)
+    return (w[keep], *(c[..., keep] for c in columns))
 
 
-def _clean_eigenvalues(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _state(w: np.ndarray, v: np.ndarray, tol: Tolerances) -> DensityOperator:
     """The validation tail shared by the state constructors.
 
-    Takes eigenvalues ``w``, gates positivity and unit trace, and
-    returns them clamped to ``>= 0`` and renormalized to sum to 1.
+    Takes ascending eigenpairs ``(w, V)``, gates positivity and unit
+    trace, and returns the state of the kept pairs, renormalized.
     """
     _check_positive(w, tol)
     trace = math.fsum(w.tolist())
     if not (abs(trace - 1.0) <= tol.trace):
         raise BadTraceError(f"trace {trace!r} differs from 1 by more than {tol.trace:.1e}")
-    return _normalized(w)
+    w, v = _cut(float(w[-1]), tol, w, v)
+    return _density(w / math.fsum(w.tolist()), v)
 
 
 def _density(w: np.ndarray, v: np.ndarray) -> DensityOperator:
-    """The state with cleaned spectrum ``(w, V)``."""
+    """The state with kept spectrum ``(w, V)``."""
     return DensityOperator(spectrum=SpectralDecomposition(eigenvalues=_readonly(w), eigenvectors=_readonly(v)))
 
 
@@ -376,38 +381,27 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
 
     Checks, in order: Hermiticity (``tol.herm``, relative), positivity
     (all eigenvalues ``>= -tol.psd``), and unit trace (``tol.trace``,
-    checked on the input before any repair).  On success the spectrum
-    is clamped to ``>= 0`` and renormalized to sum to exactly 1; the
-    state stores that cleaned spectrum, and its matrix is rebuilt from
-    it on first access.
+    checked on the input before any repair).  On success the eigenpairs
+    at or below ``tol.rank * lam_max`` are dropped and the rest
+    renormalized to sum to exactly 1; the state stores that kept
+    spectrum, and its matrix is rebuilt from it on first access.
 
     Raises
     ------
     NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
     """
     spec = eigh(symmetrize(raw, tol), tol)
-    return _density(_clean_eigenvalues(spec.eigenvalues, tol), spec.eigenvectors)
-
-
-def _kept(w: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Mask of the ascending eigenvalues ``w`` that count as nonzero.
-
-    Keeps ``w > tol.rank * lam_max``, and nothing when ``lam_max <= 0``.
-    """
-    lam_max = float(w[-1])
-    if lam_max <= 0.0:
-        return np.zeros(w.shape, dtype=bool)
-    return w > tol.rank * lam_max
+    return _state(spec.eigenvalues, spec.eigenvectors, tol)
 
 
 def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
     """Projector onto the support (range) of a state.
 
-    Eigenvalues at or below ``tol.rank * lam_max`` are treated as zero,
-    so the rank reported here is the numerically meaningful one.  The
-    result satisfies ``P @ rho == rho @ P == rho`` up to round-off.
+    The span of the state's eigenvectors: the rank cutoff was made when
+    the state was validated (``tol`` is not read here).  The result
+    satisfies ``P @ rho == rho @ P == rho`` up to round-off.
     """
-    return Projector(basis=_readonly(rho.spectrum.eigenvectors[:, _kept(rho.spectrum.eigenvalues, tol)]))
+    return Projector(basis=rho.spectrum.eigenvectors)
 
 
 def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -431,21 +425,18 @@ def extended_log(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
         If an eigenvalue is below ``-tol.psd``.
     """
     spec = eigh(symmetrize(matrix, tol), tol)
-    _check_positive(spec.eigenvalues, tol)
-    return _spectral_log(spec, tol)
-
-
-def _spectral_log(spec: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
-    """``sum_{lam_k > cutoff} ln(lam_k) |v_k><v_k|`` from a spectrum, no solve.
-
-    Zero on the kernel, including the complement of a thin spectrum.
-    """
     w = spec.eigenvalues
-    logs = np.zeros_like(w)
-    keep = _kept(w, tol)
-    logs[keep] = np.log(w[keep])
+    _check_positive(w, tol)
+    return _spectral_log(SpectralDecomposition(*_cut(float(w[-1]), tol, w, spec.eigenvectors)))
+
+
+def _spectral_log(spec: SpectralDecomposition) -> np.ndarray:
+    """``sum_k ln(lam_k) |v_k><v_k|`` over a kept spectrum, no solve.
+
+    Zero on the complement of the eigenvectors, which is the kernel.
+    """
     v = spec.eigenvectors
-    out = (v * logs) @ v.conj().T
+    out = (v * np.log(spec.eigenvalues)) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 
@@ -533,7 +524,7 @@ def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) ->
     ``basis`` is a ``d x r`` isometry ``V`` and ``small`` an ``r x r``
     matrix ``S``, solved by :func:`eigh`.  As ``V`` preserves norms and
     traces, the result equals ``validate_density(V S V^dag)`` up to
-    round-off, with a thin spectrum: ``r`` eigenvalues on ``V U``.
+    round-off, with a thin spectrum: at most ``r`` eigenvalues on ``V U``.
     Raises as :func:`validate_density`, and :class:`DimensionMismatchError`
     if ``V`` does not have one column per row of ``S``.
     """
@@ -541,7 +532,7 @@ def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) ->
     if basis.shape[1] != s.shape[0]:
         raise DimensionMismatchError(f"basis with {basis.shape[1]} columns, block of size {s.shape[0]}")
     spec = eigh(s, tol)
-    return _density(_clean_eigenvalues(spec.eigenvalues, tol), basis @ spec.eigenvectors)
+    return _state(spec.eigenvalues, basis @ spec.eigenvectors, tol)
 
 
 def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:
@@ -562,7 +553,7 @@ def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: T
     if not (gram_defect <= tol.orth):
         raise NotOrthonormalError(f"pinched eigenvectors not orthonormal: defect {gram_defect:.3e}")
     ascending = np.argsort(w, kind="stable")
-    return _density(_clean_eigenvalues(w[ascending], tol), vectors[:, ascending])
+    return _state(w[ascending], vectors[:, ascending], tol)
 
 
 def pinch(
@@ -605,11 +596,13 @@ def _block_states(
     Hermiticity and positivity are judged on ``B`` at the scale of ``M``
     (``||B - B^dag||_F <= tol.herm * ||M||_F``, no eigenvalue below
     ``-tol.psd``) before any division by ``p_k``, so round-off is not
-    magnified into a rejection of a light block.  Only then is each
-    block with ``p_k > tol.supp`` clamped and renormalized into the
-    thin state ``V_k (B_k / p_k) V_k^dag``; lighter blocks carry
-    ``None``.  Returns the read-only weights, the states and the raw
-    block spectrum (each column's eigenvalue of ``B``, and ``V_k U_k``).
+    magnified into a rejection of a light block.  The support cut is
+    made once, at the largest eigenvalue of the whole ``B``, never a
+    block's own.  Each block with ``p_k > tol.supp`` and a kept
+    eigenvalue becomes the thin state of its kept pairs, renormalized;
+    other blocks carry ``None``, but their ``p_k`` still counts.  Returns
+    the read-only weights, the states and the kept block spectrum
+    (eigenvalues of ``B``, and ``V_k U_k``).
     Raises :class:`NotHermitianError`, :class:`NotPositiveError` or
     :class:`SolverFailureError`.
     """
@@ -617,30 +610,32 @@ def _block_states(
     w, vectors = _block_spectra(b, v, labels, tol)
     _check_positive(w, tol)
     weights = np.clip(np.bincount(labels, weights=b.diagonal().real, minlength=n), 0.0, None)
-    edges = np.cumsum([0, *np.bincount(labels, minlength=n).tolist()])
+    w, vectors, labels = _cut(float(w.max(initial=0.0)), tol, w, vectors, labels)
+    edges = np.cumsum([0, *np.bincount(labels, minlength=n).tolist()]).tolist()
     states = tuple(
-        _density(_normalized(w[start:stop]), vectors[:, start:stop]) if pk > tol.supp else None
-        for pk, start, stop in zip(weights.tolist(), edges[:-1].tolist(), edges[1:].tolist())
+        _density(w[a:z] / math.fsum(w[a:z].tolist()), vectors[:, a:z]) if pk > tol.supp and z > a else None
+        for pk, a, z in zip(weights.tolist(), edges, edges[1:])
     )
     return _readonly(weights), states, (w, vectors)
 
 
-def _populations(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``<v_k|M|v_k>`` for every column ``v_k`` of ``v``, as real numbers."""
-    return ((matrix @ v) * v.conj()).sum(axis=0).real
+def _populations(rho: DensityOperator, v: np.ndarray) -> np.ndarray:
+    """``<v_k|rho|v_k>`` for every column ``v_k`` of ``v``, from ``rho``'s spectrum: ``|V^dag U|^2 w``."""
+    spec = rho.spectrum
+    return (np.abs(v.conj().T @ spec.eigenvectors) ** 2) @ spec.eigenvalues
 
 
-def _support_populations(rho: DensityOperator, sigma: DensityOperator, tol: Tolerances) -> tuple[list[float], float]:
+def _support_populations(rho: DensityOperator, sigma: DensityOperator) -> tuple[list[float], float]:
     """The support oracle: populations of ``rho`` on ``supp(sigma)``, and the leakage.
 
-    Returns ``<v_k|rho|v_k>`` over the kept eigenvectors of ``sigma``
-    (ascending eigenvalue order), and the leakage ``1 - sum_k``,
+    Returns ``<v_k|rho|v_k>`` over the eigenvectors of ``sigma`` (its
+    support, ascending eigenvalue order), and the leakage ``1 - sum_k``,
     clamped at 0.  :func:`support_leakage`, :func:`support_contained`
     and the relative entropy all decide support from this.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"states on dims {rho.dim} and {sigma.dim}")
-    populations = _populations(rho.matrix, support_projector(sigma, tol).basis).tolist()
+    populations = _populations(rho, sigma.spectrum.eigenvectors).tolist()
     return populations, max(0.0, 1.0 - math.fsum(populations))
 
 
@@ -651,7 +646,7 @@ def support_leakage(rho: DensityOperator, sigma: DensityOperator, tol: Tolerance
     ``sigma``, clamped at 0.  This is the quantity the finite/infinite
     dichotomy is decided on.
     """
-    return _support_populations(rho, sigma, tol)[1]
+    return _support_populations(rho, sigma)[1]
 
 
 def support_contained(rho: DensityOperator, sigma: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -102,7 +102,7 @@ def detectable_projectors(
         If a projector of the observable is not on the state's dimension.
     """
     v, labels = _stack(obs.projectors, rho.dim)
-    weights = np.bincount(labels, weights=_populations(rho.matrix, v), minlength=len(obs.projectors))
+    weights = np.bincount(labels, weights=_populations(rho, v), minlength=len(obs.projectors))
     return [p for p, weight in zip(obs.projectors, weights.tolist()) if weight > tol.supp]
 
 

@@ -95,10 +95,12 @@ def decompose_by_projectors(
 ) -> OrthogonalDecomposition:
     """Decompose a state along a family of orthogonal subspace projectors.
 
-    Weights are ``w_k = tr(sigma B_k)``; blocks with ``w_k`` at or
-    below ``tol.supp`` become empty parts.  The support projectors
-    stored per block are those of the *states* ``sigma_k``, which may
-    have lower rank than the blocks themselves.
+    Weights are ``w_k = tr(sigma B_k)`` of the validated ``sigma``, so
+    ``w_k`` is the block's kept mass.  Parts are cut at ``sigma``'s
+    scale, not their own, so their support ranks add up to ``sigma``'s;
+    blocks with ``w_k <= tol.supp`` or no kept eigenvalue become empty
+    parts.  The support projectors stored per block are those of the
+    *states* ``sigma_k``, which may have lower rank than the blocks.
 
     The state must be block diagonal in the blocks,
     ``||sigma - sum_k B_k sigma B_k||_F <= tol.identity``; it is then
@@ -151,7 +153,7 @@ def lemma1_log_decomposition(d: OrthogonalDecomposition, tol: Tolerances = DEFAU
         if part is None:
             continue
         out += math.log(w) * q.matrix
-        out += _spectral_log(part.spectrum, tol)
+        out += _spectral_log(part.spectrum)
     return (out + out.conj().T) / 2.0
 
 
@@ -179,7 +181,7 @@ class MixingBreakdown:
 
     For ``rho`` against a decomposed ``sigma = sum_k w_k sigma_k``:
 
-    * ``s_pinched`` — entropy of ``sum_k Q_k rho Q_k``, read off the raw
+    * ``s_pinched`` — entropy of ``sum_k Q_k rho Q_k``, read off the kept
       spectrum of the blocks ``Q_k^dag rho Q_k`` that the conditional
       states come from (a diagnostic rather than a state entropy when
       ``rho`` leaks outside the block supports),
@@ -228,7 +230,7 @@ def theorem1_breakdown(
 
     p, states, (pinched_spectrum, _) = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
 
-    s_pinched = _spectral_entropy(np.sort(pinched_spectrum), tol)
+    s_pinched = _spectral_entropy(pinched_spectrum)
     s_rho = von_neumann_entropy(rho, tol)
 
     p_vec = ProbabilityVector(probs=p)

@@ -43,7 +43,7 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _kept, _overlaps, _pinched, _pinched_state, _stack, _validate_in_range
+from qrelent.linop import _overlaps, _pinched, _pinched_state, _stack, _validate_in_range
 from helpers import basis_projector, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
@@ -153,9 +153,12 @@ def test_validate_density_rejects_non_hermitian():
 
 
 def test_validate_density_clamps_and_renormalizes():
+    # The negative eigenvalue is below the rank cutoff: it is dropped,
+    # and the kept spectrum renormalized.
     rho = validate_density(np.diag([1.0 + 4e-11, -4e-11]))
     w = rho.spectrum.eigenvalues
-    assert w.min() == 0.0
+    assert rho.spectrum.eigenvectors.shape == (2, 1)
+    assert w.tolist() == [1.0]
     assert abs(math.fsum(w.tolist()) - 1.0) < 1e-15
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-15
 
@@ -213,14 +216,12 @@ def test_validate_in_range_matches_full_validation(shape):
     v, small = _range_fixture(dim, r, rank, seed)
     thin = _validate_in_range(v, small, tol)
     full = validate_density(v @ small @ v.conj().T, tol)
-    assert thin.spectrum.eigenvectors.shape == (dim, r)
-    assert thin.spectrum.eigenvalues.shape == (r,)
+    # Both spectra hold only their kept pairs: one per unit of rank.
+    assert thin.spectrum.eigenvectors.shape == full.spectrum.eigenvectors.shape == (dim, rank)
+    assert thin.spectrum.eigenvalues.shape == (rank,)
     assert thin.spectrum.dim == thin.dim == dim
     assert frobenius(thin.matrix - full.matrix) <= 1e-12
-    kept_thin = thin.spectrum.eigenvalues[_kept(thin.spectrum.eigenvalues, tol)]
-    kept_full = full.spectrum.eigenvalues[_kept(full.spectrum.eigenvalues, tol)]
-    assert kept_thin.shape == kept_full.shape
-    assert np.abs(kept_thin - kept_full).max() <= 1e-12
+    assert np.abs(thin.spectrum.eigenvalues - full.spectrum.eigenvalues).max() <= 1e-12
     q_thin, q_full = support_projector(thin, tol), support_projector(full, tol)
     assert q_thin.rank == q_full.rank
     assert frobenius(q_thin.matrix - q_full.matrix) <= 1e-10
@@ -528,11 +529,11 @@ def test_pinched_state_matches_full_validation(fixture):
         family = detectable_projectors(rho, obs)
     stacked = _stack(family, rho.dim)
     full = validate_density(_pinched(rho.matrix, *stacked), tol)
-    n = stacked[0].shape[1]
-    assert blocks.spectrum.eigenvectors.shape == (rho.dim, n)
+    # Both hold only their kept pairs, at most one per stacked column.
+    assert blocks.spectrum.eigenvectors.shape == full.spectrum.eigenvectors.shape
+    assert blocks.spectrum.eigenvectors.shape[1] <= stacked[0].shape[1]
     assert frobenius(blocks.matrix - full.matrix) <= 1e-12
-    w = np.sort(np.concatenate([blocks.spectrum.eigenvalues, np.zeros(rho.dim - n)]))
-    assert np.abs(w - full.spectrum.eigenvalues).max() <= 1e-12
+    assert np.abs(blocks.spectrum.eigenvalues - full.spectrum.eigenvalues).max() <= 1e-12
     assert np.all(np.diff(blocks.spectrum.eigenvalues) >= 0.0)
     assert frobenius(blocks.spectrum.reconstruct() - blocks.matrix) <= 1e-14
 

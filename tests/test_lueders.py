@@ -402,8 +402,11 @@ def test_theorem2_rejects_nan_basis(entry):
 
 @pytest.mark.parametrize("leak", [0.0, 1e-10])
 def test_theorem2_thin_reference_matches_full_spectrum(leak):
-    # A decomposition part carries a thin spectrum (3 eigenvalues on a
-    # 6 x 3 basis); theorem2_check completes it with a kernel basis.  The
+    # A decomposition part of rank 2 carries a thin spectrum (2
+    # eigenvalues on a 6 x 2 basis); theorem2_check completes it with a
+    # kernel basis.  The reference passes the completed basis explicitly:
+    # the kernel is degenerate, and rho's kernel populations straddle the
+    # middle state's cutoff, so another kernel basis moves the legs.  The
     # leaking rho puts mass tol.supp / 10 outside the block, which a
     # pinching in the thin columns alone would drop.
     blocks = random_block_projectors(GenSpec(dim=6, seed=81, block_sizes=(3, 3)))
@@ -411,12 +414,13 @@ def test_theorem2_thin_reference_matches_full_spectrum(leak):
         blocks[1], 3, 83
     ).matrix
     part = decompose_by_projectors(validate_density(mixture), blocks).parts[0]
-    assert part.spectrum.eigenvectors.shape == (6, 3)
+    assert part.spectrum.eigenvectors.shape == (6, 2)
     inside = random_state_in_support(support_projector(part), 2, 84)
     outside = random_state_in_support(blocks[1], 1, 85)
     rho = validate_density((1.0 - leak) * inside.matrix + leak * outside.matrix)
     thin, _ = theorem2_check(rho, part)
-    full, _ = theorem2_check(rho, validate_density(part.matrix))
+    v = part.spectrum.eigenvectors
+    full, _ = theorem2_check(rho, part, basis=np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, 2:]], axis=1))
     for a, b in ((thin.d_total, full.d_total), (thin.d_first, full.d_first), (thin.d_second, full.d_second)):
         assert abs(a.value - b.value) <= 1e-12
 
@@ -451,7 +455,9 @@ def test_theorem2_middle_state_makes_no_eigensolve(monkeypatch, rank):
     calls = count_solver_calls(monkeypatch)
     _, middle = theorem2_check(rho, sigma)
     assert calls == []
-    assert middle.spectrum.eigenvectors.shape == (6, 6)
+    # rho lives in supp(sigma): the middle state keeps one pair per
+    # eigenvector of sigma's support.
+    assert middle.spectrum.eigenvectors.shape == (6, rank)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -188,8 +188,8 @@ def test_route_a_keeps_full_space_solves(monkeypatch):
 
 def _dense_pinched_entropy(rho, d, tol):
     """S of the raw pinched matrix by one d x d solve (the reference)."""
-    pinched = _pinched(rho.matrix, *_stack(d.supports, d.dim))
-    return _spectral_entropy(np.linalg.eigvalsh(pinched), tol)
+    w = np.linalg.eigvalsh(_pinched(rho.matrix, *_stack(d.supports, d.dim)))
+    return _spectral_entropy(w[w > tol.rank * w[-1]])
 
 
 @pytest.mark.parametrize("confined", [True, False])
@@ -236,20 +236,131 @@ def _light_block_fixture(weight, light_rank):
     return sigma, rho, blocks, parts, conditionals
 
 
+def _kept_frame(state, scale):
+    """The eigenvectors of ``state`` with eigenvalue above ``scale``, and those eigenvalues renormalized."""
+    w, v = state.spectrum.eigenvalues, state.spectrum.eigenvectors
+    return v[:, w > scale], w[w > scale] / math.fsum(w[w > scale].tolist())
+
+
 @pytest.mark.parametrize("light_rank", [4, 2])
 @pytest.mark.parametrize("weight", [1e-7, 1e-8])
-def test_blocks_of_small_weight_are_accepted(weight, light_rank):
+def test_blocks_of_small_weight_are_accepted(weight, light_rank, tol):
     # Judging a block's state after division by its weight magnified
     # round-off past tol.herm; the gates now run on the compression at
-    # the scale of the state it came from.
+    # the scale of the state it came from.  sigma is cut once, at
+    # tol.rank times its largest eigenvalue, so each part keeps only the
+    # eigenpairs of the part mixed in that clear that scale (at weight
+    # 1e-8 and rank 4 the light part loses its smallest one): w_0 is the
+    # kept mass of block 0, and p_k the mass of rho on part k's support.
+    # Cut at their own scale, parts took round-off divided by a weight
+    # of 1e-7 or 1e-8 for support: a rank-2 light part reported rank 3
+    # or 4, and at weight 1e-8 and rank 4 the direct route said +inf
+    # while the block route gave 0.705.
     sigma, rho, blocks, parts, conditionals = _light_block_fixture(weight, light_rank)
     d = decompose_by_projectors(sigma, blocks)
     bd = theorem1_breakdown(rho, d)
     assert support_lemma_check(rho, d)
-    assert d.weights.probs[0] == pytest.approx(weight, rel=1e-6)
-    assert bd.p.probs[0] == pytest.approx(weight, rel=1e-6)
-    for got, mixed_in in zip((*d.parts, *bd.conditional_states), (*parts, *conditionals)):
-        assert frobenius(got.matrix - mixed_in.matrix) <= 1e-6
+    assert sum(q.rank for q in d.supports) == support_projector(sigma).rank
+    assert bd.total_lhs.is_finite == bd.total_rhs.is_finite
+    sigma_weights, rho_weights = (weight, 0.4, 0.6 - weight), (weight, 0.7, 0.3 - weight)
+    raw = np.linalg.eigvalsh(sum(w * s.matrix for w, s in zip(sigma_weights, parts)))
+    dropped = math.fsum(np.clip(raw[raw <= tol.rank * raw[-1]], 0.0, None).tolist())
+    first = blocks[0].basis
+    assert d.weights.probs[0] == pytest.approx(np.trace(first.conj().T @ sigma.matrix @ first).real, rel=1e-6)
+    assert abs(d.weights.probs[0] - weight) <= dropped + sigma.dim * np.finfo(float).eps
+    for k, (wk, pk) in enumerate(zip(sigma_weights, rho_weights)):
+        v, kept = _kept_frame(parts[k], tol.rank * raw[-1] / wk)
+        c = v.conj().T @ conditionals[k].matrix @ v
+        assert bd.p.probs[k] == pytest.approx(pk * np.trace(c).real, rel=1e-6)
+        assert frobenius(d.parts[k].matrix - (v * kept) @ v.conj().T) <= 1e-6
+        assert frobenius(bd.conditional_states[k].matrix - v @ c @ v.conj().T / np.trace(c).real) <= 1e-6
+
+
+def test_part_cut_at_the_scale_of_sigma(tol):
+    # The light block {1, 2} holds 1e-4 (1 - 1e-7) and 1e-11.  Cut at
+    # its own scale the part kept 1e-11 / 1e-4 = 1e-7, which sigma drops
+    # (1e-11 <= tol.rank * lam_max): the lemma1 residual was 25.3 and
+    # the block route gave 7.60 where the direct route said +inf.
+    sigma = diag_state(1.0 - 1e-4, 1e-4 * (1.0 - 1e-7), 1e-11)
+    d = decompose_by_projectors(sigma, [basis_projector(3, [0]), basis_projector(3, [1, 2])])
+    assert [q.rank for q in d.supports] == [1, 1]
+    assert frobenius(extended_log(sigma.matrix) - lemma1_log_decomposition(d)) <= tol.identity
+    bd = theorem1_breakdown(diag_state(0.5, 0.25, 0.25), d)
+    assert not bd.total_lhs.is_finite and not bd.total_rhs.is_finite
+
+
+def test_block_that_keeps_no_eigenvalue(tol):
+    # rho couples e_1..e_15 weakly to e_16..e_30: its compression onto
+    # the second block has 15 eigenvalues 7e-11, all at or below the cut
+    # tol.rank * 0.985 of the whole compression, yet their sum 1.05e-9
+    # exceeds tol.supp.  That block carries no state, and its p_k still
+    # counts in h_rel and in the missed mass.
+    n, mu, coupling = 15, 1e-3, 7e-8
+    vectors = np.zeros((2 * n + 1, n + 1))
+    vectors[0, 0] = 1.0
+    for i in range(1, n + 1):
+        vectors[i, i], vectors[n + i, i] = math.sqrt(1.0 - coupling), math.sqrt(coupling)
+    rho = validate_density((vectors * [1.0 - n * mu, *[mu] * n]) @ vectors.T)
+    blocks = [basis_projector(2 * n + 1, range(n + 1)), basis_projector(2 * n + 1, range(n + 1, 2 * n + 1))]
+    d = decompose_by_projectors(validate_density(np.eye(2 * n + 1) / (2 * n + 1)), blocks)
+    bd = theorem1_breakdown(rho, d)
+    assert bd.conditional_states[1] is None
+    p = [float(np.trace(q.basis.T @ rho.matrix @ q.basis).real) for q in blocks]
+    assert p[1] == pytest.approx(n * mu * coupling, rel=1e-9) and p[1] > tol.supp
+    assert np.allclose(bd.p.probs, p, rtol=1e-12, atol=0.0)
+    w = d.weights.probs.tolist()
+    assert bd.h_rel.value == pytest.approx(math.fsum(pk * math.log(pk / wk) for pk, wk in zip(p, w)), abs=1e-15)
+    assert bd.total_lhs.is_finite and bd.total_rhs.is_finite
+
+
+@st.composite
+def _split_families(draw):
+    """sigma block diagonal over a fine Haar family, weights log-uniform down to 1e-8.
+
+    Returns sigma, the fine family, a coarsening of it (consecutive fine
+    blocks merged) with each fine block's group, and a state rho that is
+    drawn either inside supp(sigma) or anywhere.
+    """
+    dim = draw(st.integers(2, 12))
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(draw(st.integers(1, dim - sum(sizes))))
+    seed = draw(st.integers(0, 2**31))
+    fine = random_block_projectors(GenSpec(dim=dim, seed=seed, block_sizes=tuple(sizes)))
+    w = np.array([10.0 ** draw(st.floats(-8.0, 0.0)) for _ in fine])
+    ranks = [draw(st.integers(1, b.rank)) for b in fine]
+    parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(fine, ranks))]
+    sigma = validate_density(sum(wk * part.matrix for wk, part in zip(w / w.sum(), parts)))
+    group = [0]
+    for _ in fine[1:]:
+        group.append(group[-1] + draw(st.booleans()))
+    coarse = [
+        Projector.from_basis(np.concatenate([b.basis for b, g in zip(fine, group) if g == j], axis=1))
+        for j in range(group[-1] + 1)
+    ]
+    if draw(st.booleans()):
+        supp = support_projector(sigma)
+        rho = random_state_in_support(supp, draw(st.integers(1, supp.rank)), seed + 100)
+    else:
+        rho = random_density(GenSpec(dim=dim, rank=draw(st.integers(1, dim)), seed=seed + 100))
+    return sigma, fine, coarse, group, rho
+
+
+@given(fixture=_split_families())
+@settings(deadline=None, max_examples=80)
+def test_split_and_refinement_keep_support_decisions(fixture):
+    # supp(sigma) is the direct sum of the parts' supports whichever
+    # family sigma is split over, so coarse ranks add up over their fine
+    # groups and both breakdowns reach the same verdicts.
+    sigma, fine, coarse, group, rho = fixture
+    d_fine = decompose_by_projectors(sigma, fine)
+    d_coarse = decompose_by_projectors(sigma, coarse)
+    fine_ranks = [q.rank for q in d_fine.supports]
+    for j, q in enumerate(d_coarse.supports):
+        assert q.rank == sum(r for r, g in zip(fine_ranks, group) if g == j)
+    bd_fine, bd_coarse = theorem1_breakdown(rho, d_fine), theorem1_breakdown(rho, d_coarse)
+    assert bd_fine.total_lhs.is_finite == bd_coarse.total_lhs.is_finite
+    assert bd_fine.total_rhs.is_finite == bd_coarse.total_rhs.is_finite == bd_fine.total_lhs.is_finite
 
 
 @st.composite
@@ -279,8 +390,8 @@ def _assert_same_state(got, want):
     assert frobenius(got.matrix - want.matrix) <= 1e-12
     w = got.spectrum.eigenvalues
     assert np.all(np.diff(w) >= 0.0)
-    padded = np.sort(np.concatenate([w, np.zeros(got.dim - len(w))]))
-    assert np.abs(padded - want.spectrum.eigenvalues).max() <= 1e-12
+    assert w.shape == want.spectrum.eigenvalues.shape
+    assert np.abs(w - want.spectrum.eigenvalues).max() <= 1e-12
 
 
 @given(fixture=_weighted_families())

@@ -134,7 +134,8 @@ def test_state_in_support_solves_in_its_range(monkeypatch, r):
     rho = random_state_in_support(p, max(1, r - 1), 6)
     # One r x r solve in the range's frame, and no d x d solve.
     assert calls == [(r, r)]
-    assert rho.spectrum.eigenvectors.shape == (8, r)
+    # The kept spectrum: one pair per unit of rank.
+    assert rho.spectrum.eigenvectors.shape == (8, max(1, r - 1))
     assert support_projector(rho).rank == max(1, r - 1)
 
 
