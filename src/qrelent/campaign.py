@@ -43,7 +43,6 @@ from .mixing import (
 )
 from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _corollary1
 from .stategen import (
-    GenSpec,
     derive_seed,
     haar_unitary,
     random_block_projectors,
@@ -202,19 +201,19 @@ def _raw_state_in(p: Projector, rank: int, seed: int) -> np.ndarray:
 def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list[Projector]:
     n_blocks = int(rng.integers(2, min(dim, 4) + 1))
     sizes = _composition(rng, dim, n_blocks)
-    return random_block_projectors(GenSpec(dim=dim, seed=_sub_seed(rng), block_sizes=tuple(sizes)), tol)
+    return random_block_projectors(dim, sizes, seed=_sub_seed(rng), tol=tol)
 
 
 def _trial_lemma1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
     lhs = _spectral_log(d.sigma.spectrum)
-    rhs = lemma1_log_decomposition(d, cfg.tol)
+    rhs = lemma1_log_decomposition(d)
     return True, True, frobenius(lhs - rhs), _min_nonzero_eig(d.sigma), None
 
 
 def _trial_eq3a(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
-    lhs, rhs = entropy_mixing_identity(d, cfg.tol)
+    lhs, rhs = entropy_mixing_identity(d)
     return True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma), None
 
 
@@ -231,13 +230,13 @@ def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
         inside, outside = blocks[:-1], blocks[-1]
         d = _mixture_fixture(rng, inside, tol, cfg.include_singular, allow_zero_weight=False)
         rho_out = _raw_state_in(outside, 1, _sub_seed(rng))
-        supp = support_projector(d.sigma, tol)
+        supp = support_projector(d.sigma)
         rho_in = _raw_state_in(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng))
         mix = rng.uniform(0.2, 0.8)
         rho = validate_density(mix * rho_in + (1.0 - mix) * rho_out, tol)
     else:
         d = _mixture_fixture(rng, _blocks_fixture(rng, dim, tol), tol, cfg.include_singular)
-        supp = support_projector(d.sigma, tol)
+        supp = support_projector(d.sigma)
         options = sorted({1, math.ceil(dim / 2), dim} if cfg.include_singular else {dim})
         options = [r for r in options if r <= supp.rank] or [supp.rank]
         rank = int(options[int(rng.integers(0, len(options)))])
@@ -256,13 +255,13 @@ def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
         bd.total_rhs.is_finite,
         bd.residual,
         _min_nonzero_eig(d.sigma),
-        support_leakage(rho, d.sigma, tol),
+        support_leakage(rho, d.sigma),
     )
 
 
 def _random_probe(rng: np.random.Generator, dim: int, include_singular: bool, tol: Tolerances) -> DensityOperator:
     rank = int(rng.integers(1, dim + 1)) if include_singular else dim
-    return random_density(GenSpec(dim=dim, rank=rank, seed=_sub_seed(rng)), tol)
+    return random_density(dim, rank=rank, seed=_sub_seed(rng), tol=tol)
 
 
 def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
@@ -272,7 +271,7 @@ def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Ge
     rho = _random_probe(rng, dim, cfg.include_singular, tol)
     direct, gap, rho_l = _corollary1(rho, obs, tol)
     residual = abs(direct.value - gap) if direct.is_finite else None
-    return direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l, tol)
+    return direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l)
 
 
 def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
@@ -321,11 +320,11 @@ def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
         sigma = validate_density((u * lam) @ u.conj().T, tol)
     else:
         rank = int(rng.integers(max(1, dim // 2), dim + 1)) if cfg.include_singular else dim
-        sigma = random_density(GenSpec(dim=dim, rank=rank, seed=_sub_seed(rng)), tol)
-    supp = support_projector(sigma, tol)
+        sigma = random_density(dim, rank=rank, seed=_sub_seed(rng), tol=tol)
+    supp = support_projector(sigma)
     rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
     report, _middle = theorem2_check(rho, sigma, tol)
-    return report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma, tol)
+    return report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)
 
 
 _TRIALS = {

@@ -62,8 +62,8 @@ def cmd_compute(args) -> int:
     tol = _tolerances(args)
     rho = validate_density(matio.load_matrix(args.rho), tol)
     sigma = validate_density(matio.load_matrix(args.sigma), tol)
-    p_rho = support_projector(rho, tol)
-    p_sigma = support_projector(sigma, tol)
+    p_rho = support_projector(rho)
+    p_sigma = support_projector(sigma)
     value = quantum_relative_entropy(rho, sigma, tol)
     print(f"rho:    dim {rho.dim}, support rank {p_rho.rank}")
     print(f"sigma:  dim {sigma.dim}, support rank {p_sigma.rank}")

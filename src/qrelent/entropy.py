@@ -147,12 +147,11 @@ def _spectral_entropy(w: np.ndarray) -> float:
     return -math.fsum(x * math.log(x) for x in w.tolist()) + 0.0
 
 
-def von_neumann_entropy(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy ``S(rho) = -tr(rho ln rho)`` in nats.
 
     Computed from the validated spectrum, which holds only the
-    eigenvalues kept when the state was validated (``tol`` is not read
-    here).
+    eigenvalues kept when the state was validated.
     """
     return _spectral_entropy(rho.spectrum.eigenvalues)
 

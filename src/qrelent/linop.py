@@ -394,12 +394,12 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     return _state(spec.eigenvalues, spec.eigenvectors, tol)
 
 
-def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
+def support_projector(rho: DensityOperator) -> Projector:
     """Projector onto the support (range) of a state.
 
     The span of the state's eigenvectors: the rank cutoff was made when
-    the state was validated (``tol`` is not read here).  The result
-    satisfies ``P @ rho == rho @ P == rho`` up to round-off.
+    the state was validated.  The result satisfies
+    ``P @ rho == rho @ P == rho`` up to round-off.
     """
     return Projector(basis=rho.spectrum.eigenvectors)
 
@@ -639,7 +639,7 @@ def _support_populations(rho: DensityOperator, sigma: DensityOperator) -> tuple[
     return populations, max(0.0, 1.0 - math.fsum(populations))
 
 
-def support_leakage(rho: DensityOperator, sigma: DensityOperator, tol: Tolerances = DEFAULT_TOL) -> float:
+def support_leakage(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace mass of ``rho`` outside the support of ``sigma``.
 
     Returns ``1 - tr(rho P)`` with ``P`` the support projector of
@@ -656,4 +656,4 @@ def support_contained(rho: DensityOperator, sigma: DensityOperator, tol: Toleran
     ``tol.supp``.  This structural test — not cancellation of
     logarithms — gates every finite/infinite decision in the package.
     """
-    return support_leakage(rho, sigma, tol) <= tol.supp
+    return support_leakage(rho, sigma) <= tol.supp

@@ -156,7 +156,7 @@ def _corollary1(
     """:func:`corollary1_check`'s two routes, and the Lüders state they measure against."""
     rho_l = lueders_state(rho, obs, tol)
     direct = quantum_relative_entropy(rho, rho_l, tol)
-    gap = von_neumann_entropy(rho_l, tol) - von_neumann_entropy(rho, tol)
+    gap = von_neumann_entropy(rho_l) - von_neumann_entropy(rho)
     return direct, gap, rho_l
 
 

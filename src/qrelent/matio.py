@@ -20,8 +20,10 @@ bit-identical to the standard library's.  A byte that is not UTF-8,
 a ``NaN`` or ``Infinity`` literal, and a number outside double range
 (such as ``1e999``) are file errors, as is a ``dim`` that is not a
 positive integer (``true`` is not one).  Files are written with the
-standard ``json`` module; a non-finite entry is a file error, and
-nothing is written.
+standard ``json`` module.  Writing refuses what the loaders would
+reject (a non-finite entry, a matrix that is not square, an empty
+family, matrices of different dimensions) with a file error, and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +40,16 @@ __all__ = ["load_matrix", "save_matrix", "load_projectors", "save_projectors"]
 
 
 def _matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def _square(matrix, path: str | Path, what: str) -> np.ndarray:
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise FileFormatError(
+            f"cannot write {what} file {path}: expected a non-empty square matrix, got shape {m.shape}"
+        )
+    return m
 
 
 def _rows_to_matrix(rows, dim: int, what: str, may_hold_bools: bool) -> np.ndarray:
@@ -95,8 +106,8 @@ def load_matrix(path: str | Path) -> np.ndarray:
 
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
     """Write a complex square matrix as a matrix file."""
-    m = np.asarray(matrix, dtype=complex)
-    _write_json(path, {"dim": int(m.shape[0]), "matrix": _matrix_to_rows(m)}, "matrix")
+    m = _square(matrix, path, "matrix")
+    _write_json(path, {"dim": m.shape[0], "matrix": _matrix_to_rows(m)}, "matrix")
 
 
 def load_projectors(path: str | Path) -> list[np.ndarray]:
@@ -113,6 +124,11 @@ def load_projectors(path: str | Path) -> list[np.ndarray]:
 
 
 def save_projectors(path: str | Path, projectors) -> None:
-    """Write a list of matrices as a projector file."""
-    mats = [np.asarray(p, dtype=complex) for p in projectors]
-    _write_json(path, {"dim": int(mats[0].shape[0]), "projectors": [_matrix_to_rows(m) for m in mats]}, "projector")
+    """Write a non-empty list of same-dimension square matrices as a projector file."""
+    mats = [_square(p, path, "projector") for p in projectors]
+    if len({m.shape for m in mats}) != 1:
+        raise FileFormatError(
+            f"cannot write projector file {path}: expected one or more matrices of one dimension,"
+            f" got shapes {[m.shape for m in mats]}"
+        )
+    _write_json(path, {"dim": mats[0].shape[0], "projectors": [_matrix_to_rows(m) for m in mats]}, "projector")

@@ -130,14 +130,14 @@ def decompose_by_projectors(
         raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
 
     supports = tuple(
-        support_projector(part, tol) if part is not None else Projector.zero(sigma.dim) for part in parts
+        support_projector(part) if part is not None else Projector.zero(sigma.dim) for part in parts
     )
     return OrthogonalDecomposition(
         weights=ProbabilityVector.validated(weights, tol), parts=parts, supports=supports, sigma=sigma
     )
 
 
-def lemma1_log_decomposition(d: OrthogonalDecomposition, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def lemma1_log_decomposition(d: OrthogonalDecomposition) -> np.ndarray:
     """Blockwise reconstruction of the kernel-extended logarithm.
 
     Returns ``sum'_k ln(w_k) Q_k + sum'_k logz(sigma_k)`` where the
@@ -157,18 +157,16 @@ def lemma1_log_decomposition(d: OrthogonalDecomposition, tol: Tolerances = DEFAU
     return (out + out.conj().T) / 2.0
 
 
-def entropy_mixing_identity(
-    d: OrthogonalDecomposition, tol: Tolerances = DEFAULT_TOL
-) -> tuple[float, float]:
+def entropy_mixing_identity(d: OrthogonalDecomposition) -> tuple[float, float]:
     """Both sides of ``S(sigma) = H(w) + sum_k w_k S(sigma_k)``.
 
     Returns ``(lhs, rhs)`` computed by independent routes: the left
     from the spectrum of the mixture, the right from the weight
     distribution and the block spectra.
     """
-    lhs = von_neumann_entropy(d.sigma, tol)
+    lhs = von_neumann_entropy(d.sigma)
     rhs = shannon_entropy(d.weights) + math.fsum(
-        w * von_neumann_entropy(part, tol)
+        w * von_neumann_entropy(part)
         for w, part in zip(d.weights.probs.tolist(), d.parts)
         if part is not None
     )
@@ -231,7 +229,7 @@ def theorem1_breakdown(
     p, states, (pinched_spectrum, _) = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
 
     s_pinched = _spectral_entropy(pinched_spectrum)
-    s_rho = von_neumann_entropy(rho, tol)
+    s_rho = von_neumann_entropy(rho)
 
     p_vec = ProbabilityVector(probs=p)
     h_rel = classical_relative_entropy(p_vec, d.weights, tol)

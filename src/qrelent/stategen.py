@@ -10,7 +10,7 @@ campaign sees the same stream no matter how trials are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate
 from .lueders import ProjectiveObservable, RefinementPair
 
 __all__ = [
-    "GenSpec",
     "derive_seed",
     "haar_unitary",
     "random_density",
@@ -27,40 +26,6 @@ __all__ = [
     "random_refinement",
     "random_state_in_support",
 ]
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters for one random draw.
-
-    ``rank=None`` means full rank.  ``block_sizes`` only matters for
-    projector-family generation; sizes must be positive and fit in
-    ``dim`` (any leftover dimensions become one final block).
-    """
-
-    dim: int
-    rank: int | None = None
-    seed: int = 0
-    block_sizes: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise BadSpecError(f"dim must be >= 1, got {self.dim}")
-        if self.rank is not None and not 1 <= self.rank <= self.dim:
-            raise BadSpecError(f"rank {self.rank} outside [1, {self.dim}]")
-        if self.seed < 0:
-            raise BadSpecError(f"seed must be non-negative, got {self.seed}")
-        if self.block_sizes is not None:
-            if not self.block_sizes or any(s < 1 for s in self.block_sizes):
-                raise BadSpecError(f"block sizes must be positive, got {self.block_sizes}")
-            if sum(self.block_sizes) > self.dim:
-                raise BadSpecError(
-                    f"block sizes {self.block_sizes} sum to {sum(self.block_sizes)} > dim {self.dim}"
-                )
-
-    @property
-    def effective_rank(self) -> int:
-        return self.dim if self.rank is None else self.rank
 
 
 def derive_seed(master: int, *branch: int) -> int:
@@ -96,28 +61,47 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return _haar(_rng(seed), dim)
 
 
-def random_density(spec: GenSpec, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
-    """A random state of the requested rank (trace-normalized Ginibre)."""
-    rng = _rng(spec.seed)
-    g = _ginibre(rng, spec.dim, spec.effective_rank)
+def _check_draw(dim: int, seed: int) -> None:
+    if dim < 1:
+        raise BadSpecError(f"dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise BadSpecError(f"seed must be non-negative, got {seed}")
+
+
+def random_density(
+    dim: int, *, rank: int | None = None, seed: int = 0, tol: Tolerances = DEFAULT_TOL
+) -> DensityOperator:
+    """A random state of the given rank, full rank by default (trace-normalized Ginibre)."""
+    _check_draw(dim, seed)
+    if rank is None:
+        rank = dim
+    elif not 1 <= rank <= dim:
+        raise BadSpecError(f"rank {rank} outside [1, {dim}]")
+    g = _ginibre(_rng(seed), dim, rank)
     m = g @ g.conj().T
     return validate_density(m / np.trace(m).real, tol)
 
 
-def random_block_projectors(spec: GenSpec, tol: Tolerances = DEFAULT_TOL) -> list[Projector]:
+def random_block_projectors(
+    dim: int, block_sizes: Sequence[int], *, seed: int = 0, tol: Tolerances = DEFAULT_TOL
+) -> list[Projector]:
     """Projectors onto random mutually orthogonal subspaces.
 
-    Ranks follow ``spec.block_sizes`` (required); if the sizes do not
-    exhaust ``dim``, the orthogonal complement is appended as one more
-    block, so the family always resolves the identity.
+    Ranks follow ``block_sizes``, which must be positive and fit in
+    ``dim``; if they do not exhaust ``dim``, the orthogonal complement
+    is appended as one more block, so the family always resolves the
+    identity.
     """
-    if spec.block_sizes is None:
-        raise BadSpecError("block_sizes is required for projector generation")
-    sizes = list(spec.block_sizes)
-    leftover = spec.dim - sum(sizes)
+    _check_draw(dim, seed)
+    sizes = list(block_sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise BadSpecError(f"block sizes must be positive, got {tuple(sizes)}")
+    leftover = dim - sum(sizes)
+    if leftover < 0:
+        raise BadSpecError(f"block sizes {tuple(sizes)} sum to {sum(sizes)} > dim {dim}")
     if leftover > 0:
         sizes.append(leftover)
-    u = _haar(_rng(spec.seed), spec.dim)
+    u = _haar(_rng(seed), dim)
     out: list[Projector] = []
     start = 0
     for s in sizes:

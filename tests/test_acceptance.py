@@ -14,7 +14,6 @@ import numpy as np
 
 from qrelent import (
     DEFAULT_TOL,
-    GenSpec,
     Projector,
     ProjectiveObservable,
     VerifyConfig,
@@ -178,7 +177,7 @@ def test_criterion_7_pinched_middle_state():
         lam /= lam.sum()
         u = haar_unitary(dim, int(rng.integers(0, 2**63)))
         sigma = validate_density((u * lam) @ u.conj().T, tol)
-        rho = random_density(GenSpec(dim=dim, seed=int(rng.integers(0, 2**63))), tol)
+        rho = random_density(dim, seed=int(rng.integers(0, 2**63)), tol=tol)
         bases = [
             _rotate_degenerate_pair(u, theta, phase)
             for theta, phase in ((0.4, 1.0), (0.9, 1.0), (1.5, 1j))
@@ -229,8 +228,8 @@ def test_criterion_8_foundations():
     lowest = math.inf
     for t in range(500):
         dim = DIMS[t % len(DIMS)]
-        rho = random_density(GenSpec(dim=dim, rank=int(rng.integers(1, dim + 1)), seed=sub_seed()), tol)
-        sigma = random_density(GenSpec(dim=dim, seed=sub_seed()), tol)
+        rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=sub_seed(), tol=tol)
+        sigma = random_density(dim, seed=sub_seed(), tol=tol)
         value = quantum_relative_entropy(rho, sigma, tol)
         assert value.is_finite  # sigma has full support
         lowest = min(lowest, value.value)
@@ -240,8 +239,8 @@ def test_criterion_8_foundations():
     worst_shift = 0.0
     for t in range(500):
         dim = DIMS[t % len(DIMS)]
-        rho = random_density(GenSpec(dim=dim, rank=int(rng.integers(1, dim + 1)), seed=sub_seed()), tol)
-        sigma = random_density(GenSpec(dim=dim, seed=sub_seed()), tol)
+        rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=sub_seed(), tol=tol)
+        sigma = random_density(dim, seed=sub_seed(), tol=tol)
         u = haar_unitary(dim, sub_seed())
         before = quantum_relative_entropy(rho, sigma, tol)
         after = quantum_relative_entropy(
@@ -259,8 +258,8 @@ def test_criterion_8_foundations():
     worst_recon = worst_member = worst_span = 0.0
     for t in range(500):
         dim = DIMS[t % len(DIMS)]
-        rho = random_density(GenSpec(dim=dim, rank=int(rng.integers(1, dim + 1)), seed=sub_seed()), tol)
-        q = support_projector(rho, tol)
+        rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=sub_seed(), tol=tol)
+        q = support_projector(rho)
         eigs = rho.spectrum.eigenvalues
         keep = eigs > tol.rank * float(eigs[-1])
         v = rho.spectrum.eigenvectors[:, keep]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import count_kernel_calls, count_solver_calls
-from qrelent import DEFAULT_TOL, ConfigError, GenSpec, random_block_projectors, random_state_in_support
+from qrelent import DEFAULT_TOL, ConfigError, random_block_projectors, random_state_in_support
 from qrelent.campaign import (
     IDENTITIES,
     INFINITE_CONSISTENT,
@@ -105,7 +105,7 @@ def test_mixture_fixture_validates_each_state_once(monkeypatch):
     # The block draws are mixed raw: one solve for the mixture, then
     # one batched solve per block size for the parts the decomposition
     # validates in their blocks.
-    blocks = random_block_projectors(GenSpec(dim=8, seed=5, block_sizes=(2, 3, 3)))
+    blocks = random_block_projectors(8, (2, 3, 3), seed=5)
     calls = count_solver_calls(monkeypatch)
     d = _mixture_fixture(np.random.default_rng(6), blocks, DEFAULT_TOL, True, allow_zero_weight=False)
     assert all(part is not None for part in d.parts)
@@ -116,7 +116,7 @@ def test_mixture_fixture_validates_each_state_once(monkeypatch):
 def test_raw_fixture_state_matches_random_state_in_support(rank):
     # The campaign mixes raw blocks drawn as random_state_in_support
     # draws them: the same state, before validation.
-    p = random_block_projectors(GenSpec(dim=6, seed=3, block_sizes=(3, 3)))[1]
+    p = random_block_projectors(6, (3, 3), seed=3)[1]
     raw = _raw_state_in(p, rank, 17)
     assert np.abs(raw - random_state_in_support(p, rank, 17).matrix).max() <= 1e-14
 

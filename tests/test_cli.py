@@ -1,12 +1,14 @@
 """End-to-end CLI behaviour through ``main``.
 
-Only ``test_verify_loads_no_file_layer`` starts a subprocess: a fresh
-interpreter shows what importing the CLI loads.
+Two tests start a subprocess: ``test_verify_loads_no_file_layer``, as
+a fresh interpreter shows what importing the CLI loads, and
+``test_python_m_qrelent_runs_main``, which runs ``python -m qrelent``.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -344,6 +346,21 @@ def test_second_call_builds_no_parser(qubit_files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_build_parser_returns_a_fresh_parser(capsys):
+    # A caller's own parser may be changed without reaching the next
+    # caller's parser or the one main parses with.
+    mine = qrelent.cli.build_parser()
+    mine.add_argument("--mine", action="store_true")
+    assert mine.parse_args(["--mine", "verify", "eq3a"]).mine
+    other = qrelent.cli.build_parser()
+    assert other is not mine
+    for parse in (other.parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(["--mine", "verify", "eq3a"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_reuse_keeps_no_singular_toggle(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["verify", "eq3a", "--dims", "2", "--trials", "2"]
@@ -413,3 +430,22 @@ def test_verify_loads_no_file_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "v.json").exists()
+
+
+def test_python_m_qrelent_runs_main(qubit_files, capsys):
+    rho, sigma = qubit_files
+    assert main(["compute", rho, sigma]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qrelent", *args], capture_output=True, text=True, timeout=120, env=env
+        )
+
+    proc = run("compute", rho, sigma)
+    assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+    proc = run("compute", rho, sigma, "--no-such-flag")
+    assert proc.returncode == 2
+    assert "--no-such-flag" in proc.stderr

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from qrelent import (
     BadTraceError,
+    DEFAULT_TOL,
     DimensionMismatchError,
     ExtendedReal,
-    GenSpec,
     INFINITY,
     LengthMismatchError,
     NotPositiveError,
@@ -21,7 +21,11 @@ from qrelent import (
     haar_unitary,
     quantum_relative_entropy,
     random_density,
+    Tolerances,
     shannon_entropy,
+    support_contained,
+    support_leakage,
+    support_projector,
     validate_density,
     von_neumann_entropy,
 )
@@ -183,7 +187,7 @@ def test_vn_oracle_three_quarters():
 
 
 def test_vn_unitary_invariant():
-    rho = random_density(GenSpec(dim=5, rank=3, seed=4))
+    rho = random_density(5, rank=3, seed=4)
     u = haar_unitary(5, 77)
     rotated = validate_density(u @ rho.matrix @ u.conj().T)
     assert von_neumann_entropy(rotated) == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
@@ -203,7 +207,7 @@ def test_qre_infinite_when_support_leaks():
 
 
 def test_qre_self_distance_zero():
-    rho = random_density(GenSpec(dim=4, seed=5))
+    rho = random_density(4, seed=5)
     assert quantum_relative_entropy(rho, rho).value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -213,8 +217,8 @@ def test_qre_self_distance_exact_for_pure_state():
 
 
 def test_qre_reads_cached_spectra(monkeypatch):
-    rho = random_density(GenSpec(dim=4, rank=2, seed=3))
-    sigma = random_density(GenSpec(dim=4, seed=4))
+    rho = random_density(4, rank=2, seed=3)
+    sigma = random_density(4, seed=4)
     calls = count_solver_calls(monkeypatch)
     assert quantum_relative_entropy(rho, sigma).is_finite
     assert calls == []
@@ -241,18 +245,41 @@ def test_qre_rank_deficient_but_contained_is_finite():
     assert v.value == pytest.approx(LN2, abs=1e-12)
 
 
+def test_readers_follow_the_validated_spectrum():
+    # Validated at rank cutoff 1e-3, the state drops its eigenvalue 1e-4
+    # for good: every reader afterwards sees two eigenvalues, where a
+    # state validated at DEFAULT_TOL.rank keeps all three.
+    u = haar_unitary(3, 7)
+    lam = np.array([0.7, 0.3 - 1e-4, 1e-4])
+    raw = (u * lam) @ u.conj().T
+    rho = validate_density(raw, Tolerances(rank=1e-3))
+    full = validate_density(raw, DEFAULT_TOL)
+    assert support_projector(rho).rank == 2
+    assert support_projector(full).rank == 3
+    kept = lam[:2] / lam[:2].sum()
+    assert von_neumann_entropy(rho) == pytest.approx(-float(np.sum(kept * np.log(kept))), abs=1e-12)
+    assert support_leakage(full, rho) == pytest.approx(1e-4, rel=1e-8)
+    assert not support_contained(full, rho, DEFAULT_TOL)
+    assert support_leakage(rho, full) <= DEFAULT_TOL.supp
+    # rho is full's kept part renormalized: S(rho||full) = -ln(1 - 1e-4).
+    value = quantum_relative_entropy(rho, full, DEFAULT_TOL)
+    assert value.is_finite
+    assert value.value == pytest.approx(-math.log1p(-1e-4), rel=1e-8)
+    assert not quantum_relative_entropy(full, rho, DEFAULT_TOL).is_finite
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_qre_klein_nonnegativity(seed):
-    rho = random_density(GenSpec(dim=4, seed=seed))
-    sigma = random_density(GenSpec(dim=4, seed=seed + 1000))
+    rho = random_density(4, seed=seed)
+    sigma = random_density(4, seed=seed + 1000)
     v = quantum_relative_entropy(rho, sigma)
     assert v.is_finite and v.value >= -1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_qre_unitary_invariance(seed, tol):
-    rho = random_density(GenSpec(dim=5, seed=seed))
-    sigma = random_density(GenSpec(dim=5, seed=seed + 2000))
+    rho = random_density(5, seed=seed)
+    sigma = random_density(5, seed=seed + 2000)
     u = haar_unitary(5, seed + 4000)
     base = quantum_relative_entropy(rho, sigma)
     rotated = quantum_relative_entropy(

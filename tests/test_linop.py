@@ -36,7 +36,6 @@ from qrelent import (
     quantum_relative_entropy,
     random_density,
     random_state_in_support,
-    GenSpec,
     support_contained,
     support_leakage,
     support_projector,
@@ -164,7 +163,7 @@ def test_validate_density_clamps_and_renormalizes():
 
 
 def test_validate_density_matrix_matches_spectrum():
-    rho = random_density(GenSpec(dim=5, seed=1))
+    rho = random_density(5, seed=1)
     rebuilt = rho.spectrum.reconstruct()
     assert frobenius(rebuilt - rho.matrix) < ATOL
 
@@ -179,7 +178,7 @@ def test_density_arrays_are_readonly():
 
 def test_state_stores_only_its_spectrum():
     # The matrix is derived on first read, by the formula validation used.
-    rho = random_density(GenSpec(dim=5, rank=3, seed=2))
+    rho = random_density(5, rank=3, seed=2)
     assert [f.name for f in dataclasses.fields(DensityOperator)] == ["spectrum"]
     assert rho.dim == 5
     assert "matrix" not in vars(rho)
@@ -222,7 +221,7 @@ def test_validate_in_range_matches_full_validation(shape):
     assert thin.spectrum.dim == thin.dim == dim
     assert frobenius(thin.matrix - full.matrix) <= 1e-12
     assert np.abs(thin.spectrum.eigenvalues - full.spectrum.eigenvalues).max() <= 1e-12
-    q_thin, q_full = support_projector(thin, tol), support_projector(full, tol)
+    q_thin, q_full = support_projector(thin), support_projector(full)
     assert q_thin.rank == q_full.rank
     assert frobenius(q_thin.matrix - q_full.matrix) <= 1e-10
 
@@ -372,7 +371,7 @@ def test_support_projector_relative_cutoff_boundary():
 
 @pytest.mark.parametrize("dim,rank,seed", [(2, 1, 0), (4, 2, 1), (6, 6, 2), (8, 3, 3)])
 def test_support_projector_commutes_and_fixes_state(dim, rank, seed, tol):
-    rho = random_density(GenSpec(dim=dim, rank=rank, seed=seed))
+    rho = random_density(dim, rank=rank, seed=seed)
     p = support_projector(rho)
     assert p.rank == rank
     assert frobenius(p.matrix @ rho.matrix - rho.matrix @ p.matrix) <= tol.identity
@@ -414,7 +413,7 @@ def test_extended_log_rejects_negative():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_extended_log_unitary_covariance(seed, tol):
-    rho = random_density(GenSpec(dim=5, rank=3, seed=seed))
+    rho = random_density(5, rank=3, seed=seed)
     u = haar_unitary(5, seed + 100)
     lhs = extended_log(u @ rho.matrix @ u.conj().T)
     rhs = u @ extended_log(rho.matrix) @ u.conj().T
@@ -425,7 +424,7 @@ def test_extended_log_unitary_covariance(seed, tol):
 def test_extended_log_exp_roundtrip(rank):
     # exp(logz(rho)) restores rho on its support and the identity on
     # the kernel: exp(logz(rho)) = rho + (1 - Q)
-    rho = random_density(GenSpec(dim=4, rank=rank, seed=9))
+    rho = random_density(4, rank=rank, seed=9)
     q = support_projector(rho)
     expected = rho.matrix + np.eye(4) - q.matrix
     assert frobenius(exp_hermitian(extended_log(rho.matrix)) - expected) < 1e-10
@@ -442,7 +441,7 @@ def test_pinch_oracle_plus_state_in_z():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pinch_trace_preserving_and_idempotent(seed, tol):
-    rho = random_density(GenSpec(dim=6, seed=seed))
+    rho = random_density(6, seed=seed)
     blocks = [basis_projector(6, [0, 1]), basis_projector(6, [2, 3]), basis_projector(6, [4, 5])]
     once = pinch(rho, blocks)
     assert abs(np.trace(once.matrix).real - 1.0) <= tol.trace
@@ -481,7 +480,7 @@ def test_pinch_orthogonality_gate_at_tolerance(tol):
 
 
 def test_pinch_over_rank_one_family_makes_one_eigensolve(monkeypatch, tol):
-    rho = random_density(GenSpec(dim=64, seed=5))
+    rho = random_density(64, seed=5)
     u = haar_unitary(64, 6)
     family = [Projector.from_basis(u[:, [k]]) for k in range(64)]
     calls = count_solver_calls(monkeypatch)

@@ -10,7 +10,6 @@ import qrelent.lueders
 from qrelent import (
     BadObservableError,
     DimensionMismatchError,
-    GenSpec,
     LineReport,
     NotARefinementError,
     NotDiagonalizingError,
@@ -92,7 +91,7 @@ def test_observable_rejects_mixed_dimensions():
 
 
 def test_lueders_equals_pinch():
-    rho = random_density(GenSpec(dim=4, seed=2))
+    rho = random_density(4, seed=2)
     obs = block_observable(4, [0, 1], [2, 3])
     a = lueders_state(rho, obs)
     b = pinch(rho, obs.projectors)
@@ -124,7 +123,7 @@ def test_detectable_projectors_dimension_mismatch():
 def test_lueders_state_does_not_recheck_orthogonality(monkeypatch):
     # The observable was checked when it was built; the Lüders state
     # pinches in its stacked frame without a second Gram check.
-    rho = random_density(GenSpec(dim=6, seed=3))
+    rho = random_density(6, seed=3)
     obs = block_observable(6, [0, 1], [2, 3, 4], [5])
     expected = pinch(rho, obs.projectors)
     checked = []
@@ -150,7 +149,7 @@ def test_lueders_state_needs_an_orthonormal_family(tol):
     e = np.eye(3)
     family = [Projector.from_basis(cols) for cols in (e[:, [0]], e[:, [1]], tilted)]
     obs = ProjectiveObservable.validated(range(3), family)
-    rho = random_density(GenSpec(dim=3, seed=9))
+    rho = random_density(3, seed=9)
     pinch(rho, obs.projectors)
     for detectable_only in (False, True):
         with pytest.raises(NotOrthonormalError, match="not orthonormal"):
@@ -171,9 +170,9 @@ def test_corollary1_random_with_support_inclusion(seed, tol):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 9))
     split = int(rng.integers(1, dim)) if dim > 1 else 1
-    blocks = random_block_projectors(GenSpec(dim=dim, seed=seed + 50, block_sizes=(split,)))
+    blocks = random_block_projectors(dim, (split,), seed=seed + 50)
     obs = ProjectiveObservable.validated(range(len(blocks)), blocks)
-    rho = random_density(GenSpec(dim=dim, rank=int(rng.integers(1, dim + 1)), seed=seed + 90))
+    rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=seed + 90)
     direct, gap = corollary1_check(rho, obs)
     assert direct.is_finite
     assert abs(direct.value - gap) <= tol.identity
@@ -190,7 +189,7 @@ def test_corollary1_reads_the_lueders_state_only_through_its_spectrum(monkeypatc
         return made[-1]
 
     monkeypatch.setattr(qrelent.lueders, "lueders_state", spy)
-    rho = random_density(GenSpec(dim=6, rank=4, seed=21))
+    rho = random_density(6, rank=4, seed=21)
     direct, gap = corollary1_check(rho, block_observable(6, [0, 1, 2], [3, 4, 5]))
     assert direct.is_finite
     assert len(made) == 1
@@ -200,7 +199,7 @@ def test_corollary1_reads_the_lueders_state_only_through_its_spectrum(monkeypatc
 def test_corollary1_pinched_blocks_match_measurement_blocks(tol):
     # With sigma = rho_L, each block of the decomposition satisfies
     # Q_k rho Q_k = P_k rho P_k even though Q_k may have smaller rank.
-    rho = random_density(GenSpec(dim=6, rank=3, seed=17))
+    rho = random_density(6, rank=3, seed=17)
     obs = block_observable(6, [0, 1, 2], [3, 4, 5])
     rho_l = lueders_state(rho, obs)
     d = decompose_by_projectors(rho_l, obs.projectors)
@@ -266,7 +265,7 @@ def test_is_refinement_rejects_group_short_of_its_coarse_projector():
 
 def test_is_refinement_forms_no_coarse_projector_matrix():
     # The group sum is checked on ranks; no d x d projector is formed.
-    blocks = random_block_projectors(GenSpec(dim=8, seed=5, block_sizes=(3, 5)))
+    blocks = random_block_projectors(8, (3, 5), seed=5)
     pair = random_refinement(blocks, seed=6)
     coarse = ProjectiveObservable.validated(range(2), [Projector.from_basis(b.basis) for b in blocks])
     assert is_refinement(pair.fine, coarse) == pair.grouping
@@ -274,7 +273,7 @@ def test_is_refinement_forms_no_coarse_projector_matrix():
 
 
 def test_random_refinement_grouping_is_verified():
-    blocks = random_block_projectors(GenSpec(dim=6, seed=3, block_sizes=(3, 3)))
+    blocks = random_block_projectors(6, (3, 3), seed=3)
     pair = random_refinement(blocks, seed=4)
     assert len(pair.grouping) == len(pair.fine.projectors)
     assert is_refinement(pair.fine, pair.coarse) == pair.grouping
@@ -288,9 +287,9 @@ def test_corollary2_random(seed, rank_one, tol):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(3, 9))
     split = int(rng.integers(1, dim))
-    blocks = random_block_projectors(GenSpec(dim=dim, seed=seed + 7, block_sizes=(split, dim - split)))
+    blocks = random_block_projectors(dim, (split, dim - split), seed=seed + 7)
     pair = random_refinement(blocks, seed=seed + 8, rank_one=rank_one)
-    rho = random_density(GenSpec(dim=dim, seed=seed + 9))
+    rho = random_density(dim, seed=seed + 9)
     report, composition = corollary2_check(rho, pair)
     assert report.all_finite
     assert report.residual <= tol.identity
@@ -356,7 +355,7 @@ def test_theorem2_degenerate_sigma_multiple_bases(tol):
     # must each satisfy the straight line, while producing different
     # middle states.
     sigma = diag_state(0.25, 0.25, 0.5)
-    rho = random_density(GenSpec(dim=3, seed=33))
+    rho = random_density(3, seed=33)
     middles = []
     for theta, phase in [(0.0, 1.0), (0.7, 1.0), (1.1, 1j)]:
         basis = np.eye(3, dtype=complex)
@@ -409,7 +408,7 @@ def test_theorem2_thin_reference_matches_full_spectrum(leak):
     # middle state's cutoff, so another kernel basis moves the legs.  The
     # leaking rho puts mass tol.supp / 10 outside the block, which a
     # pinching in the thin columns alone would drop.
-    blocks = random_block_projectors(GenSpec(dim=6, seed=81, block_sizes=(3, 3)))
+    blocks = random_block_projectors(6, (3, 3), seed=81)
     mixture = 0.5 * random_state_in_support(blocks[0], 2, 82).matrix + 0.5 * random_state_in_support(
         blocks[1], 3, 83
     ).matrix
@@ -430,7 +429,7 @@ def test_theorem2_middle_state_matches_dense_pinching(rank):
     # The middle state is validated as a diagonal block in the frame of
     # sigma's completed eigenbasis; the report equals the one against
     # the pinched matrix validated in the full space.
-    sigma = random_density(GenSpec(dim=6, rank=rank, seed=86))
+    sigma = random_density(6, rank=rank, seed=86)
     rho = random_state_in_support(support_projector(sigma), 2, 87)
     report, middle = theorem2_check(rho, sigma)
     v = sigma.spectrum.eigenvectors
@@ -450,7 +449,7 @@ def test_theorem2_middle_state_matches_dense_pinching(rank):
 def test_theorem2_middle_state_makes_no_eigensolve(monkeypatch, rank):
     # The middle state's spectrum is diag(v^dag rho v) on the columns of
     # v, and the three distances read cached spectra.
-    sigma = random_density(GenSpec(dim=6, rank=rank, seed=86))
+    sigma = random_density(6, rank=rank, seed=86)
     rho = random_state_in_support(support_projector(sigma), 2, 87)
     calls = count_solver_calls(monkeypatch)
     _, middle = theorem2_check(rho, sigma)
@@ -464,8 +463,8 @@ def test_theorem2_middle_state_makes_no_eigensolve(monkeypatch, rank):
 def test_theorem2_random_and_monotone(seed, tol):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 9))
-    sigma = random_density(GenSpec(dim=dim, seed=seed + 60))
-    rho = random_density(GenSpec(dim=dim, rank=int(rng.integers(1, dim + 1)), seed=seed + 70))
+    sigma = random_density(dim, seed=seed + 60)
+    rho = random_density(dim, rank=int(rng.integers(1, dim + 1)), seed=seed + 70)
     report, middle = theorem2_check(rho, sigma)
     assert report.residual <= tol.identity
     # pinching toward sigma's eigenbasis can only move rho closer to sigma

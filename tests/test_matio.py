@@ -48,6 +48,24 @@ def test_save_refuses_non_finite_entry(tmp_path, save, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "save",
+    [
+        pytest.param(lambda path: save_matrix(path, np.zeros((2, 3))), id="matrix-2x3"),
+        pytest.param(lambda path: save_matrix(path, np.ones(2)), id="matrix-1d"),
+        pytest.param(lambda path: save_matrix(path, np.zeros((0, 0))), id="matrix-0x0"),
+        pytest.param(lambda path: save_projectors(path, [np.eye(2), np.eye(3)]), id="projectors-2-and-3"),
+        pytest.param(lambda path: save_projectors(path, []), id="projectors-empty"),
+    ],
+)
+def test_save_refuses_what_load_rejects(tmp_path, save):
+    # Every file save_* writes must load; these would not.
+    path = tmp_path / "m.json"
+    with pytest.raises(FileFormatError, match="m.json"):
+        save(path)
+    assert not path.exists()
+
+
 def test_load_matrix_missing_file(tmp_path):
     with pytest.raises(FileFormatError):
         load_matrix(tmp_path / "nope.json")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qrelent import (
     DimensionMismatchError,
-    GenSpec,
     LeakedSupportError,
     LengthMismatchError,
     NotBlockDiagonalError,
@@ -53,9 +52,7 @@ def random_decomposition(dim, seed, ranks=None):
     """A mixed state over two random orthogonal blocks, decomposed."""
     rng = np.random.default_rng(seed)
     split = int(rng.integers(1, dim))
-    blocks = random_block_projectors(
-        GenSpec(dim=dim, seed=seed, block_sizes=(split, dim - split))
-    )
+    blocks = random_block_projectors(dim, (split, dim - split), seed=seed)
     if ranks is None:
         ranks = [b.rank for b in blocks]
     w = rng.dirichlet(np.ones(len(blocks))) + 0.15
@@ -147,7 +144,7 @@ def _ranked_blocks_fixture(ranks=(2, 3, 3)):
 
     Its part in block k has rank ``ranks[k]``; full rank by default.
     """
-    blocks = random_block_projectors(GenSpec(dim=8, seed=91, block_sizes=(2, 3, 3)))
+    blocks = random_block_projectors(8, (2, 3, 3), seed=91)
     mixture = sum(
         w * random_state_in_support(b, r, 92 + k).matrix
         for k, (b, r, w) in enumerate(zip(blocks, ranks, (0.2, 0.35, 0.45)))
@@ -169,7 +166,7 @@ def test_route_a_keeps_full_space_solves(monkeypatch):
     sigma, blocks = _ranked_blocks_fixture()
     d = decompose_by_projectors(sigma, blocks)
     assert d.sigma.spectrum.eigenvectors.shape == (8, 8)
-    rho = random_density(GenSpec(dim=8, rank=5, seed=93))
+    rho = random_density(8, rank=5, seed=93)
     calls = count_solver_calls(monkeypatch)
     lhs = extended_log(d.sigma.matrix)
     assert calls == [(8, 8)]
@@ -204,7 +201,7 @@ def test_theorem1_breakdown_solves_no_full_matrix(monkeypatch, confined, tol):
         span = Projector.from_basis(np.concatenate([d.supports[0].basis, d.supports[1].basis], axis=1))
         rho = random_state_in_support(span, 4, 94)
     else:
-        rho = random_density(GenSpec(dim=8, seed=94))
+        rho = random_density(8, seed=94)
     calls = count_solver_calls(monkeypatch)
     bd = theorem1_breakdown(rho, d)
     assert calls and all(len(shape) == 3 and shape[-1] < 8 for shape in calls)
@@ -224,7 +221,7 @@ def _light_block_fixture(weight, light_rank):
     of its part.  Returns the states, the blocks and the block states
     mixed in.
     """
-    blocks = random_block_projectors(GenSpec(dim=16, seed=31, block_sizes=(4, 4, 8)))
+    blocks = random_block_projectors(16, (4, 4, 8), seed=31)
     ranks = (light_rank, 2, 8)
     parts = [random_state_in_support(b, r, 40 + k) for k, (b, r) in enumerate(zip(blocks, ranks))]
     conditionals = [
@@ -326,7 +323,7 @@ def _split_families(draw):
     while sum(sizes) < dim:
         sizes.append(draw(st.integers(1, dim - sum(sizes))))
     seed = draw(st.integers(0, 2**31))
-    fine = random_block_projectors(GenSpec(dim=dim, seed=seed, block_sizes=tuple(sizes)))
+    fine = random_block_projectors(dim, sizes, seed=seed)
     w = np.array([10.0 ** draw(st.floats(-8.0, 0.0)) for _ in fine])
     ranks = [draw(st.integers(1, b.rank)) for b in fine]
     parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(fine, ranks))]
@@ -342,7 +339,7 @@ def _split_families(draw):
         supp = support_projector(sigma)
         rho = random_state_in_support(supp, draw(st.integers(1, supp.rank)), seed + 100)
     else:
-        rho = random_density(GenSpec(dim=dim, rank=draw(st.integers(1, dim)), seed=seed + 100))
+        rho = random_density(dim, rank=draw(st.integers(1, dim)), seed=seed + 100)
     return sigma, fine, coarse, group, rho
 
 
@@ -371,12 +368,12 @@ def _weighted_families(draw):
     while sum(sizes) < dim:
         sizes.append(draw(st.integers(1, dim - sum(sizes))))
     seed = draw(st.integers(0, 2**31))
-    blocks = random_block_projectors(GenSpec(dim=dim, seed=seed, block_sizes=tuple(sizes)))
+    blocks = random_block_projectors(dim, sizes, seed=seed)
     w = np.array([draw(st.floats(1e-3, 1.0)) for _ in blocks])
     ranks = [draw(st.integers(1, b.rank)) for b in blocks]
     parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(blocks, ranks))]
     sigma = validate_density(sum(wk * part.matrix for wk, part in zip(w / w.sum(), parts)))
-    rho = random_density(GenSpec(dim=dim, rank=draw(st.integers(1, dim)), seed=seed + 100))
+    rho = random_density(dim, rank=draw(st.integers(1, dim)), seed=seed + 100)
     return sigma, rho, blocks
 
 
@@ -457,7 +454,7 @@ def test_decompose_block_diagonal_boundary(tol):
 
 def test_decompose_checks_leak_before_coherence():
     # Coherent and leaking at once: the incomplete family is reported.
-    sigma = random_density(GenSpec(dim=3, seed=95))
+    sigma = random_density(3, seed=95)
     with pytest.raises(LeakedSupportError):
         decompose_by_projectors(sigma, [basis_projector(3, [0]), basis_projector(3, [1])])
 

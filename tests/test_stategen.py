@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import qrelent.linop
 from qrelent import (
     BadSpecError,
-    GenSpec,
     Projector,
     derive_seed,
     frobenius,
@@ -23,7 +22,7 @@ from qrelent import (
 from helpers import count_solver_calls
 
 
-# -- GenSpec --------------------------------------------------------------
+# -- generator parameters -------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -39,23 +38,24 @@ from helpers import count_solver_calls
     ],
 )
 def test_genspec_rejects_bad_parameters(kwargs):
+    generate = random_block_projectors if "block_sizes" in kwargs else random_density
     with pytest.raises(BadSpecError):
-        GenSpec(**kwargs)
+        generate(**kwargs)
 
 
 def test_genspec_effective_rank_defaults_to_dim():
-    assert GenSpec(dim=5).effective_rank == 5
-    assert GenSpec(dim=5, rank=2).effective_rank == 2
+    assert support_projector(random_density(5)).rank == 5
+    assert support_projector(random_density(5, rank=2)).rank == 2
 
 
 # -- determinism ----------------------------------------------------------
 
 
 def test_random_density_deterministic():
-    a = random_density(GenSpec(dim=4, rank=2, seed=123))
-    b = random_density(GenSpec(dim=4, rank=2, seed=123))
+    a = random_density(4, rank=2, seed=123)
+    b = random_density(4, rank=2, seed=123)
     assert np.array_equal(a.matrix, b.matrix)
-    c = random_density(GenSpec(dim=4, rank=2, seed=124))
+    c = random_density(4, rank=2, seed=124)
     assert not np.array_equal(a.matrix, c.matrix)
 
 
@@ -80,7 +80,7 @@ def test_derive_seed_stable_and_branch_sensitive():
 @given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=30)
 def test_random_density_valid_and_full_rank(dim, seed):
-    rho = random_density(GenSpec(dim=dim, seed=seed))
+    rho = random_density(dim, seed=seed)
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
     assert rho.spectrum.eigenvalues.min() >= 0.0
     assert support_projector(rho).rank == dim
@@ -88,7 +88,7 @@ def test_random_density_valid_and_full_rank(dim, seed):
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_random_density_respects_rank(rank):
-    rho = random_density(GenSpec(dim=4, rank=rank, seed=5))
+    rho = random_density(4, rank=rank, seed=5)
     assert support_projector(rho).rank == rank
 
 
@@ -96,7 +96,7 @@ def test_random_density_respects_rank(rank):
 
 
 def test_block_projectors_ranks_orthogonality_completeness():
-    blocks = random_block_projectors(GenSpec(dim=6, seed=2, block_sizes=(1, 2, 3)))
+    blocks = random_block_projectors(6, (1, 2, 3), seed=2)
     assert [b.rank for b in blocks] == [1, 2, 3]
     total = sum(b.matrix for b in blocks)
     assert frobenius(total - np.eye(6)) < 1e-12
@@ -106,20 +106,20 @@ def test_block_projectors_ranks_orthogonality_completeness():
 
 
 def test_block_projectors_pads_leftover():
-    blocks = random_block_projectors(GenSpec(dim=5, seed=3, block_sizes=(2,)))
+    blocks = random_block_projectors(5, (2,), seed=3)
     assert [b.rank for b in blocks] == [2, 3]
 
 
 def test_block_projectors_requires_sizes():
-    with pytest.raises(BadSpecError):
-        random_block_projectors(GenSpec(dim=4, seed=1))
+    with pytest.raises(TypeError):
+        random_block_projectors(4, seed=1)
 
 
 # -- random_state_in_support ----------------------------------------------
 
 
 def test_state_in_support_confined_and_ranked():
-    blocks = random_block_projectors(GenSpec(dim=6, seed=8, block_sizes=(4,)))
+    blocks = random_block_projectors(6, (4,), seed=8)
     p = blocks[0]
     rho = random_state_in_support(p, 2, 77)
     inside = float(np.einsum("ij,ji->", rho.matrix, p.matrix).real)
@@ -151,7 +151,7 @@ def test_state_in_support_rejects_bad_rank():
 
 
 def test_random_refinement_is_refinement_and_deterministic():
-    blocks = random_block_projectors(GenSpec(dim=8, seed=4, block_sizes=(3, 5)))
+    blocks = random_block_projectors(8, (3, 5), seed=4)
     pair1 = random_refinement(blocks, seed=10)
     pair2 = random_refinement(blocks, seed=10)
     assert pair1.grouping == pair2.grouping
@@ -164,7 +164,7 @@ def test_random_refinement_is_refinement_and_deterministic():
 def test_random_refinement_checks_each_rotated_block_once(monkeypatch, rank_one):
     # The rotated coarse basis is Gram-checked once and then sliced;
     # the coarse and fine observables check pairwise overlaps instead.
-    blocks = random_block_projectors(GenSpec(dim=9, seed=4, block_sizes=(2, 3, 4)))
+    blocks = random_block_projectors(9, (2, 3, 4), seed=4)
     checked = []
     real = qrelent.linop._gram_defect
 
@@ -179,7 +179,7 @@ def test_random_refinement_checks_each_rotated_block_once(monkeypatch, rank_one)
 
 
 def test_random_refinement_rank_one_mode():
-    blocks = random_block_projectors(GenSpec(dim=4, seed=6, block_sizes=(2, 2)))
+    blocks = random_block_projectors(4, (2, 2), seed=6)
     pair = random_refinement(blocks, seed=11, rank_one=True)
     assert all(p.rank == 1 for p in pair.fine.projectors)
     assert pair.grouping == (0, 0, 1, 1)
