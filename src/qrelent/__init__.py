@@ -8,167 +8,25 @@ maps, seeded random state generation, and a randomized verification
 engine exposed through the ``qrelent`` CLI.
 """
 
-from .errors import (
-    BadObservableError,
-    BadSpecError,
-    BadToleranceError,
-    BadTraceError,
-    ConfigError,
-    DimensionMismatchError,
-    FileFormatError,
-    LeakedSupportError,
-    LengthMismatchError,
-    MassLossError,
-    NotARefinementError,
-    NotBlockDiagonalError,
-    NotDiagonalizingError,
-    NotHermitianError,
-    NotIdempotentError,
-    NotOrthogonalError,
-    NotOrthonormalError,
-    NotPositiveError,
-    QrelentError,
-    SolverFailureError,
-    SupportViolationError,
-)
-from .linop import (
-    DEFAULT_TOL,
-    DensityOperator,
-    Projector,
-    SpectralDecomposition,
-    Tolerances,
-    eigh,
-    extended_log,
-    frobenius,
-    pinch,
-    support_contained,
-    support_leakage,
-    support_projector,
-    symmetrize,
-    validate_density,
-)
-from .entropy import (
-    INFINITY,
-    ExtendedReal,
-    ProbabilityVector,
-    classical_relative_entropy,
-    quantum_relative_entropy,
-    shannon_entropy,
-    von_neumann_entropy,
-)
-from .mixing import (
-    MixingBreakdown,
-    OrthogonalDecomposition,
-    classical_embedding_check,
-    decompose_by_projectors,
-    entropy_mixing_identity,
-    lemma1_log_decomposition,
-    support_lemma_check,
-    theorem1_breakdown,
-)
-from .lueders import (
-    LineReport,
-    ProjectiveObservable,
-    RefinementPair,
-    corollary1_check,
-    corollary2_check,
-    detectable_projectors,
-    is_refinement,
-    lueders_state,
-    theorem2_check,
-)
-from .stategen import (
-    derive_seed,
-    haar_unitary,
-    random_block_projectors,
-    random_density,
-    random_refinement,
-    random_state_in_support,
-)
-from .campaign import (
-    IDENTITIES,
-    CampaignResult,
-    TrialRecord,
-    VerifyConfig,
-    report_document,
-    run_campaign,
-    write_report,
-)
+from . import campaign, entropy, errors, linop, lueders, mixing, stategen
+from .errors import *
+from .linop import *
+from .entropy import *
+from .mixing import *
+from .lueders import *
+from .stategen import *
+from .campaign import *
 
 __version__ = "0.1.0"
 
+# Each submodule's ``__all__`` is the one list of its public names.
 __all__ = [
-    "BadObservableError",
-    "BadSpecError",
-    "BadToleranceError",
-    "BadTraceError",
-    "ConfigError",
-    "DimensionMismatchError",
-    "FileFormatError",
-    "LeakedSupportError",
-    "LengthMismatchError",
-    "MassLossError",
-    "NotARefinementError",
-    "NotBlockDiagonalError",
-    "NotDiagonalizingError",
-    "NotHermitianError",
-    "NotIdempotentError",
-    "NotOrthogonalError",
-    "NotOrthonormalError",
-    "NotPositiveError",
-    "QrelentError",
-    "SolverFailureError",
-    "SupportViolationError",
-    "DEFAULT_TOL",
-    "DensityOperator",
-    "Projector",
-    "SpectralDecomposition",
-    "Tolerances",
-    "eigh",
-    "extended_log",
-    "frobenius",
-    "pinch",
-    "support_contained",
-    "support_leakage",
-    "support_projector",
-    "symmetrize",
-    "validate_density",
-    "INFINITY",
-    "ExtendedReal",
-    "ProbabilityVector",
-    "classical_relative_entropy",
-    "quantum_relative_entropy",
-    "shannon_entropy",
-    "von_neumann_entropy",
-    "MixingBreakdown",
-    "OrthogonalDecomposition",
-    "classical_embedding_check",
-    "decompose_by_projectors",
-    "entropy_mixing_identity",
-    "lemma1_log_decomposition",
-    "support_lemma_check",
-    "theorem1_breakdown",
-    "LineReport",
-    "ProjectiveObservable",
-    "RefinementPair",
-    "corollary1_check",
-    "corollary2_check",
-    "detectable_projectors",
-    "is_refinement",
-    "lueders_state",
-    "theorem2_check",
-    "derive_seed",
-    "haar_unitary",
-    "random_block_projectors",
-    "random_density",
-    "random_refinement",
-    "random_state_in_support",
-    "IDENTITIES",
-    "CampaignResult",
-    "TrialRecord",
-    "VerifyConfig",
-    "report_document",
-    "run_campaign",
-    "write_report",
+    *errors.__all__,
+    *linop.__all__,
+    *entropy.__all__,
+    *mixing.__all__,
+    *lueders.__all__,
+    *stategen.__all__,
+    *campaign.__all__,
     "__version__",
 ]

@@ -38,7 +38,8 @@ class ExtendedReal:
     """A value in ``[0, +inf]``: either a finite float or the tag ``+inf``.
 
     ``value is None`` encodes ``+inf``.  Arithmetic is deliberately
-    minimal — addition and comparison against floats — because the
+    minimal — ``+`` between two ``ExtendedReal`` values, and
+    :meth:`as_float` to compare or display one as a float — because the
     point of the type is to keep infinity from silently mixing into
     float arithmetic.
     """

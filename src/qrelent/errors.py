@@ -7,6 +7,31 @@ argument values also derive from :class:`ValueError`.
 """
 
 
+__all__ = [
+    "BadObservableError",
+    "BadSpecError",
+    "BadToleranceError",
+    "BadTraceError",
+    "ConfigError",
+    "DimensionMismatchError",
+    "FileFormatError",
+    "LeakedSupportError",
+    "LengthMismatchError",
+    "MassLossError",
+    "NotARefinementError",
+    "NotBlockDiagonalError",
+    "NotDiagonalizingError",
+    "NotHermitianError",
+    "NotIdempotentError",
+    "NotOrthogonalError",
+    "NotOrthonormalError",
+    "NotPositiveError",
+    "QrelentError",
+    "SolverFailureError",
+    "SupportViolationError",
+]
+
+
 class QrelentError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -33,7 +33,6 @@ from .linop import (
     support_contained,
     _check_mutually_orthogonal,
     _pinched_state,
-    _populations,
     _stack,
 )
 from .entropy import ExtendedReal, quantum_relative_entropy, von_neumann_entropy
@@ -42,7 +41,6 @@ __all__ = [
     "ProjectiveObservable",
     "RefinementPair",
     "LineReport",
-    "detectable_projectors",
     "lueders_state",
     "corollary1_check",
     "is_refinement",
@@ -88,38 +86,14 @@ class ProjectiveObservable:
         return cls(eigenvalues=eigs, projectors=projs)
 
 
-def detectable_projectors(
-    rho: DensityOperator, obs: ProjectiveObservable, tol: Tolerances = DEFAULT_TOL
-) -> list[Projector]:
-    """The outcome projectors the state can actually trigger.
-
-    Returns the ``P_i`` with ``tr(rho P_i) > tol.supp``, in the
-    observable's order.  The weights are ``tr(V_i^dag rho V_i)``.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If a projector of the observable is not on the state's dimension.
-    """
-    v, labels = _stack(obs.projectors, rho.dim)
-    weights = np.bincount(labels, weights=_populations(rho, v), minlength=len(obs.projectors))
-    return [p for p, weight in zip(obs.projectors, weights.tolist()) if weight > tol.supp]
-
-
 def lueders_state(
-    rho: DensityOperator,
-    obs: ProjectiveObservable,
-    tol: Tolerances = DEFAULT_TOL,
-    *,
-    detectable_only: bool = False,
+    rho: DensityOperator, obs: ProjectiveObservable, tol: Tolerances = DEFAULT_TOL
 ) -> DensityOperator:
     """Non-selective post-measurement state ``sum_i P_i rho P_i``.
 
-    With ``detectable_only=True`` the sum runs only over outcomes with
-    nonzero probability — a distinct code path that must agree with the
-    full sum, since zero-probability outcomes contribute nothing; its
-    spectrum is thin.  The state is validated from its block spectra,
-    with no ``d x d`` eigensolve.  The observable's orthogonality and
+    The sum runs over every outcome; one of zero probability adds
+    nothing.  The state is validated from its block spectra, with no
+    ``d x d`` eigensolve.  The observable's orthogonality and
     completeness were checked when it was built, at ``tol.identity``;
     as an eigenbasis the stacked range bases must also pass the Gram
     check at ``tol.orth``.
@@ -133,8 +107,7 @@ def lueders_state(
         ``tol.identity`` but not to within ``tol.orth``, so they cannot
         carry the state's eigenvectors.
     """
-    projectors = detectable_projectors(rho, obs, tol) if detectable_only else obs.projectors
-    return _pinched_state(rho.matrix, *_stack(projectors, rho.dim), tol)
+    return _pinched_state(rho.matrix, *_stack(obs.projectors, rho.dim), tol)
 
 
 def corollary1_check(

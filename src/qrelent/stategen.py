@@ -37,6 +37,10 @@ def derive_seed(master: int, *branch: int) -> int:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    # Every generator draws from the stream made here, so a negative
+    # seed is refused before any draw.
+    if seed < 0:
+        raise BadSpecError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -56,23 +60,20 @@ def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """A Haar-distributed ``dim x dim`` unitary."""
-    if dim < 1:
-        raise BadSpecError(f"dim must be >= 1, got {dim}")
+    _check_dim(dim)
     return _haar(_rng(seed), dim)
 
 
-def _check_draw(dim: int, seed: int) -> None:
+def _check_dim(dim: int) -> None:
     if dim < 1:
         raise BadSpecError(f"dim must be >= 1, got {dim}")
-    if seed < 0:
-        raise BadSpecError(f"seed must be non-negative, got {seed}")
 
 
 def random_density(
     dim: int, *, rank: int | None = None, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> DensityOperator:
     """A random state of the given rank, full rank by default (trace-normalized Ginibre)."""
-    _check_draw(dim, seed)
+    _check_dim(dim)
     if rank is None:
         rank = dim
     elif not 1 <= rank <= dim:
@@ -92,7 +93,7 @@ def random_block_projectors(
     is appended as one more block, so the family always resolves the
     identity.
     """
-    _check_draw(dim, seed)
+    _check_dim(dim)
     sizes = list(block_sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise BadSpecError(f"block sizes must be positive, got {tuple(sizes)}")

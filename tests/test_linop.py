@@ -25,7 +25,6 @@ from qrelent import (
     SolverFailureError,
     Tolerances,
     decompose_by_projectors,
-    detectable_projectors,
     eigh,
     extended_log,
     frobenius,
@@ -495,8 +494,8 @@ def test_pinch_over_rank_one_family_makes_one_eigensolve(monkeypatch, tol):
 def _pinched_fixtures(draw):
     """A Haar family of mixed block sizes (or rank-1 blocks) and a state.
 
-    The state lives in the first ``populated`` blocks, so with
-    ``detectable_only`` the remaining blocks drop out of the family.
+    The state lives in the first ``populated`` blocks, so the remaining
+    blocks are outcomes of zero probability.
     """
     dim = draw(st.integers(1, 8))
     if draw(st.booleans()):
@@ -512,7 +511,7 @@ def _pinched_fixtures(draw):
     inside = Projector.from_basis(u[:, : edges[populated]])
     rank = draw(st.integers(1, inside.rank))
     rho = random_state_in_support(inside, rank, draw(st.integers(0, 2**31)))
-    return rho, family, draw(st.booleans())
+    return rho, family
 
 
 @given(fixture=_pinched_fixtures())
@@ -521,11 +520,9 @@ def test_pinched_state_matches_full_validation(fixture):
     # lueders_state validates through _pinched_state; the reference
     # validates the dense pinched matrix with one d x d solve.
     tol = DEFAULT_TOL
-    rho, family, detectable_only = fixture
+    rho, family = fixture
     obs = ProjectiveObservable.validated(range(len(family)), family)
-    blocks = lueders_state(rho, obs, tol, detectable_only=detectable_only)
-    if detectable_only:
-        family = detectable_projectors(rho, obs)
+    blocks = lueders_state(rho, obs, tol)
     stacked = _stack(family, rho.dim)
     full = validate_density(_pinched(rho.matrix, *stacked), tol)
     # Both hold only their kept pairs, at most one per stacked column.
@@ -545,7 +542,7 @@ def test_pinched_state_matches_full_validation(fixture):
 def test_pinched_state_rejects_like_full_validation(fixture, kind):
     # Each spoiling survives the pinching: it sits inside the first block.
     tol = DEFAULT_TOL
-    rho, family, _ = fixture
+    rho, family = fixture
     v, labels = _stack(family, rho.dim)
     first = v[:, labels == 0]
     bad = rho.matrix.copy()
@@ -582,10 +579,6 @@ _FAMILY_MAPS = {
     "decompose_by_projectors": lambda rho, family: decompose_by_projectors(rho, family),
     "ProjectiveObservable.validated": lambda rho, family: ProjectiveObservable.validated(range(3), family),
     "lueders_state": lambda rho, family: lueders_state(rho, _unchecked_observable(family)),
-    "lueders_state_detectable_only": lambda rho, family: lueders_state(
-        rho, _unchecked_observable(family), detectable_only=True
-    ),
-    "detectable_projectors": lambda rho, family: detectable_projectors(rho, _unchecked_observable(family)),
     "is_refinement": lambda rho, family: is_refinement(_unchecked_observable(family), _WHOLE_SPACE),
 }
 

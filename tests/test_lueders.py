@@ -22,7 +22,6 @@ from qrelent import (
     corollary1_check,
     corollary2_check,
     decompose_by_projectors,
-    detectable_projectors,
     frobenius,
     haar_unitary,
     is_refinement,
@@ -98,24 +97,8 @@ def test_lueders_equals_pinch():
     assert frobenius(a.matrix - b.matrix) == 0.0
 
 
-def test_detectable_projectors_and_restricted_sum_path():
-    # rho lives entirely in the first block: the second outcome is
-    # undetectable, and the detectable-only sum must agree exactly.
-    rho = pure([1.0, 1.0, 0.0, 0.0])
-    obs = block_observable(4, [0, 1], [2, 3])
-    kept = detectable_projectors(rho, obs)
-    assert len(kept) == 1 and kept[0].rank == 2
-    full = lueders_state(rho, obs)
-    restricted = lueders_state(rho, obs, detectable_only=True)
-    assert frobenius(full.matrix - restricted.matrix) <= 1e-14
-
-
-def test_detectable_projectors_dimension_mismatch():
+def test_lueders_state_dimension_mismatch():
     obs = block_observable(3, [0], [1, 2])
-    with pytest.raises(DimensionMismatchError):
-        detectable_projectors(diag_state(0.5, 0.5), obs)
-    with pytest.raises(DimensionMismatchError):
-        lueders_state(diag_state(0.5, 0.5), obs, detectable_only=True)
     with pytest.raises(DimensionMismatchError):
         lueders_state(diag_state(0.5, 0.5), obs)
 
@@ -134,9 +117,8 @@ def test_lueders_state_does_not_recheck_orthogonality(monkeypatch):
 
     monkeypatch.setattr(qrelent.linop, "_check_mutually_orthogonal", spy)
     monkeypatch.setattr(qrelent.lueders, "_check_mutually_orthogonal", spy)
-    for detectable_only in (False, True):
-        out = lueders_state(rho, obs, detectable_only=detectable_only)
-        assert frobenius(out.matrix - expected.matrix) <= 1e-15
+    out = lueders_state(rho, obs)
+    assert frobenius(out.matrix - expected.matrix) <= 1e-15
     assert checked == []
 
 
@@ -151,9 +133,8 @@ def test_lueders_state_needs_an_orthonormal_family(tol):
     obs = ProjectiveObservable.validated(range(3), family)
     rho = random_density(3, seed=9)
     pinch(rho, obs.projectors)
-    for detectable_only in (False, True):
-        with pytest.raises(NotOrthonormalError, match="not orthonormal"):
-            lueders_state(rho, obs, detectable_only=detectable_only)
+    with pytest.raises(NotOrthonormalError, match="not orthonormal"):
+        lueders_state(rho, obs)
 
 
 # -- corollary1_check ------------------------------------------------------

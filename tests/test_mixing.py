@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrelent import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     LeakedSupportError,
     LengthMismatchError,
@@ -358,6 +359,100 @@ def test_split_and_refinement_keep_support_decisions(fixture):
     bd_fine, bd_coarse = theorem1_breakdown(rho, d_fine), theorem1_breakdown(rho, d_coarse)
     assert bd_fine.total_lhs.is_finite == bd_coarse.total_lhs.is_finite
     assert bd_fine.total_rhs.is_finite == bd_coarse.total_rhs.is_finite == bd_fine.total_lhs.is_finite
+
+
+@st.composite
+def _dirichlet_families(draw):
+    """sigma over 2-4 Haar blocks with Dirichlet weights, and rho of random rank.
+
+    In some draws one weight is set to zero, so its block carries no
+    part; rho is drawn anywhere, so both verdicts occur.
+    """
+    dim = draw(st.integers(2, 12))
+    n_blocks = draw(st.integers(2, min(4, dim)))
+    cuts = draw(st.lists(st.integers(1, dim - 1), min_size=n_blocks - 1, max_size=n_blocks - 1, unique=True))
+    sizes = np.diff([0, *sorted(cuts), dim]).tolist()
+    seed = draw(st.integers(0, 2**31))
+    blocks = random_block_projectors(dim, sizes, seed=seed)
+    w = np.random.default_rng(seed).dirichlet(np.ones(n_blocks))
+    if draw(st.booleans()):
+        w[draw(st.integers(0, n_blocks - 1))] = 0.0
+        w /= w.sum()
+    ranks = [draw(st.integers(1, b.rank)) for b in blocks]
+    parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(blocks, ranks))]
+    sigma = validate_density(sum(wk * part.matrix for wk, part in zip(w.tolist(), parts)))
+    rho = random_density(dim, rank=draw(st.integers(1, dim)), seed=seed + 100)
+    return rho, sigma, blocks
+
+
+def _part_ranks(states):
+    return [None if state is None else support_projector(state).rank for state in states]
+
+
+@given(fixture=_dirichlet_families(), u_seed=st.integers(0, 2**31))
+@settings(deadline=None, max_examples=300)
+def test_unitary_covariance_keeps_verdicts_ranks_and_distance(fixture, u_seed):
+    # One Haar U applied to rho, sigma and every block is a change of
+    # frame: the distance, both verdicts and every support rank stay.
+    rho, sigma, blocks = fixture
+    u = haar_unitary(rho.dim, u_seed)
+
+    def turned(state):
+        return validate_density(u @ state.matrix @ u.conj().T)
+
+    rho_u, sigma_u = turned(rho), turned(sigma)
+    d = decompose_by_projectors(sigma, blocks)
+    d_u = decompose_by_projectors(sigma_u, [Projector.from_basis(u @ b.basis) for b in blocks])
+    bd, bd_u = theorem1_breakdown(rho, d), theorem1_breakdown(rho_u, d_u)
+    assert bd_u.total_lhs.is_finite == bd.total_lhs.is_finite
+    assert bd_u.total_rhs.is_finite == bd.total_rhs.is_finite
+    assert support_projector(rho_u).rank == support_projector(rho).rank
+    assert support_projector(sigma_u).rank == support_projector(sigma).rank
+    assert _part_ranks(d_u.parts) == _part_ranks(d.parts)
+    if bd.total_lhs.is_finite:
+        assert abs(bd_u.total_lhs.value - bd.total_lhs.value) <= 1e-10
+    for breakdown in (bd, bd_u):
+        assert breakdown.residual is None or breakdown.residual <= DEFAULT_TOL.identity
+
+
+def _assert_permuted_states(got, want, order, atols):
+    for state, k in zip(got, order):
+        assert (state is None) == (want[k] is None)
+        if state is not None:
+            assert frobenius(state.matrix - want[k].matrix) <= atols[k]
+
+
+@given(fixture=_dirichlet_families(), data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_block_order_permutes_the_terms(fixture, data):
+    # Reordering the blocks reorders w_k, p_k, the parts and the
+    # conditional states.  The compressions are formed in the permuted
+    # frame, so the rest moves by round-off, not bit for bit: a
+    # conditional state reads rho through sigma's support Q_k, whose
+    # basis is as well conditioned as the smallest eigenvalue of sigma
+    # there.  Only the direct side reads sigma alone and stays
+    # bit-identical.
+    rho, sigma, blocks = fixture
+    order = data.draw(st.permutations(range(len(blocks))))
+    d = decompose_by_projectors(sigma, blocks)
+    d_p = decompose_by_projectors(sigma, [blocks[k] for k in order])
+    bd, bd_p = theorem1_breakdown(rho, d), theorem1_breakdown(rho, d_p)
+    assert np.abs(d_p.weights.probs - d.weights.probs[order]).max() <= 1e-14
+    assert np.abs(bd_p.p.probs - bd.p.probs[order]).max() <= 1e-14
+    _assert_permuted_states(d_p.parts, d.parts, order, [1e-14] * len(blocks))
+    conditioned = [
+        None if part is None else 1e-14 / (wk * part.spectrum.eigenvalues[0])
+        for wk, part in zip(d.weights.probs.tolist(), d.parts)
+    ]
+    _assert_permuted_states(bd_p.conditional_states, bd.conditional_states, order, conditioned)
+    assert _part_ranks(d_p.parts) == [_part_ranks(d.parts)[k] for k in order]
+    assert _part_ranks(bd_p.conditional_states) == [_part_ranks(bd.conditional_states)[k] for k in order]
+    assert bd_p.total_lhs == bd.total_lhs
+    assert abs(bd_p.s_pinched - bd.s_pinched) <= 1e-12
+    for got, want in [(bd_p.h_rel, bd.h_rel), (bd_p.avg_rel, bd.avg_rel), (bd_p.total_rhs, bd.total_rhs)]:
+        assert got.is_finite == want.is_finite
+        if got.is_finite:
+            assert abs(got.value - want.value) <= 1e-12
 
 
 @st.composite

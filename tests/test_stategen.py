@@ -48,6 +48,22 @@ def test_genspec_effective_rank_defaults_to_dim():
     assert support_projector(random_density(5, rank=2)).rank == 2
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda: haar_unitary(3, -1), id="haar_unitary"),
+        pytest.param(
+            lambda: random_state_in_support(Projector.validated(np.eye(3)), 2, -1), id="random_state_in_support"
+        ),
+        pytest.param(lambda: random_refinement(random_block_projectors(3, (1, 2)), -1), id="random_refinement"),
+    ],
+)
+def test_negative_seed_is_a_bad_spec(draw):
+    # The same refusal as random_density's, not numpy's bare ValueError.
+    with pytest.raises(BadSpecError, match="seed must be non-negative, got -1"):
+        draw()
+
+
 # -- determinism ----------------------------------------------------------
 
 
