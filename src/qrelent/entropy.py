@@ -19,6 +19,7 @@ from .linop import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
+    _cut,
     _support_populations,
 )
 
@@ -120,9 +121,12 @@ def classical_relative_entropy(
 ) -> ExtendedReal:
     """Classical relative entropy ``H(p||w) = sum_k p_k (ln p_k - ln w_k)``.
 
-    Dichotomy first: if some ``k`` has ``p_k`` nonzero but ``w_k`` zero
-    (both judged against ``tol.supp``), the result is ``+inf``.
-    Otherwise the sum runs over the entries where ``p_k`` is nonzero.
+    A weight exists iff it survives the rank cut that
+    :func:`~qrelent.linop.validate_density` makes of ``diag(w)``,
+    ``w_k > tol.rank * max(w)``.  Dichotomy first: if the summed
+    ``p``-mass on the cut weights exceeds ``tol.supp`` (the classical
+    image of the support leakage), the result is ``+inf``.  Otherwise
+    the sum runs over the kept weights with ``p_k > 0``.
 
     Raises
     ------
@@ -131,12 +135,17 @@ def classical_relative_entropy(
     """
     if len(p) != len(w):
         raise LengthMismatchError(f"distributions of lengths {len(p)} and {len(w)}")
-    pv = p.probs.tolist()
-    wv = w.probs.tolist()
-    if any(pk > tol.supp and wk <= tol.supp for pk, wk in zip(pv, wv)):
+    return _kept_relative_entropy(p.probs, *_cut(float(w.probs.max(initial=0.0)), tol, w.probs, p.probs), tol)
+
+
+def _kept_relative_entropy(p: np.ndarray, w_kept: np.ndarray, p_kept: np.ndarray, tol: Tolerances) -> ExtendedReal:
+    """``H(p||w)`` over the existing weights ``w_kept``, on which ``p`` is ``p_kept``:
+    ``+inf`` if the rest of ``p`` sums above ``tol.supp``, else the sum over ``p_k > 0``."""
+    pv = p_kept.tolist()
+    if not (math.fsum(p.tolist()) - math.fsum(pv) <= tol.supp):
         return INFINITY
     return ExtendedReal.finite(
-        math.fsum(pk * (math.log(pk) - math.log(wk)) for pk, wk in zip(pv, wv) if pk > tol.supp)
+        math.fsum(pk * (math.log(pk) - math.log(wk)) for pk, wk in zip(pv, w_kept.tolist()) if pk > 0.0)
     )
 
 

@@ -104,9 +104,12 @@ class Tolerances:
     rank:
         Relative spectral cutoff: eigenvalues ``<= rank * lam_max``
         count as zero; a state's support is fixed when it is validated.
+        The one existence rule, for eigenpairs, block states and
+        classical weights alike.
     supp:
-        Threshold on trace mass outside a subspace; decides support
-        inclusion and therefore the finite/infinite dichotomy.
+        Threshold on a summed trace mass outside a subspace; decides
+        support inclusion and therefore the finite/infinite dichotomy.
+        Never compared with a single eigenvalue or weight.
     identity:
         Default tolerance for verifying algebraic identities
         (residual norms, completeness of projector families).
@@ -598,11 +601,11 @@ def _block_states(
     ``-tol.psd``) before any division by ``p_k``, so round-off is not
     magnified into a rejection of a light block.  The support cut is
     made once, at the largest eigenvalue of the whole ``B``, never a
-    block's own.  Each block with ``p_k > tol.supp`` and a kept
-    eigenvalue becomes the thin state of its kept pairs, renormalized;
-    other blocks carry ``None``, but their ``p_k`` still counts.  Returns
-    the read-only weights, the states and the kept block spectrum
-    (eigenvalues of ``B``, and ``V_k U_k``).
+    block's own, and it alone decides which blocks exist: each block
+    with ``p_k > 0`` and a kept eigenvalue becomes the thin state of its
+    kept pairs, renormalized; other blocks carry ``None``, but their
+    ``p_k`` still counts.  Returns the read-only weights, the states and
+    the uncut block spectrum (eigenvalues of ``B``, and ``V_k U_k``).
     Raises :class:`NotHermitianError`, :class:`NotPositiveError` or
     :class:`SolverFailureError`.
     """
@@ -610,10 +613,10 @@ def _block_states(
     w, vectors = _block_spectra(b, v, labels, tol)
     _check_positive(w, tol)
     weights = np.clip(np.bincount(labels, weights=b.diagonal().real, minlength=n), 0.0, None)
-    w, vectors, labels = _cut(float(w.max(initial=0.0)), tol, w, vectors, labels)
-    edges = np.cumsum([0, *np.bincount(labels, minlength=n).tolist()]).tolist()
+    kept, kept_vectors, kept_labels = _cut(float(w.max(initial=0.0)), tol, w, vectors, labels)
+    edges = np.cumsum([0, *np.bincount(kept_labels, minlength=n).tolist()]).tolist()
     states = tuple(
-        _density(w[a:z] / math.fsum(w[a:z].tolist()), vectors[:, a:z]) if pk > tol.supp and z > a else None
+        _density(kept[a:z] / math.fsum(kept[a:z].tolist()), kept_vectors[:, a:z]) if pk > 0.0 and z > a else None
         for pk, a, z in zip(weights.tolist(), edges, edges[1:])
     )
     return _readonly(weights), states, (w, vectors)

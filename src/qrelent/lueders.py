@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BadObservableError,
-    DimensionMismatchError,
     NotARefinementError,
     NotDiagonalizingError,
     NotOrthonormalError,
@@ -30,7 +29,6 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
-    support_contained,
     _check_mutually_orthogonal,
     _pinched_state,
     _stack,
@@ -265,17 +263,19 @@ def theorem2_check(
 
     Raises
     ------
+    DimensionMismatchError
+        If the states live on different dimensions.
     SupportViolationError
-        If ``supp(rho)`` is not contained in ``supp(sigma)``; the
-        identity is only claimed under that hypothesis.
+        If ``supp(rho)`` is not contained in ``supp(sigma)``, that is if
+        ``d_total`` is infinite; the identity is only claimed under that
+        hypothesis.
     NotOrthonormalError
         If an explicit basis is not orthonormal within ``tol.orth``.
     NotDiagonalizingError
         If an explicit basis does not diagonalize ``sigma``.
     """
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"states on dims {rho.dim} and {sigma.dim}")
-    if not support_contained(rho, sigma, tol):
+    d_total = quantum_relative_entropy(rho, sigma, tol)
+    if not d_total.is_finite:
         raise SupportViolationError("state support leaks outside the reference support")
 
     if basis is None:
@@ -299,7 +299,7 @@ def theorem2_check(
     middle = _pinched_state(rho.matrix, v, np.arange(sigma.dim), tol)
 
     report = LineReport(
-        d_total=quantum_relative_entropy(rho, sigma, tol),
+        d_total=d_total,
         d_first=quantum_relative_entropy(rho, middle, tol),
         d_second=quantum_relative_entropy(middle, sigma, tol),
     )

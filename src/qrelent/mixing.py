@@ -45,6 +45,7 @@ from .entropy import (
     quantum_relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
+    _kept_relative_entropy,
     _spectral_entropy,
 )
 
@@ -65,7 +66,7 @@ class OrthogonalDecomposition:
     """``sigma = sum_k w_k sigma_k`` over mutually orthogonal subspaces.
 
     ``parts[k]`` is the normalized block state, or ``None`` for blocks
-    carrying no weight; ``supports[k]`` projects onto ``supp(sigma_k)``
+    that keep no eigenvalue; ``supports[k]`` projects onto ``supp(sigma_k)``
     (the rank-0 projector for empty blocks).  ``sigma`` is the
     caller's validated state itself, not a copy rebuilt from the parts:
     :func:`decompose_by_projectors` only accepts a ``sigma`` that is
@@ -98,9 +99,10 @@ def decompose_by_projectors(
     Weights are ``w_k = tr(sigma B_k)`` of the validated ``sigma``, so
     ``w_k`` is the block's kept mass.  Parts are cut at ``sigma``'s
     scale, not their own, so their support ranks add up to ``sigma``'s;
-    blocks with ``w_k <= tol.supp`` or no kept eigenvalue become empty
-    parts.  The support projectors stored per block are those of the
-    *states* ``sigma_k``, which may have lower rank than the blocks.
+    blocks with ``w_k = 0`` or no kept eigenvalue become empty parts,
+    and a light block that keeps one is a part however small ``w_k``.
+    The support projectors stored per block are those of the *states*
+    ``sigma_k``, which may have lower rank than the blocks.
 
     The state must be block diagonal in the blocks,
     ``||sigma - sum_k B_k sigma B_k||_F <= tol.identity``; it is then
@@ -179,15 +181,17 @@ class MixingBreakdown:
 
     For ``rho`` against a decomposed ``sigma = sum_k w_k sigma_k``:
 
-    * ``s_pinched`` — entropy of ``sum_k Q_k rho Q_k``, read off the kept
-      spectrum of the blocks ``Q_k^dag rho Q_k`` that the conditional
-      states come from (a diagnostic rather than a state entropy when
-      ``rho`` leaks outside the block supports),
+    * ``s_pinched`` — entropy of ``sum_k Q_k rho Q_k``, read off the
+      positive eigenvalues of the uncut spectrum of the blocks
+      ``Q_k^dag rho Q_k`` that the conditional states come from, so it
+      counts the mass that ``p_k`` counts (a diagnostic rather than a
+      state entropy when ``rho`` leaks outside the block supports),
     * ``s_rho`` — entropy of ``rho``,
     * ``h_rel`` — classical relative entropy of the block weights
-      ``p_k = tr(rho Q_k)`` against ``w``,
-    * ``avg_rel`` — ``sum_k p_k S(rho_k || sigma_k)`` over detectable
-      blocks,
+      ``p_k = tr(rho Q_k)`` against ``w``, over the weights whose parts
+      exist (cut at ``sigma``'s scale, not at ``max(w)``),
+    * ``avg_rel`` — ``sum_k p_k S(rho_k || sigma_k)`` over the blocks
+      that carry a conditional state,
     * ``total_rhs`` — ``s_pinched - s_rho + h_rel + avg_rel``, forced
       to ``+inf`` when the ``p_k`` fail to account for the full trace
       mass of ``rho`` or any term is infinite,
@@ -228,11 +232,13 @@ def theorem1_breakdown(
 
     p, states, (pinched_spectrum, _) = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
 
-    s_pinched = _spectral_entropy(pinched_spectrum)
+    s_pinched = _spectral_entropy(pinched_spectrum[pinched_spectrum > 0.0])
     s_rho = von_neumann_entropy(rho)
 
-    p_vec = ProbabilityVector(probs=p)
-    h_rel = classical_relative_entropy(p_vec, d.weights, tol)
+    # A weight exists iff its part does: the parts were cut at sigma's
+    # scale, which may sit below max(w), where H(p||w) alone would cut.
+    exists = np.array([part is not None for part in d.parts], dtype=bool)
+    h_rel = _kept_relative_entropy(p, d.weights.probs[exists], p[exists], tol)
 
     # An empty part has a rank-0 support, which carries no conditional state.
     terms = [
@@ -258,7 +264,7 @@ def theorem1_breakdown(
         residual = abs(total_lhs.value - total_rhs.value)
 
     return MixingBreakdown(
-        p=p_vec,
+        p=ProbabilityVector(probs=p),
         conditional_states=states,
         s_pinched=s_pinched,
         s_rho=s_rho,
@@ -273,9 +279,10 @@ def theorem1_breakdown(
 def support_lemma_check(
     rho: DensityOperator, d: OrthogonalDecomposition, tol: Tolerances = DEFAULT_TOL
 ) -> bool:
-    """Whether every detectable conditional state sits inside its block.
+    """Whether every conditional state sits inside its block.
 
-    For each block with ``p_k = tr(rho Q_k) > tol.supp``, checks
+    For each block that carries a conditional state (``p_k > 0`` and a
+    kept eigenvalue, as in :func:`theorem1_breakdown`), checks
     ``supp(Q_k rho Q_k / p_k) <= supp(sigma_k)``.  This containment is
     a consequence of ``supp(rho) <= supp(sigma)``, and is what makes
     every term ``S(rho_k || sigma_k)`` finite in that regime.

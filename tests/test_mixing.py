@@ -86,23 +86,30 @@ def test_decompose_zero_weight_block():
     assert d.weights.probs[1] == 0.0
 
 
-@pytest.mark.parametrize("factor", [0.99, 1.01])
+@pytest.mark.parametrize("factor", [0.5, 0.99, 1.01])
 def test_empty_block_policy_at_supp_boundary(factor, tol):
     # One policy for parts of sigma and conditional states of rho: a
-    # block weighted at most tol.supp carries no state.
+    # block carries a state iff its weight is positive and it keeps an
+    # eigenvalue at the whole operator's scale.  tol.supp plays no part,
+    # so a block weighted below it is a block like any other: the parts'
+    # ranks add up to sigma's, lemma1 closes, and both theorem1 routes
+    # agree.  When tol.supp decided, the light part of sigma was dropped
+    # (block route inf against a direct 9.6735, lemma1 residual 20.7 or
+    # 21.4) and the light conditional state of rho with its term of
+    # h_rel (residual 1.98e-8 or 1.04e-8).
     eps = factor * tol.supp
     blocks = [basis_projector(2, [0]), basis_projector(2, [1])]
-    skewed = diag_state(1.0 - eps, eps)
+    skewed, half = diag_state(1.0 - eps, eps), diag_state(0.5, 0.5)
     d = decompose_by_projectors(skewed, blocks, tol)
-    bd = theorem1_breakdown(skewed, decompose_by_projectors(diag_state(0.5, 0.5), blocks, tol), tol)
-    if factor < 1.0:
-        assert d.parts[1] is None and d.supports[1].rank == 0
-        assert bd.conditional_states[1] is None
-    else:
-        assert d.supports[1].rank == 1
-        for state in (d.parts[1], bd.conditional_states[1]):
-            assert np.allclose(state.matrix, np.diag([0.0, 1.0]), atol=1e-12)
-            assert state.spectrum.eigenvalues.tolist() == [1.0]
+    bd = theorem1_breakdown(skewed, decompose_by_projectors(half, blocks, tol), tol)
+    assert d.supports[1].rank == 1
+    for state in (d.parts[1], bd.conditional_states[1]):
+        assert np.allclose(state.matrix, np.diag([0.0, 1.0]), atol=1e-12)
+        assert state.spectrum.eigenvalues.tolist() == [1.0]
+    assert frobenius(extended_log(skewed.matrix) - lemma1_log_decomposition(d)) <= tol.identity
+    for b in (bd, theorem1_breakdown(half, d, tol)):
+        assert b.total_lhs.is_finite and b.total_rhs.is_finite
+        assert b.residual <= tol.identity
 
 
 def test_decompose_rejects_leaked_support():
@@ -292,7 +299,8 @@ def test_block_that_keeps_no_eigenvalue(tol):
     # the second block has 15 eigenvalues 7e-11, all at or below the cut
     # tol.rank * 0.985 of the whole compression, yet their sum 1.05e-9
     # exceeds tol.supp.  That block carries no state, and its p_k still
-    # counts in h_rel and in the missed mass.
+    # counts in h_rel, in the missed mass and in s_pinched, which reads
+    # the uncut block spectrum (cut, it lost 2.46e-8).
     n, mu, coupling = 15, 1e-3, 7e-8
     vectors = np.zeros((2 * n + 1, n + 1))
     vectors[0, 0] = 1.0
@@ -309,11 +317,26 @@ def test_block_that_keeps_no_eigenvalue(tol):
     w = d.weights.probs.tolist()
     assert bd.h_rel.value == pytest.approx(math.fsum(pk * math.log(pk / wk) for pk, wk in zip(p, w)), abs=1e-15)
     assert bd.total_lhs.is_finite and bd.total_rhs.is_finite
+    assert bd.residual <= tol.identity
+
+
+def test_weight_exists_with_its_part(tol):
+    # sigma spreads 1 - delta over 63 dims and puts delta = 5e-11 on the
+    # last: delta survives sigma's cut, tol.rank * (1 - delta) / 63, but
+    # not one at tol.rank * max(w).  Its part exists, so h_rel counts its
+    # weight, and the block route reads 11.1664 like the direct one.
+    delta = 5e-11
+    sigma = diag_state(*[(1.0 - delta) / 63] * 63, delta)
+    d = decompose_by_projectors(sigma, [basis_projector(64, range(63)), basis_projector(64, [63])], tol)
+    assert d.parts[1] is not None
+    bd = theorem1_breakdown(diag_state(*[0.5 / 63] * 63, 0.5), d, tol)
+    assert bd.total_lhs.as_float() == pytest.approx(11.1664, abs=1e-4)
+    assert bd.residual <= tol.identity
 
 
 @st.composite
 def _split_families(draw):
-    """sigma block diagonal over a fine Haar family, weights log-uniform down to 1e-8.
+    """sigma block diagonal over a fine Haar family, weights log-uniform down to 1e-12.
 
     Returns sigma, the fine family, a coarsening of it (consecutive fine
     blocks merged) with each fine block's group, and a state rho that is
@@ -325,7 +348,7 @@ def _split_families(draw):
         sizes.append(draw(st.integers(1, dim - sum(sizes))))
     seed = draw(st.integers(0, 2**31))
     fine = random_block_projectors(dim, sizes, seed=seed)
-    w = np.array([10.0 ** draw(st.floats(-8.0, 0.0)) for _ in fine])
+    w = np.array([10.0 ** draw(st.floats(-12.0, 0.0)) for _ in fine])
     ranks = [draw(st.integers(1, b.rank)) for b in fine]
     parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(fine, ranks))]
     sigma = validate_density(sum(wk * part.matrix for wk, part in zip(w / w.sum(), parts)))
@@ -696,6 +719,28 @@ def test_classical_embedding_infinite_agreement():
     w = ProbabilityVector.validated([1.0, 0.0])
     classical, quantum = classical_embedding_check(p, w, np.eye(2))
     assert not classical.is_finite and not quantum.is_finite
+
+
+@pytest.mark.parametrize(
+    "p, w, expected",
+    [
+        # The p-mass on zero weights is summed: 1.5e-9 > tol.supp,
+        # although each entry is below it.
+        ((1.0 - 1.5e-9, 5e-10, 5e-10, 5e-10), (1.0, 0.0, 0.0, 0.0), math.inf),
+        # 5e-10 survives the rank cut of diag(w), so it is a weight:
+        # H = 10.0150593...
+        ((0.5, 0.5), (1.0 - 5e-10, 5e-10), 0.5 * math.log(0.25 / ((1.0 - 5e-10) * 5e-10))),
+        # 5e-11 does not, so p_2 = 0.5 sits on no weight.
+        ((0.5, 0.5), (1.0 - 5e-11, 5e-11), math.inf),
+    ],
+    ids=["summed-leak", "kept-weight", "cut-weight"],
+)
+def test_classical_embedding_weights_exist_by_the_rank_cut(p, w, expected):
+    classical, quantum = classical_embedding_check(
+        ProbabilityVector.validated(p), ProbabilityVector.validated(w), np.eye(len(p))
+    )
+    for value in (classical, quantum):
+        assert value.as_float() == pytest.approx(expected, rel=1e-12)
 
 
 def test_classical_embedding_random_rotated_basis(tol):
