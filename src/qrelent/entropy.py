@@ -135,17 +135,17 @@ def classical_relative_entropy(
     """
     if len(p) != len(w):
         raise LengthMismatchError(f"distributions of lengths {len(p)} and {len(w)}")
-    return _kept_relative_entropy(p.probs, *_cut(float(w.probs.max(initial=0.0)), tol, w.probs, p.probs), tol)
+    w_kept, p_kept = _cut(float(w.probs.max(initial=0.0)), tol, w.probs, p.probs)
+    return _kept_relative_entropy(p_kept, w_kept, math.fsum(p.probs.tolist()) - math.fsum(p_kept.tolist()), tol)
 
 
-def _kept_relative_entropy(p: np.ndarray, w_kept: np.ndarray, p_kept: np.ndarray, tol: Tolerances) -> ExtendedReal:
-    """``H(p||w)`` over the existing weights ``w_kept``, on which ``p`` is ``p_kept``:
-    ``+inf`` if the rest of ``p`` sums above ``tol.supp``, else the sum over ``p_k > 0``."""
-    pv = p_kept.tolist()
-    if not (math.fsum(p.tolist()) - math.fsum(pv) <= tol.supp):
+def _kept_relative_entropy(p: np.ndarray, w: np.ndarray, leaked: float, tol: Tolerances) -> ExtendedReal:
+    """``H(p||w)`` over existing weights ``w``, where ``leaked`` is the mass of ``p`` off them:
+    ``+inf`` if it exceeds ``tol.supp``, else the sum over ``p_k > 0``."""
+    if not (leaked <= tol.supp):
         return INFINITY
     return ExtendedReal.finite(
-        math.fsum(pk * (math.log(pk) - math.log(wk)) for pk, wk in zip(pv, w_kept.tolist()) if pk > 0.0)
+        math.fsum(pk * (math.log(pk) - math.log(wk)) for pk, wk in zip(p.tolist(), w.tolist()) if pk > 0.0)
     )
 
 

@@ -34,6 +34,7 @@ from .linop import (
     validate_density,
     _block_states,
     _check_mutually_orthogonal,
+    _density,
     _spectral_log,
     _stack,
 )
@@ -126,7 +127,7 @@ def decompose_by_projectors(
     leak = 1.0 - math.fsum(weights.tolist())
     if not (leak <= tol.supp):
         raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
-    # V B V^dag, the pinching of sigma, rebuilt from B's block spectra.
+    # V B V^dag, the pinching of sigma, rebuilt from B's uncut block spectra.
     coherence = frobenius(sigma.matrix - (vectors * w) @ vectors.conj().T)
     if not (coherence <= tol.identity):
         raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
@@ -190,8 +191,10 @@ class MixingBreakdown:
     * ``h_rel`` — classical relative entropy of the block weights
       ``p_k = tr(rho Q_k)`` against ``w``, over the weights whose parts
       exist (cut at ``sigma``'s scale, not at ``max(w)``),
-    * ``avg_rel`` — ``sum_k p_k S(rho_k || sigma_k)`` over the blocks
-      that carry a conditional state,
+    * ``avg_rel`` — ``sum_k p_k S(rho_k || sigma_k)``, with ``rho_k``
+      read off the same positive block eigenpairs as ``s_pinched``, so
+      every term counts the mass that ``p_k`` counts; the
+      ``conditional_states`` reported are the cut ones,
     * ``total_rhs`` — ``s_pinched - s_rho + h_rel + avg_rel``, forced
       to ``+inf`` when the ``p_k`` fail to account for the full trace
       mass of ``rho`` or any term is infinite,
@@ -230,21 +233,24 @@ def theorem1_breakdown(
     if rho.dim != d.dim:
         raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
 
-    p, states, (pinched_spectrum, _) = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
+    v, labels = _stack(d.supports, d.dim)
+    p, states, (w, vectors) = _block_states(rho.matrix, v, labels, d.n_parts, tol)
+    positive = w > 0.0
 
-    s_pinched = _spectral_entropy(pinched_spectrum[pinched_spectrum > 0.0])
+    s_pinched = _spectral_entropy(w[positive])
     s_rho = von_neumann_entropy(rho)
 
-    # A weight exists iff its part does: the parts were cut at sigma's
-    # scale, which may sit below max(w), where H(p||w) alone would cut.
-    exists = np.array([part is not None for part in d.parts], dtype=bool)
-    h_rel = _kept_relative_entropy(p, d.weights.probs[exists], p[exists], tol)
+    # An empty part has a rank-0 support, so p_k = 0 there: p puts no mass
+    # off the existing weights, even those below tol.rank times the largest
+    # weight (parts are cut at sigma's scale, not at the weights' scale).
+    h_rel = _kept_relative_entropy(p, d.weights.probs, 0.0, tol)
 
-    # An empty part has a rank-0 support, which carries no conditional state.
+    # Each term reads the positive block eigenpairs that s_pinched reads,
+    # so every term counts the same block mass; the returned states stay cut.
     terms = [
-        (pk, quantum_relative_entropy(rho_k, sigma_k, tol))
-        for pk, rho_k, sigma_k in zip(p.tolist(), states, d.parts)
-        if rho_k is not None
+        (pk, quantum_relative_entropy(_density(w[b] / math.fsum(w[b].tolist()), vectors[:, b]), part, tol))
+        for pk, part, b in zip(p.tolist(), d.parts, positive & (labels == np.arange(d.n_parts)[:, None]))
+        if b.any()
     ]
     if all(term.is_finite for _, term in terms):
         avg_rel = ExtendedReal.finite(math.fsum(pk * term.value for pk, term in terms))

@@ -191,10 +191,10 @@ def test_route_a_keeps_full_space_solves(monkeypatch):
     assert bd.residual <= 1e-10
 
 
-def _dense_pinched_entropy(rho, d, tol):
-    """S of the raw pinched matrix by one d x d solve (the reference)."""
+def _dense_pinched_entropy(rho, d):
+    """S of the raw pinched matrix by one d x d solve over its positive eigenvalues (the reference)."""
     w = np.linalg.eigvalsh(_pinched(rho.matrix, *_stack(d.supports, d.dim)))
-    return _spectral_entropy(w[w > tol.rank * w[-1]])
+    return _spectral_entropy(w[w > 0.0])
 
 
 @pytest.mark.parametrize("confined", [True, False])
@@ -215,7 +215,7 @@ def test_theorem1_breakdown_solves_no_full_matrix(monkeypatch, confined, tol):
     assert calls and all(len(shape) == 3 and shape[-1] < 8 for shape in calls)
     assert (bd.conditional_states[2] is None) == confined
     assert bd.total_rhs.is_finite == confined
-    assert abs(bd.s_pinched - _dense_pinched_entropy(rho, d, tol)) <= 1e-12
+    assert abs(bd.s_pinched - _dense_pinched_entropy(rho, d)) <= 1e-12
 
 
 # -- the block solver: weights, states and gates ------------------------------
@@ -317,6 +317,28 @@ def test_block_that_keeps_no_eigenvalue(tol):
     w = d.weights.probs.tolist()
     assert bd.h_rel.value == pytest.approx(math.fsum(pk * math.log(pk / wk) for pk, wk in zip(p, w)), abs=1e-15)
     assert bd.total_lhs.is_finite and bd.total_rhs.is_finite
+    assert bd.residual <= tol.identity
+
+
+def test_kept_block_terms_count_its_sub_cut_mass(tol):
+    # rho = .5 |e_31><e_31| plus 31 eigenvalues .5/31 on e_i (i < 31),
+    # each leaking eta = 3e-9 of its weight to e_{32+i}, against a flat
+    # sigma over blocks 0..30 and 31..63.  The second block keeps e_31
+    # and 31 pinched eigenvalues 4.8e-11, under the cut 5e-11, that
+    # sum to 1.5e-9.  s_pinched and p_k count them, so the block's term
+    # of avg_rel must too: read off the cut state, it misses that mass
+    # and the residual reads 3.6e-8.
+    n, eta = 31, 3e-9
+    vectors = np.zeros((2 * n + 2, n + 1))
+    vectors[n, 0] = 1.0
+    for i in range(n):
+        vectors[i, i + 1], vectors[n + 1 + i, i + 1] = math.sqrt(1.0 - eta), math.sqrt(eta)
+    rho = validate_density((vectors * [0.5, *[0.5 / n] * n]) @ vectors.T)
+    blocks = [basis_projector(2 * n + 2, range(n)), basis_projector(2 * n + 2, range(n, 2 * n + 2))]
+    d = decompose_by_projectors(validate_density(np.eye(2 * n + 2) / (2 * n + 2)), blocks)
+    bd = theorem1_breakdown(rho, d)
+    assert bd.conditional_states[1].spectrum.eigenvalues.tolist() == [1.0]
+    assert bd.p.probs[1] - 0.5 == pytest.approx(0.5 * eta, rel=1e-6)
     assert bd.residual <= tol.identity
 
 
