@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import QrelentError
-from .linop import DEFAULT_TOL, Projector, Tolerances, support_projector, validate_density
+from .linop import DEFAULT_TOL, Projector, Tolerances, validate_density
 from .entropy import ExtendedReal, quantum_relative_entropy
 from .mixing import decompose_by_projectors, theorem1_breakdown
 from .campaign import IDENTITIES, VerifyConfig, run_campaign, write_report
@@ -62,11 +62,10 @@ def cmd_compute(args) -> int:
     tol = _tolerances(args)
     rho = validate_density(matio.load_matrix(args.rho), tol)
     sigma = validate_density(matio.load_matrix(args.sigma), tol)
-    p_rho = support_projector(rho)
-    p_sigma = support_projector(sigma)
     value = quantum_relative_entropy(rho, sigma, tol)
-    print(f"rho:    dim {rho.dim}, support rank {p_rho.rank}")
-    print(f"sigma:  dim {sigma.dim}, support rank {p_sigma.rank}")
+    # A validated state stores only its kept eigenpairs: one per unit of rank.
+    print(f"rho:    dim {rho.dim}, support rank {len(rho.spectrum.eigenvalues)}")
+    print(f"sigma:  dim {sigma.dim}, support rank {len(sigma.spectrum.eigenvalues)}")
     print(f"support(rho) <= support(sigma): {'yes' if value.is_finite else 'no'}")
     print(f"S(rho||sigma) = {_fmt(value, args.bits)} {_unit(args.bits)}")
     return 0
@@ -90,14 +89,16 @@ def cmd_breakdown(args) -> int:
     sigma = validate_density(matio.load_matrix(args.sigma), tol)
     if args.blocks is not None:
         blocks = _basis_blocks(_parse_int_list(args.blocks, "--blocks"), sigma.dim)
-        print(f"blocks: {args.blocks} (computational basis)")
+        source = f"{args.blocks} (computational basis)"
     else:
         blocks = [Projector.validated(m, tol) for m in matio.load_projectors(args.blocks_file)]
-        print(f"blocks: {len(blocks)} projectors from {args.blocks_file}")
+        source = f"{len(blocks)} projectors from {args.blocks_file}"
     d = decompose_by_projectors(sigma, blocks, tol)
     bd = theorem1_breakdown(rho, d, tol)
 
+    # Printed only once every step has succeeded: on exit 2 stdout stays empty.
     bits = args.bits
+    print(f"blocks: {source}")
     print(f"units: {_unit(bits)}")
     print("  k    w_k                 p_k")
     for k, (w, p) in enumerate(zip(d.weights.probs.tolist(), bd.p.probs.tolist())):

@@ -26,8 +26,7 @@ Conventions
 * Every projector family passes through :func:`_stack`, which owns the
   one dimension check on families.
 * Every eigensolve is one call of the kernel :func:`_solve` (a matrix
-  or a batch), gated by :func:`_check_solve`; a state in a known range
-  (:func:`_validate_in_range`) is solved in its ``r x r`` frame.
+  or a batch), gated by :func:`_check_solve`.
 * Every state built from blocks ends in :func:`_block_spectra`, which
   solves the compression ``B = V^dag M V`` with one batched eigensolve
   per distinct block size, rank-1 blocks read off the diagonal, and no
@@ -519,23 +518,6 @@ def _block_spectra(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolera
         vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
     _check_solve(gram_defect, recon_sq, frobenius(b), tol)
     return w, _readonly(vectors)
-
-
-def _validate_in_range(basis: np.ndarray, small: np.ndarray, tol: Tolerances) -> DensityOperator:
-    """Validate the state ``V S V^dag`` in the ``r x r`` frame of ``S``.
-
-    ``basis`` is a ``d x r`` isometry ``V`` and ``small`` an ``r x r``
-    matrix ``S``, solved by :func:`eigh`.  As ``V`` preserves norms and
-    traces, the result equals ``validate_density(V S V^dag)`` up to
-    round-off, with a thin spectrum: at most ``r`` eigenvalues on ``V U``.
-    Raises as :func:`validate_density`, and :class:`DimensionMismatchError`
-    if ``V`` does not have one column per row of ``S``.
-    """
-    s = symmetrize(small, tol)
-    if basis.shape[1] != s.shape[0]:
-        raise DimensionMismatchError(f"basis with {basis.shape[1]} columns, block of size {s.shape[0]}")
-    spec = eigh(s, tol)
-    return _state(spec.eigenvalues, basis @ spec.eigenvectors, tol)
 
 
 def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:

@@ -29,7 +29,6 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
-    support_contained,
     support_projector,
     validate_density,
     _block_states,
@@ -57,7 +56,6 @@ __all__ = [
     "lemma1_log_decomposition",
     "entropy_mixing_identity",
     "theorem1_breakdown",
-    "support_lemma_check",
     "classical_embedding_check",
 ]
 
@@ -280,28 +278,6 @@ def theorem1_breakdown(
         total_lhs=total_lhs,
         residual=residual,
     )
-
-
-def support_lemma_check(
-    rho: DensityOperator, d: OrthogonalDecomposition, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """Whether every conditional state sits inside its block.
-
-    For each block that carries a conditional state (``p_k > 0`` and a
-    kept eigenvalue, as in :func:`theorem1_breakdown`), checks
-    ``supp(Q_k rho Q_k / p_k) <= supp(sigma_k)``.  This containment is
-    a consequence of ``supp(rho) <= supp(sigma)``, and is what makes
-    every term ``S(rho_k || sigma_k)`` finite in that regime.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If ``rho`` and the decomposition live on different dimensions.
-    """
-    if rho.dim != d.dim:
-        raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
-    _, states, _ = _block_states(rho.matrix, *_stack(d.supports, d.dim), d.n_parts, tol)
-    return all(rho_k is None or support_contained(rho_k, sigma_k, tol) for rho_k, sigma_k in zip(states, d.parts))
 
 
 def classical_embedding_check(

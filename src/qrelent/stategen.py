@@ -15,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import BadSpecError
-from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _readonly, _validate_in_range
+from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _density, _readonly
 from .lueders import ProjectiveObservable, RefinementPair
 
 __all__ = [
@@ -116,14 +116,18 @@ def random_state_in_support(
 ) -> DensityOperator:
     """A random rank-``rank`` state supported inside ``range(p)``.
 
-    The state is validated in the ``p.rank``-dimensional frame of
-    ``p.basis``, so its spectrum is thin.
+    Its ``p.rank x p.rank`` block ``S`` is validated by
+    :func:`~qrelent.linop.validate_density` and its kept eigenpairs
+    ``(w, U)`` are lifted by ``V = p.basis`` into the state with
+    spectrum ``(w, V U)``: as ``V`` preserves norms and traces, that is
+    ``validate_density(V S V^dag)`` up to round-off, with a thin spectrum.
     """
     if p.rank < 1:
         raise BadSpecError("cannot place a state inside a rank-0 projector")
     if not 1 <= rank <= p.rank:
         raise BadSpecError(f"rank {rank} outside [1, {p.rank}]")
-    return _validate_in_range(p.basis, _ginibre_block(p, rank, seed), tol)
+    spec = validate_density(_ginibre_block(p, rank, seed), tol).spectrum
+    return _density(spec.eigenvalues, p.basis @ spec.eigenvectors)
 
 
 def _ginibre_block(p: Projector, rank: int, seed: int) -> np.ndarray:

@@ -41,6 +41,7 @@ def test_compute_nats(qubit_files, capsys):
     rho, sigma = qubit_files
     assert main(["compute", rho, sigma]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("rho:    dim 2, support rank 1\nsigma:  dim 2, support rank 2\n")
     assert "support(rho) <= support(sigma): yes" in out
     assert f"S(rho||sigma) = {math.log(2.0):.12g} nats" in out
 
@@ -273,6 +274,26 @@ def test_breakdown_rejects_sigma_not_block_diagonal(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "direct" not in captured.out
     assert "not block diagonal" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rho, sigma, message",
+    [
+        (np.diag([0.9, 0.1]), np.array([[0.5, 0.4], [0.4, 0.5]]), "not block diagonal"),
+        (np.eye(3) / 3, np.eye(2) / 2, "state on dim 3, decomposition on dim 2"),
+    ],
+    ids=["not-block-diagonal", "dimension-mismatch"],
+)
+def test_breakdown_failure_prints_nothing_on_stdout(tmp_path, rho, sigma, message, capsys):
+    # Every step runs before the first line is printed, so a breakdown
+    # that fails leaves no partial report (not even its blocks line).
+    rho_path, sigma_path = tmp_path / "r.json", tmp_path / "s.json"
+    save_matrix(rho_path, rho.astype(complex))
+    save_matrix(sigma_path, sigma.astype(complex))
+    assert main(["breakdown", str(rho_path), str(sigma_path), "--blocks", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_breakdown_accepts_a_block_of_weight_1e_7(tmp_path, capsys):

@@ -41,7 +41,8 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _overlaps, _pinched, _pinched_state, _stack, _validate_in_range
+from qrelent.linop import _overlaps, _pinched, _pinched_state, _stack
+from qrelent.stategen import _ginibre_block
 from helpers import basis_projector, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
@@ -190,13 +191,11 @@ def test_state_stores_only_its_spectrum():
 # -- states in a known range -------------------------------------------
 
 
-def _range_fixture(dim: int, r: int, rank: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A Haar ``dim x r`` isometry and a unit-trace Ginibre ``r x r`` block of rank ``rank``."""
-    v = haar_unitary(dim, seed)[:, :r]
-    rng = np.random.default_rng(seed + 1)
-    g = rng.standard_normal((r, rank)) + 1j * rng.standard_normal((r, rank))
-    small = g @ g.conj().T
-    return v, small / np.trace(small).real
+def _range_fixture(dim: int, r: int, rank: int, seed: int) -> tuple[Projector, np.ndarray]:
+    """A Haar rank-``r`` projector on ``dim`` and the block ``S`` that
+    :func:`random_state_in_support` draws in its range for ``rank`` and ``seed``."""
+    p = Projector.from_basis(haar_unitary(dim, seed)[:, :r])
+    return p, _ginibre_block(p, rank, seed)
 
 
 @st.composite
@@ -208,12 +207,14 @@ def _range_shapes(draw):
 
 @given(shape=_range_shapes())
 @settings(deadline=None, max_examples=80)
-def test_validate_in_range_matches_full_validation(shape):
+def test_random_state_in_support_matches_full_validation(shape):
+    # The r x r block is validated and lifted by V; the d x d route
+    # validates V S V^dag.
     tol = DEFAULT_TOL
     dim, r, rank, seed = shape
-    v, small = _range_fixture(dim, r, rank, seed)
-    thin = _validate_in_range(v, small, tol)
-    full = validate_density(v @ small @ v.conj().T, tol)
+    p, small = _range_fixture(dim, r, rank, seed)
+    thin = random_state_in_support(p, rank, seed, tol)
+    full = validate_density(p.basis @ small @ p.basis.conj().T, tol)
     # Both spectra hold only their kept pairs: one per unit of rank.
     assert thin.spectrum.eigenvectors.shape == full.spectrum.eigenvectors.shape == (dim, rank)
     assert thin.spectrum.eigenvalues.shape == (rank,)
@@ -245,16 +246,17 @@ def _spoiled(small: np.ndarray, kind: str) -> np.ndarray:
     kind=st.sampled_from(["non-hermitian", "negative", "bad-trace", "nan"]),
 )
 @settings(deadline=None, max_examples=80)
-def test_validate_in_range_rejects_like_full_validation(shape, kind):
+def test_block_validation_rejects_like_full_validation(shape, kind):
+    # Validating the r x r block S rejects what validating V S V^dag rejects.
     tol = DEFAULT_TOL
     dim, r, rank, seed = shape
-    v, small = _range_fixture(dim, r, rank, seed)
+    p, small = _range_fixture(dim, r, rank, seed)
     bad = _spoiled(small, kind)
     with np.errstate(invalid="ignore"):
         with pytest.raises(QrelentError) as full:
-            validate_density(v @ bad @ v.conj().T, tol)
+            validate_density(p.basis @ bad @ p.basis.conj().T, tol)
         with pytest.raises(QrelentError) as thin:
-            _validate_in_range(v, bad, tol)
+            validate_density(bad, tol)
     assert type(thin.value) is type(full.value)
 
 
@@ -263,19 +265,13 @@ def test_validate_in_range_rejects_like_full_validation(shape, kind):
     [(lambda w, u: (w, u * (1.0 + 1e-6)), "not orthonormal"), (lambda w, u: (w + 1e-6, u), "reconstruction")],
 )
 def test_block_solver_gates_each_block_solve(monkeypatch, spoil, message, tol):
-    # The checks of eigh, per block: each U_k's Gram defect, then the
-    # summed reconstruction defect.
-    v, small = _range_fixture(5, 3, 2, 7)
+    # The checks of eigh, on the r x r solve of random_state_in_support:
+    # the Gram defect of U, then the reconstruction defect.
+    p, _ = _range_fixture(5, 3, 2, 7)
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: spoil(*real(a)))
     with pytest.raises(SolverFailureError, match=message):
-        _validate_in_range(v, small, tol)
-
-
-def test_validate_in_range_rejects_mismatched_block(tol):
-    v, small = _range_fixture(5, 3, 2, 7)
-    with pytest.raises(DimensionMismatchError):
-        _validate_in_range(v[:, :2], small, tol)
+        random_state_in_support(p, 2, 7, tol)
 
 
 # -- Projector ----------------------------------------------------------

@@ -31,7 +31,6 @@ from qrelent import (
     random_block_projectors,
     random_density,
     random_state_in_support,
-    support_lemma_check,
     support_projector,
     theorem1_breakdown,
     validate_density,
@@ -264,7 +263,6 @@ def test_blocks_of_small_weight_are_accepted(weight, light_rank, tol):
     sigma, rho, blocks, parts, conditionals = _light_block_fixture(weight, light_rank)
     d = decompose_by_projectors(sigma, blocks)
     bd = theorem1_breakdown(rho, d)
-    assert support_lemma_check(rho, d)
     assert sum(q.rank for q in d.supports) == support_projector(sigma).rank
     assert bd.total_lhs.is_finite == bd.total_rhs.is_finite
     sigma_weights, rho_weights = (weight, 0.4, 0.6 - weight), (weight, 0.7, 0.3 - weight)
@@ -703,7 +701,6 @@ def test_breakdown_random_and_support_lemma(dim, seed, tol):
     bd = theorem1_breakdown(rho, d)
     assert bd.total_lhs.is_finite and bd.total_rhs.is_finite
     assert bd.residual <= tol.identity
-    assert support_lemma_check(rho, d)
     # LHS route really is the direct definition
     direct = quantum_relative_entropy(rho, d.sigma)
     assert bd.total_lhs.value == direct.value
@@ -714,14 +711,6 @@ def test_breakdown_dimension_mismatch():
     d = decompose_by_projectors(sigma, blocks)
     with pytest.raises(DimensionMismatchError):
         theorem1_breakdown(diag_state(0.5, 0.5), d)
-
-
-def test_support_lemma_dimension_mismatch():
-    # A state on another dimension is a package error, not a bare numpy
-    # ValueError from the block compression.
-    d = decompose_by_projectors(diag_state(0.5, 0.5), [basis_projector(2, [0]), basis_projector(2, [1])])
-    with pytest.raises(DimensionMismatchError, match="state on dim 3, decomposition on dim 2"):
-        support_lemma_check(diag_state(0.5, 0.25, 0.25), d)
 
 
 # -- classical_embedding_check ---------------------------------------------
