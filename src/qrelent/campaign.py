@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FileFormatError
 from .linop import (
     DEFAULT_TOL,
     DensityOperator,
@@ -392,5 +392,8 @@ def report_document(result: CampaignResult) -> dict:
 
 
 def write_report(result: CampaignResult, path: str | Path) -> None:
-    """Write the deterministic JSON report."""
-    Path(path).write_text(json.dumps(report_document(result), indent=2) + "\n")
+    """Write the deterministic JSON report, or raise :class:`FileFormatError` if the path cannot be written."""
+    try:
+        Path(path).write_text(json.dumps(report_document(result), indent=2) + "\n")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write report file {path}: {exc}") from exc

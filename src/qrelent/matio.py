@@ -23,7 +23,7 @@ positive integer (``true`` is not one).  Files are written with the
 standard ``json`` module.  Writing refuses what the loaders would
 reject (a non-finite entry, a matrix that is not square, an empty
 family, matrices of different dimensions) with a file error, and
-writes nothing.
+writes nothing; a path that cannot be written is a file error too.
 """
 
 from __future__ import annotations
@@ -91,7 +91,10 @@ def _write_json(path: str | Path, doc: dict, what: str) -> None:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
         raise FileFormatError(f"cannot write {what} file {path}: entries must be finite ({exc})") from exc
-    Path(path).write_text(text + "\n")
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {what} file {path}: {exc}") from exc
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

@@ -29,12 +29,10 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
-    support_projector,
     validate_density,
     _block_states,
     _check_mutually_orthogonal,
     _density,
-    _spectral_log,
     _stack,
 )
 from .entropy import (
@@ -65,8 +63,8 @@ class OrthogonalDecomposition:
     """``sigma = sum_k w_k sigma_k`` over mutually orthogonal subspaces.
 
     ``parts[k]`` is the normalized block state, or ``None`` for blocks
-    that keep no eigenvalue; ``supports[k]`` projects onto ``supp(sigma_k)``
-    (the rank-0 projector for empty blocks).  ``sigma`` is the
+    that keep no eigenvalue; :attr:`supports` reads ``Q_k``, onto
+    ``supp(sigma_k)``, off the parts (rank 0 for empty blocks).  ``sigma`` is the
     caller's validated state itself, not a copy rebuilt from the parts:
     :func:`decompose_by_projectors` only accepts a ``sigma`` that is
     block diagonal in the blocks, so it equals ``sum_k w_k sigma_k``
@@ -76,12 +74,16 @@ class OrthogonalDecomposition:
 
     weights: ProbabilityVector
     parts: tuple[DensityOperator | None, ...]
-    supports: tuple[Projector, ...]
     sigma: DensityOperator
 
     @property
     def dim(self) -> int:
         return self.sigma.dim
+
+    @property
+    def supports(self) -> tuple[Projector, ...]:
+        zero = Projector.zero(self.dim)
+        return tuple(zero if part is None else Projector(basis=part.spectrum.eigenvectors) for part in self.parts)
 
     @property
     def n_parts(self) -> int:
@@ -100,7 +102,7 @@ def decompose_by_projectors(
     scale, not their own, so their support ranks add up to ``sigma``'s;
     blocks with ``w_k = 0`` or no kept eigenvalue become empty parts,
     and a light block that keeps one is a part however small ``w_k``.
-    The support projectors stored per block are those of the *states*
+    The supports ``Q_k`` read off the parts are those of the *states*
     ``sigma_k``, which may have lower rank than the blocks.
 
     The state must be block diagonal in the blocks,
@@ -129,13 +131,7 @@ def decompose_by_projectors(
     coherence = frobenius(sigma.matrix - (vectors * w) @ vectors.conj().T)
     if not (coherence <= tol.identity):
         raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
-
-    supports = tuple(
-        support_projector(part) if part is not None else Projector.zero(sigma.dim) for part in parts
-    )
-    return OrthogonalDecomposition(
-        weights=ProbabilityVector.validated(weights, tol), parts=parts, supports=supports, sigma=sigma
-    )
+    return OrthogonalDecomposition(weights=ProbabilityVector.validated(weights, tol), parts=parts, sigma=sigma)
 
 
 def lemma1_log_decomposition(d: OrthogonalDecomposition) -> np.ndarray:
@@ -145,16 +141,13 @@ def lemma1_log_decomposition(d: OrthogonalDecomposition) -> np.ndarray:
     primed sums skip empty blocks.  For a valid decomposition this
     equals ``logz(sigma)`` (compare with :func:`~qrelent.linop.extended_log`
     applied to ``d.sigma``); computing it this way exercises the
-    identity rather than assuming it.  Each ``logz(sigma_k)`` comes from
-    the part's own block-local spectrum, with no further eigensolve.
+    identity rather than assuming it.  Both sums are one product
+    ``V diag(ln w_k + ln lam_ki) V^dag`` over the parts' kept eigenpairs,
+    with no eigensolve and no read of ``sigma``'s spectrum.
     """
-    dim = d.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, part, q in zip(d.weights.probs.tolist(), d.parts, d.supports):
-        if part is None:
-            continue
-        out += math.log(w) * q.matrix
-        out += _spectral_log(part.spectrum)
+    v, labels = _stack(d.supports, d.dim)
+    lam = np.concatenate([part.spectrum.eigenvalues for part in d.parts if part is not None])
+    out = (v * (np.log(d.weights.probs[labels]) + np.log(lam))) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 

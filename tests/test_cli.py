@@ -197,6 +197,18 @@ def test_verify_rejects_repeated_dims(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("target", [".", "missing_dir/r.json"], ids=["directory", "missing-parent"])
+def test_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, capsys, target):
+    # Exit 1 means a trial failed; a report path that cannot be written
+    # is an input error, reported on stderr with stdout left empty.
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "eq3a", "--dims", "2", "--trials", "2", "--out", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report file {target}: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_reports_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["verify", "theorem1", "--dims", "2,3", "--trials", "3", "--seed", "11", "--include-infinite"]

@@ -66,6 +66,14 @@ def test_save_refuses_what_load_rejects(tmp_path, save):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("save", [save_matrix, lambda path, m: save_projectors(path, [m])])
+@pytest.mark.parametrize("target", ["", "missing_dir/m.json"], ids=["directory", "missing-parent"])
+def test_save_to_unwritable_path_is_file_error(tmp_path, save, target):
+    path = tmp_path / target
+    with pytest.raises(FileFormatError, match="cannot write (matrix|projector) file"):
+        save(path, np.eye(2))
+
+
 def test_load_matrix_missing_file(tmp_path):
     with pytest.raises(FileFormatError):
         load_matrix(tmp_path / "nope.json")

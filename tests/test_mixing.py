@@ -36,7 +36,7 @@ from qrelent import (
     validate_density,
 )
 from qrelent.entropy import _spectral_entropy
-from qrelent.linop import _block_states, _pinched, _stack
+from qrelent.linop import _block_states, _pinched, _spectral_log, _stack
 from helpers import basis_projector, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -627,6 +627,52 @@ def test_lemma1_random(dim, seed, tol):
     d = random_decomposition(dim, seed)
     resid = frobenius(lemma1_log_decomposition(d) - extended_log(d.sigma.matrix))
     assert resid <= tol.identity
+
+
+@st.composite
+def _log_weight_decompositions(draw):
+    """sigma over 1-4 Haar blocks at d = 2-10, weights log-uniform down to 1e-12, decomposed.
+
+    In some draws one weight is zero, so its block carries no part;
+    the lightest parts may also lose every eigenvalue to sigma's cut.
+    """
+    dim = draw(st.integers(2, 10))
+    n_blocks = draw(st.integers(1, min(4, dim)))
+    cuts = draw(st.lists(st.integers(1, dim - 1), min_size=n_blocks - 1, max_size=n_blocks - 1, unique=True))
+    sizes = np.diff([0, *sorted(cuts), dim]).tolist()
+    seed = draw(st.integers(0, 2**31))
+    blocks = random_block_projectors(dim, sizes, seed=seed)
+    w = np.array([10.0 ** draw(st.floats(-12.0, 0.0)) for _ in blocks])
+    if n_blocks > 1 and draw(st.booleans()):
+        w[draw(st.integers(0, n_blocks - 1))] = 0.0
+    ranks = [draw(st.integers(1, b.rank)) for b in blocks]
+    parts = [random_state_in_support(b, r, seed + 1 + k) for k, (b, r) in enumerate(zip(blocks, ranks))]
+    sigma = validate_density(sum(wk * part.matrix for wk, part in zip((w / w.sum()).tolist(), parts)))
+    return decompose_by_projectors(sigma, blocks)
+
+
+def _per_part_lemma1(d):
+    """``sum'_k ln(w_k) V_k V_k^dag + sum'_k logz(sigma_k)``, one d x d matrix per term (the reference)."""
+    out = np.zeros((d.dim, d.dim), dtype=complex)
+    for w, part in zip(d.weights.probs.tolist(), d.parts):
+        if part is not None:
+            v = part.spectrum.eigenvectors
+            out += math.log(w) * (v @ v.conj().T) + _spectral_log(part.spectrum)
+    return (out + out.conj().T) / 2.0
+
+
+@given(d=_log_weight_decompositions())
+@settings(deadline=None, max_examples=200)
+def test_lemma1_one_product_matches_per_part_sum(d):
+    # The supports are read off the parts, and Lemma 1's right side is
+    # one product over the parts' kept eigenpairs: term for term the
+    # per-part sum, within round-off.
+    for part, q in zip(d.parts, d.supports):
+        if part is None:
+            assert q.rank == 0 and q.dim == d.dim
+        else:
+            assert np.array_equal(q.basis, part.spectrum.eigenvectors)
+    assert frobenius(lemma1_log_decomposition(d) - _per_part_lemma1(d)) <= 1e-12
 
 
 # -- entropy mixing (3a) -------------------------------------------------
