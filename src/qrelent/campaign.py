@@ -11,6 +11,7 @@ report is byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -277,9 +278,9 @@ def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Ge
 def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
     tol = cfg.tol
     blocks = _blocks_fixture(rng, dim, tol)
-    pair = random_refinement(blocks, _sub_seed(rng), tol, rank_one=bool(rng.random() < 0.25))
+    coarse, fine = random_refinement(blocks, _sub_seed(rng), tol, rank_one=bool(rng.random() < 0.25))
     rho = _random_probe(rng, dim, cfg.include_singular, tol)
-    report, composition = corollary2_check(rho, pair, tol)
+    report, composition = corollary2_check(rho, coarse, fine, tol)
     residual = max(report.residual, composition) if report.all_finite else None
     return report.all_finite, True, residual, None, None
 
@@ -391,9 +392,16 @@ def report_document(result: CampaignResult) -> dict:
     }
 
 
-def write_report(result: CampaignResult, path: str | Path) -> None:
-    """Write the deterministic JSON report, or raise :class:`FileFormatError` if the path cannot be written."""
+@contextlib.contextmanager
+def _report_errors(path: str | Path):
+    """Turn an :class:`OSError` on the report path into a :class:`FileFormatError`."""
     try:
-        Path(path).write_text(json.dumps(report_document(result), indent=2) + "\n")
+        yield
     except OSError as exc:
         raise FileFormatError(f"cannot write report file {path}: {exc}") from exc
+
+
+def write_report(result: CampaignResult, path: str | Path) -> None:
+    """Write the deterministic JSON report, or raise :class:`FileFormatError` if the path cannot be written."""
+    with _report_errors(path):
+        Path(path).write_text(json.dumps(report_document(result), indent=2) + "\n")

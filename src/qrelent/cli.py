@@ -19,7 +19,7 @@ from .errors import QrelentError
 from .linop import DEFAULT_TOL, Projector, Tolerances, validate_density
 from .entropy import ExtendedReal, quantum_relative_entropy
 from .mixing import decompose_by_projectors, theorem1_breakdown
-from .campaign import IDENTITIES, VerifyConfig, run_campaign, write_report
+from .campaign import IDENTITIES, VerifyConfig, run_campaign, write_report, _report_errors
 
 LN2 = math.log(2.0)
 
@@ -125,8 +125,11 @@ def cmd_verify(args) -> int:
     )
     if args.threads < 1:
         raise QrelentError(f"--threads must be >= 1, got {args.threads}")
-    result = run_campaign(config)
     out = args.out if args.out is not None else f"verify_{config.identity}.json"
+    # Refuse an unwritable report before the first trial; "a" leaves an old one as it is.
+    with _report_errors(out):
+        open(out, "a").close()
+    result = run_campaign(config)
     write_report(result, out)
     consistent = sum(1 for r in result.records if r.residual == "infinite-consistent")
     mismatched = sum(1 for r in result.records if r.residual == "infinite-mismatch")

@@ -37,7 +37,6 @@ from .entropy import ExtendedReal, quantum_relative_entropy, von_neumann_entropy
 
 __all__ = [
     "ProjectiveObservable",
-    "RefinementPair",
     "LineReport",
     "lueders_state",
     "corollary1_check",
@@ -179,24 +178,6 @@ def is_refinement(
 
 
 @dataclass(frozen=True)
-class RefinementPair:
-    """A coarse observable and a fine one that refines it."""
-
-    coarse: ProjectiveObservable
-    fine: ProjectiveObservable
-    grouping: tuple[int, ...]
-
-    @classmethod
-    def checked(
-        cls,
-        coarse: ProjectiveObservable,
-        fine: ProjectiveObservable,
-        tol: Tolerances = DEFAULT_TOL,
-    ) -> "RefinementPair":
-        return cls(coarse=coarse, fine=fine, grouping=is_refinement(fine, coarse, tol))
-
-
-@dataclass(frozen=True)
 class LineReport:
     """Three relative-entropy distances along ``rho -> middle -> target``.
 
@@ -212,7 +193,7 @@ class LineReport:
     @property
     def residual(self) -> float | None:
         """``|d_total - (d_first + d_second)|``, or ``None`` if any leg is infinite."""
-        if not (self.d_total.is_finite and self.d_first.is_finite and self.d_second.is_finite):
+        if not self.all_finite:
             return None
         return abs(self.d_total.value - (self.d_first.value + self.d_second.value))
 
@@ -222,7 +203,7 @@ class LineReport:
 
 
 def corollary2_check(
-    rho: DensityOperator, pair: RefinementPair, tol: Tolerances = DEFAULT_TOL
+    rho: DensityOperator, coarse: ProjectiveObservable, fine: ProjectiveObservable, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[LineReport, float]:
     """Additivity of measurement distance under refinement.
 
@@ -232,15 +213,23 @@ def corollary2_check(
     with the composition residual
     ``|| (rho_A)_L(fine) - rho_B ||_F`` — measuring fine after coarse
     must land on the fine Lüders state directly.
+
+    Raises
+    ------
+    NotARefinementError
+        If ``fine`` does not refine ``coarse`` (:func:`is_refinement`),
+        checked before any Lüders state is built: the identity is only
+        claimed under that hypothesis.
     """
-    rho_a = lueders_state(rho, pair.coarse, tol)
-    rho_b = lueders_state(rho, pair.fine, tol)
+    is_refinement(fine, coarse, tol)
+    rho_a = lueders_state(rho, coarse, tol)
+    rho_b = lueders_state(rho, fine, tol)
     report = LineReport(
         d_total=quantum_relative_entropy(rho, rho_b, tol),
         d_first=quantum_relative_entropy(rho, rho_a, tol),
         d_second=quantum_relative_entropy(rho_a, rho_b, tol),
     )
-    composed = lueders_state(rho_a, pair.fine, tol)
+    composed = lueders_state(rho_a, fine, tol)
     composition_residual = frobenius(composed.matrix - rho_b.matrix)
     return report, composition_residual
 
@@ -251,15 +240,15 @@ def theorem2_check(
     tol: Tolerances = DEFAULT_TOL,
     basis: np.ndarray | None = None,
 ) -> tuple[LineReport, DensityOperator]:
-    """Straight line through the eigenbasis-pinched state.
+    """Straight line through the state pinched in ``sigma``'s spectral form.
 
-    Pinches ``rho`` in an orthonormal eigenbasis of ``sigma`` to get
-    ``M`` and returns the line report for
-    ``S(rho || sigma) = S(rho || M) + S(M || sigma)`` plus ``M``
-    itself.  A thin spectrum of ``sigma`` is completed with an
-    orthonormal basis of its kernel.  For degenerate ``sigma`` the
-    eigenbasis is not unique; pass ``basis`` (columns) to pick one
-    explicitly — it must be orthonormal and diagonalize ``sigma``.
+    Pinches ``rho`` to ``M = sum_j Q_j rho Q_j`` and returns the line
+    report for ``S(rho || sigma) = S(rho || M) + S(M || sigma)`` plus
+    ``M``.  The ``Q_j`` project onto ``sigma``'s kept eigenvectors, one
+    each, and onto its kernel as one block, which the rank cut decides
+    and whose basis does not move ``M``.  Pass ``basis`` (columns) to
+    pinch in that eigenbasis instead, one rank-1 block per column — it
+    must be orthonormal and diagonalize ``sigma``.
 
     Raises
     ------
@@ -280,11 +269,12 @@ def theorem2_check(
 
     if basis is None:
         v = sigma.spectrum.eigenvectors
+        # Completing the kernel keeps rho's mass there; as one block, no choice of its basis moves M.
+        labels = np.minimum(np.arange(sigma.dim), v.shape[1])
         if v.shape[1] < sigma.dim:
-            # A thin spectrum: complete it with a basis of the kernel,
-            # so the pinching keeps rho's trace mass there as well.
             v = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]], axis=1)
     else:
+        labels = np.arange(sigma.dim)
         v = Projector.from_basis(basis, tol).basis
         if v.shape != (sigma.dim, sigma.dim):
             raise NotOrthonormalError(f"need a full square basis, got shape {v.shape}")
@@ -293,10 +283,8 @@ def theorem2_check(
         if not (off <= tol.identity):
             raise NotDiagonalizingError(f"basis does not diagonalize the reference state: off-diagonal {off:.3e}")
 
-    # Pinching in an orthonormal basis keeps the diagonal of rho in
-    # that basis and kills everything else: the pinching over the
-    # rank-1 family of v's columns, its spectrum read off that diagonal.
-    middle = _pinched_state(rho.matrix, v, np.arange(sigma.dim), tol)
+    # Rank-1 blocks are read off the diagonal of rho in v; only a kernel of rank >= 2 is solved.
+    middle = _pinched_state(rho.matrix, v, labels, tol)
 
     report = LineReport(
         d_total=d_total,

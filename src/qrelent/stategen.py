@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadSpecError
 from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _density, _readonly
-from .lueders import ProjectiveObservable, RefinementPair
+from .lueders import ProjectiveObservable
 
 __all__ = [
     "derive_seed",
@@ -164,15 +164,15 @@ def random_refinement(
     tol: Tolerances = DEFAULT_TOL,
     *,
     rank_one: bool = False,
-) -> RefinementPair:
+) -> tuple[ProjectiveObservable, ProjectiveObservable]:
     """Split each coarse projector into random orthogonal finer ones.
 
     Within each coarse subspace a Haar-rotated basis is partitioned
-    into consecutive groups (all singletons when ``rank_one=True``);
-    the returned pair's grouping is re-derived by the refinement check
-    rather than trusted from construction.  The rotated basis is
-    checked orthonormal once: a group's Gram matrix is a principal
-    submatrix of the whole basis's, so its defect is no larger.
+    into consecutive groups (all singletons when ``rank_one=True``).
+    Returns the validated ``(coarse, fine)`` observables; the refinement
+    itself is checked by :func:`~qrelent.lueders.corollary2_check`.  The
+    rotated basis is checked orthonormal once: a group's Gram matrix is
+    a principal submatrix of the whole basis's, so its defect is no larger.
     """
     rng = _rng(seed)
     coarse_obs = ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol)
@@ -185,5 +185,4 @@ def random_refinement(
             # A C-contiguous copy per group, the array from_basis would store.
             fine_projs.append(Projector(basis=_readonly(rotated[:, start : start + s].copy())))
             start += s
-    fine_obs = ProjectiveObservable.validated(range(len(fine_projs)), tuple(fine_projs), tol)
-    return RefinementPair.checked(coarse_obs, fine_obs, tol)
+    return coarse_obs, ProjectiveObservable.validated(range(len(fine_projs)), tuple(fine_projs), tol)

@@ -209,6 +209,29 @@ def test_verify_unwritable_report_is_input_error(tmp_path, monkeypatch, capsys, 
     assert not list(tmp_path.iterdir())
 
 
+def test_verify_refuses_unwritable_report_before_the_first_trial(tmp_path, monkeypatch, capsys):
+    def never(config):
+        raise AssertionError("run_campaign called")
+
+    monkeypatch.setattr(qrelent.cli, "run_campaign", never)
+    assert main(["verify", "eq3a", "--dims", "2", "--trials", "2", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write report file")
+
+
+def test_verify_rewrites_an_existing_report(tmp_path, monkeypatch, capsys):
+    # The writability check appends nothing; the report then replaces
+    # the old file whole, even one longer than itself.
+    monkeypatch.chdir(tmp_path)
+    args = ["verify", "eq3a", "--dims", "2", "--trials", "2", "--seed", "3"]
+    assert main([*args, "--out", "fresh.json"]) == 0
+    (tmp_path / "old.json").write_text("x" * 100_000)
+    assert main([*args, "--out", "old.json"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "old.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 def test_verify_reports_byte_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     args = ["verify", "theorem1", "--dims", "2,3", "--trials", "3", "--seed", "11", "--include-infinite"]

@@ -168,12 +168,13 @@ def test_state_in_support_rejects_bad_rank():
 
 def test_random_refinement_is_refinement_and_deterministic():
     blocks = random_block_projectors(8, (3, 5), seed=4)
-    pair1 = random_refinement(blocks, seed=10)
-    pair2 = random_refinement(blocks, seed=10)
-    assert pair1.grouping == pair2.grouping
-    for p1, p2 in zip(pair1.fine.projectors, pair2.fine.projectors):
+    coarse1, fine1 = random_refinement(blocks, seed=10)
+    _, fine2 = random_refinement(blocks, seed=10)
+    assert len(fine1.projectors) == len(fine2.projectors)
+    for p1, p2 in zip(fine1.projectors, fine2.projectors):
         assert np.array_equal(p1.matrix, p2.matrix)
-    assert is_refinement(pair1.fine, pair1.coarse) == pair1.grouping
+    grouping = is_refinement(fine1, coarse1)
+    assert list(grouping) == sorted(grouping) and set(grouping) == {0, 1}
 
 
 @pytest.mark.parametrize("rank_one", [False, True])
@@ -189,13 +190,13 @@ def test_random_refinement_checks_each_rotated_block_once(monkeypatch, rank_one)
         return real(v)
 
     monkeypatch.setattr(qrelent.linop, "_gram_defect", spy)
-    pair = random_refinement(blocks, seed=12, rank_one=rank_one)
+    _, fine = random_refinement(blocks, seed=12, rank_one=rank_one)
     assert checked == [b.basis.shape for b in blocks]
-    assert sum(p.rank for p in pair.fine.projectors) == 9
+    assert sum(p.rank for p in fine.projectors) == 9
 
 
 def test_random_refinement_rank_one_mode():
     blocks = random_block_projectors(4, (2, 2), seed=6)
-    pair = random_refinement(blocks, seed=11, rank_one=True)
-    assert all(p.rank == 1 for p in pair.fine.projectors)
-    assert pair.grouping == (0, 0, 1, 1)
+    coarse, fine = random_refinement(blocks, seed=11, rank_one=True)
+    assert all(p.rank == 1 for p in fine.projectors)
+    assert is_refinement(fine, coarse) == (0, 0, 1, 1)
