@@ -31,16 +31,17 @@ from .linop import (
     support_leakage,
     support_projector,
     validate_density,
+    _STACK_ENTRIES,
     _spectral_log,
 )
 from .entropy import ProbabilityVector
 from .mixing import (
     OrthogonalDecomposition,
-    classical_embedding_check,
     decompose_by_projectors,
     entropy_mixing_identity,
     lemma1_log_decomposition,
     theorem1_breakdown,
+    _classical_embedding_checks,
 )
 from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _corollary1
 from .stategen import (
@@ -52,6 +53,7 @@ from .stategen import (
     random_state_in_support,
     _composition,
     _ginibre_block,
+    _haar_unitaries,
 )
 
 __all__ = [
@@ -285,25 +287,31 @@ def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Ge
     return report.all_finite, True, residual, None, None
 
 
-def _trial_corollary3(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
+def _chunk_corollary3(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+    """A chunk of corollary3 trials: each drawn from its own stream, in
+    trial order, then checked with one stacked Haar QR and one stacked
+    validation of the embedded states."""
     tol = cfg.tol
-    k = int(rng.integers(2, dim + 1))
-    p = rng.dirichlet(np.ones(k)) + 0.05
-    w = rng.dirichlet(np.ones(k)) + 0.05
-    if _infinite_slot(cfg, trial):
-        # Kill the weight under the largest p entry: both the classical
-        # and the embedded quantum route must report +inf.
-        w[int(np.argmax(p))] = 0.0
-    elif k >= 3 and rng.random() < 0.3:
-        p[int(rng.integers(0, k))] = 0.0
-    p /= p.sum()
-    w /= w.sum()
-    basis = haar_unitary(dim, _sub_seed(rng))[:, :k]
-    classical, quantum = classical_embedding_check(
-        ProbabilityVector.validated(p, tol), ProbabilityVector.validated(w, tol), basis, tol
-    )
-    residual = abs(classical.value - quantum.value) if classical.is_finite and quantum.is_finite else None
-    return classical.is_finite, quantum.is_finite, residual, None, None
+    draws = []
+    for trial, rng in zip(trials, rngs):
+        k = int(rng.integers(2, dim + 1))
+        p = rng.dirichlet(np.ones(k)) + 0.05
+        w = rng.dirichlet(np.ones(k)) + 0.05
+        if _infinite_slot(cfg, trial):
+            # Kill the weight under the largest p entry: both the classical
+            # and the embedded quantum route must report +inf.
+            w[int(np.argmax(p))] = 0.0
+        elif k >= 3 and rng.random() < 0.3:
+            p[int(rng.integers(0, k))] = 0.0
+        p /= p.sum()
+        w /= w.sum()
+        draws.append((ProbabilityVector.validated(p, tol), ProbabilityVector.validated(w, tol), _sub_seed(rng)))
+    unitaries = _haar_unitaries(dim, [seed for _, _, seed in draws])
+    checks = _classical_embedding_checks([(p, w, u[:, : len(p)]) for (p, w, _), u in zip(draws, unitaries)], tol)
+    return [
+        (c.is_finite, q.is_finite, abs(c.value - q.value) if c.is_finite and q.is_finite else None, None, None)
+        for c, q in checks
+    ]
 
 
 def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
@@ -328,32 +336,55 @@ def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Gene
     return report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)
 
 
-_TRIALS = {
-    "lemma1": _trial_lemma1,
-    "eq3a": _trial_eq3a,
-    "theorem1": _trial_theorem1,
-    "corollary1": _trial_corollary1,
-    "corollary2": _trial_corollary2,
-    "corollary3": _trial_corollary3,
-    "theorem2": _trial_theorem2,
+def _per_trial(trial_fn):
+    """The chunk function that runs ``trial_fn`` on each trial of a chunk in turn."""
+
+    def chunk_fn(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+        return [trial_fn(cfg, dim, trial, rng) for trial, rng in zip(trials, rngs)]
+
+    return chunk_fn
+
+
+# A chunk function takes the configuration, the dimension, a range of
+# trials and one generator per trial, and returns one outcome per trial.
+_CHUNKS = {
+    "lemma1": _per_trial(_trial_lemma1),
+    "eq3a": _per_trial(_trial_eq3a),
+    "theorem1": _per_trial(_trial_theorem1),
+    "corollary1": _per_trial(_trial_corollary1),
+    "corollary2": _per_trial(_trial_corollary2),
+    "corollary3": _chunk_corollary3,
+    "theorem2": _per_trial(_trial_theorem2),
 }
+
+
+def _chunk_trials(dim: int) -> int:
+    """Trials per chunk at ``dim``: as many as keep a chunk's stacked
+    ``dim x dim`` states, two per corollary3 trial, within one slice of
+    :data:`~qrelent.linop._STACK_ENTRIES` complex entries."""
+    return max(1, _STACK_ENTRIES // (2 * dim * dim))
 
 
 def run_campaign(config: VerifyConfig) -> CampaignResult:
     """Run every trial of a campaign, in ``(dim, trial)`` order.
 
     The records are a pure function of ``config``: per-trial seeds are
-    derived from ``(config.seed, dim, trial)``.
+    derived from ``(config.seed, dim, trial)``.  Each dimension's trials
+    go to the identity's chunk function a chunk at a time; how they are
+    grouped changes no record.
     """
-    trial_fn = _TRIALS[config.identity]
+    chunk_fn = _CHUNKS[config.identity]
     start = time.perf_counter()
     records = []
     for dim in sorted(config.dims):
-        for t in range(config.trials):
-            seed = derive_seed(config.seed, dim, t)
-            lhs_finite, rhs_finite, residual, min_eig, leakage = trial_fn(config, dim, t, np.random.default_rng(seed))
-            residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
-            records.append(TrialRecord(config.identity, dim, t, seed, residual, min_eig, leakage, passed))
+        size = _chunk_trials(dim)
+        for first in range(0, config.trials, size):
+            trials = range(first, min(first + size, config.trials))
+            seeds = [derive_seed(config.seed, dim, t) for t in trials]
+            outcomes = chunk_fn(config, dim, trials, [np.random.default_rng(seed) for seed in seeds])
+            for t, seed, (lhs_finite, rhs_finite, residual, min_eig, leakage) in zip(trials, seeds, outcomes):
+                residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
+                records.append(TrialRecord(config.identity, dim, t, seed, residual, min_eig, leakage, passed))
     wall = time.perf_counter() - start
 
     failures = sum(1 for r in records if not r.passed)

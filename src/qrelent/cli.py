@@ -10,7 +10,9 @@ commands that read files, so ``verify`` never loads it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -127,10 +129,18 @@ def cmd_verify(args) -> int:
         raise QrelentError(f"--threads must be >= 1, got {args.threads}")
     out = args.out if args.out is not None else f"verify_{config.identity}.json"
     # Refuse an unwritable report before the first trial; "a" leaves an old one as it is.
+    existed = os.path.exists(out)
     with _report_errors(out):
         open(out, "a").close()
-    result = run_campaign(config)
-    write_report(result, out)
+    try:
+        result = run_campaign(config)
+        write_report(result, out)
+    except BaseException:
+        # A run that stops leaves no empty report of its own making.
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(out)
+        raise
     consistent = sum(1 for r in result.records if r.residual == "infinite-consistent")
     mismatched = sum(1 for r in result.records if r.residual == "infinite-mismatch")
     print(f"identity          {config.identity}")

@@ -29,11 +29,11 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
-    validate_density,
     _block_states,
     _check_mutually_orthogonal,
     _density,
     _stack,
+    _validated,
 )
 from .entropy import (
     INFINITY,
@@ -294,16 +294,31 @@ def classical_embedding_check(
     NotOrthonormalError
         If the columns are not orthonormal within ``tol.orth``.
     """
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim != 2 or len(p) != len(w) or b.shape[1] != len(p):
-        raise LengthMismatchError(
-            f"need matching lengths: |p|={len(p)}, |w|={len(w)}, basis columns={b.shape[1] if b.ndim == 2 else '?'}"
-        )
-    Projector.from_basis(b, tol)
+    return _classical_embedding_checks([(p, w, basis)], tol)[0]
 
-    rho_p = validate_density((b * p.probs) @ b.conj().T, tol)
-    rho_w = validate_density((b * w.probs) @ b.conj().T, tol)
 
-    classical = classical_relative_entropy(p, w, tol)
-    quantum = quantum_relative_entropy(rho_p, rho_w, tol)
-    return classical, quantum
+def _classical_embedding_checks(
+    cases: list[tuple[ProbabilityVector, ProbabilityVector, np.ndarray]], tol: Tolerances
+) -> list[tuple[ExtendedReal, ExtendedReal]]:
+    """:func:`classical_embedding_check` of each ``(p, w, basis)`` case, the bases on one dimension.
+
+    Every case passes its length and orthonormality checks first; then
+    the ``2n`` embedded states are validated as one stack, each on its
+    own gates, so each case's result is the one it has alone.
+    """
+    embedded = []
+    for p, w, basis in cases:
+        b = np.asarray(basis, dtype=complex)
+        if b.ndim != 2 or len(p) != len(w) or b.shape[1] != len(p):
+            raise LengthMismatchError(
+                f"need matching lengths: |p|={len(p)}, |w|={len(w)}, "
+                f"basis columns={b.shape[1] if b.ndim == 2 else '?'}"
+            )
+        Projector.from_basis(b, tol)
+        embedded += [(b * p.probs) @ b.conj().T, (b * w.probs) @ b.conj().T]
+
+    states = _validated(np.stack(embedded), tol)
+    return [
+        (classical_relative_entropy(p, w, tol), quantum_relative_entropy(rho_p, rho_w, tol))
+        for (p, w, _), rho_p, rho_w in zip(cases, states[::2], states[1::2])
+    ]

@@ -48,20 +48,29 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def _haar(rng: np.random.Generator, dim: int) -> np.ndarray:
-    # QR of a Ginibre matrix, with the R diagonal's phases folded into
-    # Q so the distribution is exactly Haar rather than QR-convention
-    # dependent.
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
-    phases = np.diag(r).copy()
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from square Ginibre draws: one matrix or a stack, one QR call.
+
+    The phases of R's diagonal are folded into Q, so the distribution
+    is exactly Haar rather than QR-convention dependent.  Each unitary
+    depends only on its own draw.
+    """
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """A Haar-distributed ``dim x dim`` unitary."""
     _check_dim(dim)
-    return _haar(_rng(seed), dim)
+    return _haar(_ginibre(_rng(seed), dim, dim))
+
+
+def _haar_unitaries(dim: int, seeds: Sequence[int]) -> np.ndarray:
+    """``haar_unitary(dim, seed)`` for each seed, as one ``(n, dim, dim)`` stack from one QR call."""
+    _check_dim(dim)
+    return _haar(np.stack([_ginibre(_rng(seed), dim, dim) for seed in seeds]))
 
 
 def _check_dim(dim: int) -> None:
@@ -102,7 +111,7 @@ def random_block_projectors(
         raise BadSpecError(f"block sizes {tuple(sizes)} sum to {sum(sizes)} > dim {dim}")
     if leftover > 0:
         sizes.append(leftover)
-    u = _haar(_rng(seed), dim)
+    u = _haar(_ginibre(_rng(seed), dim, dim))
     out: list[Projector] = []
     start = 0
     for s in sizes:
@@ -178,7 +187,7 @@ def random_refinement(
     coarse_obs = ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol)
     fine_projs: list[Projector] = []
     for p in coarse:
-        rotated = Projector.from_basis(p.basis @ _haar(rng, p.rank), tol).basis
+        rotated = Projector.from_basis(p.basis @ _haar(_ginibre(rng, p.rank, p.rank)), tol).basis
         sizes = [1] * p.rank if rank_one else _random_composition(rng, p.rank)
         start = 0
         for s in sizes:

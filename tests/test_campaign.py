@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import count_kernel_calls, count_solver_calls
-from qrelent import DEFAULT_TOL, ConfigError, random_block_projectors, random_state_in_support
+from qrelent import (
+    DEFAULT_TOL,
+    ConfigError,
+    ProbabilityVector,
+    classical_embedding_check,
+    derive_seed,
+    haar_unitary,
+    random_block_projectors,
+    random_state_in_support,
+)
 from qrelent.campaign import (
     IDENTITIES,
     INFINITE_CONSISTENT,
@@ -16,6 +25,7 @@ from qrelent.campaign import (
     report_document,
     run_campaign,
     write_report,
+    _chunk_trials,
     _mixture_fixture,
     _raw_state_in,
 )
@@ -78,6 +88,51 @@ def test_every_eigensolve_goes_through_the_kernel(monkeypatch, identity):
     kernel = count_kernel_calls(monkeypatch)
     assert run_campaign(small(identity, include_infinite=True)).failures == 0
     assert solves and kernel == solves
+
+
+def _corollary3_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
+    """One corollary3 trial drawn as the campaign draws it, through the
+    public haar_unitary and classical_embedding_check."""
+    rng = np.random.default_rng(derive_seed(cfg.seed, dim, trial))
+    k = int(rng.integers(2, dim + 1))
+    p = rng.dirichlet(np.ones(k)) + 0.05
+    w = rng.dirichlet(np.ones(k)) + 0.05
+    if cfg.include_infinite and trial % 3 == 2:
+        w[int(np.argmax(p))] = 0.0
+    elif k >= 3 and rng.random() < 0.3:
+        p[int(rng.integers(0, k))] = 0.0
+    p /= p.sum()
+    w /= w.sum()
+    basis = haar_unitary(dim, int(rng.integers(0, 2**63)))[:, :k]
+    return classical_embedding_check(ProbabilityVector.validated(p), ProbabilityVector.validated(w), basis)
+
+
+def test_corollary3_records_match_a_per_trial_evaluation():
+    # At d = 32 the 9 trials span three chunks; the records are those of
+    # one trial at a time, bit for bit.
+    cfg = VerifyConfig(identity="corollary3", dims=(2, 32), trials=9, seed=11, include_infinite=True)
+    assert _chunk_trials(32) < 9 <= _chunk_trials(2)
+    records = run_campaign(cfg).records
+    for rec in records:
+        classical, quantum = _corollary3_by_public_calls(cfg, rec.dim, rec.trial)
+        if classical.is_finite and quantum.is_finite:
+            assert rec.residual == abs(classical.value - quantum.value)
+        else:
+            assert not classical.is_finite and not quantum.is_finite
+            assert rec.residual == INFINITE_CONSISTENT
+    assert [(r.dim, r.trial) for r in records] == [(d, t) for d in (2, 32) for t in range(9)]
+
+
+def test_corollary3_solves_each_chunk_once(monkeypatch):
+    # At d <= 8 one chunk holds all 12 trials: one QR and one solve of
+    # the 24 embedded states per dimension.  At d = 64 a chunk is one
+    # trial, whose two states make one solve.
+    calls = count_solver_calls(monkeypatch)
+    run_campaign(VerifyConfig(identity="corollary3", dims=(2, 8), trials=12, seed=3, include_infinite=True))
+    assert calls == [(24, 2, 2), (24, 8, 8)]
+    calls.clear()
+    run_campaign(VerifyConfig(identity="corollary3", dims=(64,), trials=3, seed=3))
+    assert calls == [(2, 64, 64)] * 3
 
 
 def test_corollary2_trial_solves_only_the_probe_in_full(monkeypatch):

@@ -190,6 +190,24 @@ def test_verify_rejects_bad_threads(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_verify_that_exits_2_leaves_no_report(tmp_path, monkeypatch, capsys):
+    # At --tol 1e-30 the block fixtures fail the orthogonality gate: the
+    # run exits 2 after the writability check, whose empty file goes too.
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "lemma1", "--dims", "2", "--trials", "2", "--tol", "1e-30"]) == 2
+    assert "overlap" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_that_exits_2_keeps_an_existing_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "verify_lemma1.json").write_text("old report\n")
+    assert main(["verify", "lemma1", "--dims", "2", "--trials", "2", "--tol", "1e-30"]) == 2
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["verify_lemma1.json"]
+    assert (tmp_path / "verify_lemma1.json").read_text() == "old report\n"
+
+
 def test_verify_rejects_repeated_dims(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "eq3a", "--dims", "2,2", "--trials", "2"]) == 2

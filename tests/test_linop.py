@@ -41,9 +41,9 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _overlaps, _pinched, _pinched_state, _stack
+from qrelent.linop import _overlaps, _pinched, _pinched_state, _stack, _validated
 from qrelent.stategen import _ginibre_block
-from helpers import basis_projector, count_solver_calls, diag_state, exp_hermitian, pure
+from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
 
@@ -272,6 +272,131 @@ def test_block_solver_gates_each_block_solve(monkeypatch, spoil, message, tol):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: spoil(*real(a)))
     with pytest.raises(SolverFailureError, match=message):
         random_state_in_support(p, 2, 7, tol)
+
+
+# -- validate_density's gates at their bounds, alone and in a stack -------
+
+_GATE_ERRORS = {
+    "herm": (NotHermitianError, "Hermiticity defect"),
+    "orth": (SolverFailureError, "not orthonormal"),
+    "recon": (SolverFailureError, "reconstruction"),
+    "psd": (NotPositiveError, "smallest eigenvalue"),
+    "trace": (BadTraceError, "differs from 1"),
+}
+
+
+def _gate_matrix(gate: str, factor: float, tol: Tolerances) -> np.ndarray:
+    """A 3 x 3 matrix whose defect at ``gate`` is ``factor`` times its bound.
+
+    The solver gates (orth, recon) are reached through a spoiled
+    eigensolver instead, on the clean state returned here.
+    """
+    if gate == "psd":
+        return np.diag([0.6 + factor * tol.psd, 0.4, -factor * tol.psd]).astype(complex)
+    if gate == "trace":
+        return np.diag([0.5 + factor * tol.trace, 0.3, 0.2]).astype(complex)
+    rho = random_density(3, seed=21, tol=tol).matrix.copy()
+    if gate == "herm":
+        # rho + eps K, K anti-Hermitian: ||M - M^dag|| = 2 eps ||K|| and
+        # ||M||^2 = ||rho||^2 + eps^2 ||K||^2, solved for the defect h ||M||.
+        k = np.zeros((3, 3), dtype=complex)
+        k[0, 1], k[1, 0] = 1.0, -1.0
+        h = factor * tol.herm
+        return rho + h * frobenius(rho) / (frobenius(k) * math.sqrt(4.0 - h**2)) * k
+    return rho
+
+
+def _spoil_solver(monkeypatch, gate: str, tol: Tolerances) -> dict:
+    """Spoil the eigenpairs of the matrix under test, the only one or the
+    second of a stack, by the defect factor held in the returned dict."""
+    real = np.linalg.eigh
+    spoil = {"factor": 0.0}
+
+    def spoiled(a):
+        w, u = real(a)
+        i = () if a.ndim == 2 else 1
+        if gate == "orth":
+            # U^dag U = (1 + delta)^2 on the diagonal: a Gram defect of factor * orth.
+            u[i] *= math.sqrt(1.0 + spoil["factor"] * tol.orth)
+        elif gate == "recon":
+            # U diag(w + eps) U^dag - M = eps 1, of norm eps sqrt(d); ||M||_F < 1 here.
+            w[i] += spoil["factor"] * tol.recon / math.sqrt(a.shape[-1])
+        return w, u
+
+    monkeypatch.setattr(np.linalg, "eigh", spoiled)
+    return spoil
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "second-of-stack"])
+@pytest.mark.parametrize("gate", list(_GATE_ERRORS))
+def test_validate_density_gate_at_its_bound(monkeypatch, tol, gate, stacked):
+    # A defect at 0.99x the bound is accepted and one at 1.01x raises
+    # the gate's own error, on one matrix and inside a stack alike.
+    error, message = _GATE_ERRORS[gate]
+    clean = random_density(3, seed=22, tol=tol).matrix
+    matrices = {factor: _gate_matrix(gate, factor, tol) for factor in (0.99, 1.01)}
+    spoil = _spoil_solver(monkeypatch, gate, tol)
+
+    def validate(m):
+        return _validated(np.stack([clean, m]), tol)[1] if stacked else validate_density(m, tol)
+
+    spoil["factor"] = 0.99
+    assert isinstance(validate(matrices[0.99]), DensityOperator)
+    spoil["factor"] = 1.01
+    with pytest.raises(error, match=message):
+        validate(matrices[1.01])
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of raw trace-1 Ginibre matrices of one size, and a position in it."""
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    mats = []
+    for _ in range(n):
+        g = np.random.default_rng(draw(st.integers(0, 2**31))).standard_normal((dim, 2 * dim)).view(complex)
+        g = g[:, : draw(st.integers(1, dim))]
+        m = g @ g.conj().T
+        mats.append(m / np.trace(m).real)
+    return mats, draw(st.integers(0, n - 1))
+
+
+@given(stack=_stacks(), kind=st.sampled_from(["non-hermitian", "negative", "bad-trace", "nan"]))
+@settings(deadline=None, max_examples=80)
+def test_stack_rejects_a_spoiled_matrix_like_validate_density(stack, kind):
+    # One spoiled matrix anywhere in a stack raises what it raises alone.
+    tol = DEFAULT_TOL
+    mats, j = stack
+    mats[j] = _spoiled(mats[j], kind)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(QrelentError) as alone:
+            validate_density(mats[j], tol)
+        with pytest.raises(QrelentError) as stacked:
+            _validated(np.stack(mats), tol)
+    assert type(stacked.value) is type(alone.value)
+
+
+def _assert_bit_identical(mats, tol):
+    for m, state in zip(mats, _validated(np.stack(mats), tol), strict=True):
+        alone = validate_density(m, tol)
+        assert np.array_equal(state.spectrum.eigenvalues, alone.spectrum.eigenvalues)
+        assert np.array_equal(state.spectrum.eigenvectors, alone.spectrum.eigenvectors)
+
+
+@given(stack=_stacks())
+@settings(deadline=None, max_examples=60)
+def test_stack_states_are_bit_identical_to_validate_density(stack):
+    _assert_bit_identical(stack[0], DEFAULT_TOL)
+
+
+def test_stack_solves_in_slices_with_bit_identical_states(monkeypatch, tol):
+    # Five 64 x 64 states fill three slices of at most two; each state
+    # is the one validate_density makes of its matrix.
+    mats = [random_density(64, rank=r, seed=r).matrix for r in (64, 1, 40, 64, 7)]
+    kernel = count_kernel_calls(monkeypatch)
+    _validated(np.stack(mats), tol)
+    assert kernel == [(2, 64, 64), (2, 64, 64), (1, 64, 64)]
+    _assert_bit_identical(mats, tol)
 
 
 # -- Projector ----------------------------------------------------------

@@ -37,6 +37,7 @@ from qrelent import (
 )
 from qrelent.entropy import _spectral_entropy
 from qrelent.linop import _block_states, _pinched, _spectral_log, _stack
+from qrelent.mixing import _classical_embedding_checks
 from helpers import basis_projector, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -809,6 +810,24 @@ def test_classical_embedding_random_rotated_basis(tol):
         ProbabilityVector.validated(p), ProbabilityVector.validated(w), basis
     )
     assert abs(classical.value - quantum.value) <= 1e-10
+
+
+def test_classical_embedding_checks_validate_every_state_in_one_solve(monkeypatch, tol):
+    # Three cases on one dimension: their six embedded states are one
+    # stacked solve, and each case's result is the one it has alone.
+    rng = np.random.default_rng(32)
+    cases = [
+        (
+            ProbabilityVector.validated(rng.dirichlet(np.ones(k))),
+            ProbabilityVector.validated(rng.dirichlet(np.ones(k))),
+            haar_unitary(4, 40 + k)[:, :k],
+        )
+        for k in (2, 3, 4)
+    ]
+    alone = [classical_embedding_check(*case, tol) for case in cases]
+    calls = count_solver_calls(monkeypatch)
+    assert _classical_embedding_checks(cases, tol) == alone
+    assert calls == [(6, 4, 4)]
 
 
 def test_classical_embedding_rejects_non_orthonormal():

@@ -19,6 +19,7 @@ from qrelent import (
     random_state_in_support,
     support_projector,
 )
+from qrelent.stategen import _haar_unitaries
 from helpers import count_solver_calls
 
 
@@ -80,6 +81,26 @@ def test_haar_unitary_deterministic_and_unitary():
     u2 = haar_unitary(6, 9)
     assert np.array_equal(u1, u2)
     assert frobenius(u1.conj().T @ u1 - np.eye(6)) < 1e-12
+
+
+def test_haar_unitaries_stack_the_one_matrix_draws():
+    # One QR call over the stack; each unitary is haar_unitary's for its seed.
+    seeds = [3, 0, 2**40, 3]
+    calls = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "qr", counted)
+        stack = _haar_unitaries(5, seeds)
+    assert calls == [(4, 5, 5)]
+    for u, seed in zip(stack, seeds, strict=True):
+        assert np.array_equal(u, haar_unitary(5, seed))
+    with pytest.raises(BadSpecError):
+        _haar_unitaries(5, [1, -1])
 
 
 def test_derive_seed_stable_and_branch_sensitive():
