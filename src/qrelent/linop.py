@@ -432,11 +432,11 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
 
 
 # A stack of states is gated and solved in slices of at most this many
-# complex entries (128 KiB, two 64 x 64 states), so that the temporaries
-# of a slice (M^dag, U, U^dag U, the reconstruction) stay in cache.  On a
-# 2 MiB-L2 Xeon, slices of four 64 x 64 states spent about 50 us more
-# per state on the Hermiticity gate and the reconstruction than slices
-# of two.
+# complex entries (128 KiB, two 64 x 64 states).  Stacking saves the
+# fixed cost of a solver call, which dominates at small d; at large d a
+# bigger slice only adds memory traffic: on a 2-core Xeon (2 MiB L2),
+# slices of four 64 x 64 states spent about 50 us more per state on the
+# Hermiticity gate and the reconstruction than slices of two.
 _STACK_ENTRIES = 2**13
 
 
