@@ -1,25 +1,26 @@
 """Record a paired benchmark trajectory: a base revision against a change.
 
-    python3 bench/record.py --label NAME --base REV [--head REV] \
-        [--pairs 10] [--seconds 50] [--note TEXT ...]
+    python3 bench/record.py --label NAME --base REV [--head REV] [--note TEXT ...]
 
 Both revisions are exported with ``git archive`` into a temporary
 directory, and ``perfbench/run.py`` runs there as a subprocess, each
-run in a fresh interpreter on the exported sources.  An export leaves
-nothing in the repository's own ``.git``, unlike a worktree, even when
-a run is interrupted.
+run in a fresh interpreter on the exported sources at the benchmark's
+own run length.  An export leaves nothing in the repository's own
+``.git``, unlike a worktree, even when a run is interrupted.
 
-For each pair and workload the two sides run once each, on the same
-benchmark seed, and the side that runs first alternates from pair to
-pair.  The last line of each run's output (the benchmark's JSON) is
-kept whole.  Then, per workload and side, ``--traced`` runs at
-``--trace 1`` on one fixed seed give the per-layer counts, which
-repeat exactly for a seed.
+For each of ``PAIRS`` pairs and each workload the two sides run once
+each, on the same benchmark seed, and the side that runs first
+alternates from pair to pair.  The last line of each run's output
+(the benchmark's JSON) is kept whole.  Then, per workload and side,
+``TRACED`` runs of ``TRACE_SECONDS`` at ``--trace 1`` on one fixed
+seed give the per-layer counts, which repeat exactly for a seed.
 
 The result is ``BENCH_<label>.json`` in the repository root: every
-run, the median, quartiles and win count of each end-to-end metric of
+run, each side's failed runs and failed operations, the median,
+quartiles and win count of each end-to-end metric of
 ``BENCHMARK.json`` (a win is a pair where the change reads better, in
-the metric's own direction), and the machine facts of the run.
+the metric's own direction; a pair where either run failed counts as
+a loss), and the machine facts of the run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small", "large")
+PAIRS = 10
+SEEDS = tuple(range(1, PAIRS + 1))  # pair i runs benchmark seed SEEDS[i]
+TRACED = 2  # traced runs per workload and side
+TRACE_SECONDS = 5.0
+TRACE_SEED = 1
 
 
 def git(*args: str) -> str:
@@ -52,10 +58,11 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     """One ``perfbench/run.py`` run: its JSON line, or the failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    argv += ["--seconds", str(seconds), "--trace", str(trace)]
+    if trace:
+        argv += ["--trace", "1", "--seconds", str(TRACE_SECONDS)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     try:
@@ -64,42 +71,56 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         return {"returncode": proc.returncode, "result": None, "stderr_tail": proc.stderr[-2000:]}
 
 
+def run_failed(run: dict) -> bool:
+    """A run that exited non-zero, printed no JSON or reports a wrong result."""
+    return run["returncode"] != 0 or run["result"] is None or not run["result"].get("correct", False)
+
+
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
 
 
 def metric(run: dict, name: str) -> float | None:
-    result = run["result"]
-    if result is None or name not in result["metrics"]:
+    if run_failed(run) or name not in run["result"]["metrics"]:
         return None
-    return result["metrics"][name]["value"]
+    return run["result"]["metrics"][name]["value"]
 
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the change's wins."""
-    out = {}
+    """Each side's failed runs and its attempted and failed operations;
+    per end-to-end metric, each side's median and quartiles, and the
+    change's wins."""
+    out = {
+        "failed_runs": {side: sum(run_failed(p[side]) for p in pairs) for side in ("base", "head")},
+        "operations": {
+            side: {
+                key: sum(p[side]["result"][key] for p in pairs if p[side]["result"]) for key in ("attempted", "failed")
+            }
+            for side in ("base", "head")
+        },
+    }
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         both = [(metric(p["base"], name), metric(p["head"], name)) for p in pairs]
-        both = [(b, h) for b, h in both if b is not None and h is not None]
-        if not both:
+        base, head = [b for b, _ in both if b is not None], [h for _, h in both if h is not None]
+        if not base or not head:
+            out[name] = None
             continue
-        base, head = [b for b, _ in both], [h for _, h in both]
-        wins = sum(1 for b, h in both if (h > b if higher else h < b))
-        ties = sum(1 for b, h in both if h == b)
+        measured = [(b, h) for b, h in both if b is not None and h is not None]
         base_q, head_q = quartiles(base), quartiles(head)
         gain = head_q["median"] - base_q["median"] if higher else base_q["median"] - head_q["median"]
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "bound": m["bound"],
-            "pairs": len(both),
+            "pairs": len(pairs),
+            "pairs_lost_to_a_failed_run": len(pairs) - len(measured),
             "base": base_q,
             "head": head_q,
             "head_over_base": head_q["median"] / base_q["median"] if base_q["median"] else None,
-            "head_wins": wins,
-            "ties": ties,
+            "head_wins": sum(1 for b, h in measured if (h > b if higher else h < b)),
+            "ties": sum(1 for b, h in measured if h == b),
             "gain_beyond_base_iqr": gain > base_q["iqr"],
         }
     return out
@@ -143,15 +164,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="written to BENCH_<label>.json")
     parser.add_argument("--base", required=True, help="base revision")
     parser.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
-    parser.add_argument("--seconds", type=float, default=50.0, help="run length of every timed run")
-    parser.add_argument("--seed", type=int, default=1, help="benchmark seed of pair 0; pair i runs seed + i")
-    parser.add_argument("--traced", type=int, default=2, help="traced runs per workload and side")
-    parser.add_argument("--trace-seconds", type=float, default=5.0, help="run length of every traced run")
     parser.add_argument("--note", action="append", default=[], help="a note to keep in the file")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.traced < 0:
-        parser.error("--pairs must be >= 1 and --traced >= 0")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
@@ -159,20 +173,20 @@ def main(argv=None) -> int:
         revisions = {side: export(getattr(args, side), path) for side, path in sides.items()}
 
         pairs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
-        for i in range(args.pairs):
+        for i, seed in enumerate(SEEDS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for workload in WORKLOADS:
-                pair = {"pair": i, "seed": args.seed + i, "first": order[0]}
+                pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(sides[side], workload, args.seed + i, args.seconds, 0)
+                    pair[side] = run_bench(sides[side], workload, seed, trace=False)
                 pairs[workload].append(pair)
                 print(f"pair {i} {workload} done", file=sys.stderr, flush=True)
 
         traced: dict[str, dict[str, list[dict]]] = {w: {"base": [], "head": []} for w in WORKLOADS}
         for workload in WORKLOADS:
-            for k in range(args.traced):
+            for k in range(TRACED):
                 for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
-                    traced[workload][side].append(run_bench(sides[side], workload, args.seed, args.trace_seconds, 1))
+                    traced[workload][side].append(run_bench(sides[side], workload, TRACE_SEED, trace=True))
 
     document = {
         "label": args.label,
@@ -188,12 +202,12 @@ def main(argv=None) -> int:
             "blas_threads": "1 (perfbench/run.py sets OPENBLAS_NUM_THREADS=1 before importing numpy)",
         },
         "settings": {
-            "pairs": args.pairs,
-            "seconds": args.seconds,
-            "seeds": [args.seed + i for i in range(args.pairs)],
-            "traced_runs": args.traced,
-            "trace_seconds": args.trace_seconds,
-            "trace_seed": args.seed,
+            "pairs": PAIRS,
+            "seconds": "perfbench/run.py's own run length",
+            "seeds": list(SEEDS),
+            "traced_runs": TRACED,
+            "trace_seconds": TRACE_SECONDS,
+            "trace_seed": TRACE_SEED,
             "order": "pair i runs base first when i is even, head first when i is odd",
         },
         "notes": args.note,

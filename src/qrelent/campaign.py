@@ -290,7 +290,13 @@ def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Ge
 def _chunk_corollary3(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     """A chunk of corollary3 trials: each drawn from its own stream, in
     trial order, then checked with one stacked Haar QR and one stacked
-    validation of the embedded states."""
+    validation of the embedded states.
+
+    Every trial's probability vectors are validated as it is drawn,
+    before the chunk's first embedded state; so when several trials of
+    a chunk fail (under a tight ``--tol``), the error raised may be a
+    later trial's rather than the one the first failing trial raises
+    alone.  Passing trials give the records of one trial at a time."""
     tol = cfg.tol
     draws = []
     for trial, rng in zip(trials, rngs):

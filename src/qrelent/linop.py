@@ -28,9 +28,9 @@ Conventions
 * Every eigensolve is one call of the kernel :func:`_solve`, on a
   matrix, a batch of blocks or a stack of states, gated by
   :func:`_check_solve` on each matrix's own defects.
-* :func:`validate_density` is the one-matrix case of :func:`_validated`,
-  which validates a stack of states with one solve per slice of
-  :data:`_STACK_ENTRIES` entries, and gates every state on its own.
+* :func:`_validated` is the stack form of :func:`validate_density`: one
+  solve per slice of :data:`_STACK_ENTRIES` entries, and every state
+  gated on its own, as it would be alone.
 * Every state built from blocks ends in :func:`_block_spectra`, which
   solves the compression ``B = V^dag M V`` with one batched eigensolve
   per distinct block size, rank-1 blocks read off the diagonal, and no
@@ -294,36 +294,19 @@ def symmetrize(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _hermitian_part(m, frobenius(m), tol)
 
 
-def _sq_frobenius_each(m: np.ndarray):
-    """``||M||_F^2`` of a matrix (a NumPy scalar), or of each matrix of a stack (an array)."""
-    if m.ndim == 2:
-        return np.vdot(m, m).real
-    # Each matrix as one real row, so that its squared norm is the row's dot product with itself.
-    x = np.ascontiguousarray(m).reshape(len(m), 1, -1).view(float)
-    return (x @ x.swapaxes(-1, -2))[:, 0, 0]
-
-
-def _frobenius_each(m: np.ndarray):
-    """``||M||_F`` of a matrix (a NumPy scalar), or of each matrix of a stack (an array)."""
-    return np.sqrt(_sq_frobenius_each(m))
-
-
-def _hermitian_part(m: np.ndarray, scale, tol: Tolerances) -> np.ndarray:
-    """``(M + M^dag) / 2`` of a square ``m``, if ``||M - M^dag||_F <= tol.herm * scale``.
-
-    ``m`` may be a stack of matrices with one ``scale`` each; every
-    matrix is gated on its own, and the first that fails raises.
-    """
-    adj = m.conj().swapaxes(-1, -2)
-    defect = _frobenius_each(m - adj)
-    bound = tol.herm * np.maximum(scale, 1e-300)
-    if not (defect <= bound).all():
-        i = np.flatnonzero(~(defect <= bound))[0]
-        raise NotHermitianError(
-            f"Hermiticity defect {np.ravel(defect)[i]:.3e} exceeds "
-            f"{tol.herm:.1e} * ||M||_F = {np.ravel(bound)[i]:.3e}"
-        )
+def _hermitian_part(m: np.ndarray, scale: float, tol: Tolerances) -> np.ndarray:
+    """``(M + M^dag) / 2`` of a square ``m``, if ``||M - M^dag||_F <= tol.herm * scale``."""
+    adj = m.conj().T
+    _check_hermitian(frobenius(m - adj), scale, tol)
     return (m + adj) / 2.0
+
+
+def _check_hermitian(defect: float, scale: float, tol: Tolerances) -> None:
+    """Gate Hermiticity: a defect ``||M - M^dag||_F`` within ``tol.herm * scale``."""
+    if not (defect <= tol.herm * max(scale, 1e-300)):
+        raise NotHermitianError(
+            f"Hermiticity defect {defect:.3e} exceeds {tol.herm:.1e} * ||M||_F = {tol.herm * scale:.3e}"
+        )
 
 
 def _gram_defect(v: np.ndarray) -> float:
@@ -347,7 +330,8 @@ def _solve(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         raise SolverFailureError(f"eigensolver failed: {exc}") from exc
     recon = (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
     recon -= m
-    return w, u, _gram_defects(u), _sq_frobenius_each(recon)
+    recon_sq = np.vdot(recon, recon).real if m.ndim == 2 else np.linalg.norm(recon, axis=(-2, -1)) ** 2
+    return w, u, _gram_defects(u), recon_sq
 
 
 def _check_solve(gram_defect: float, recon_sq: float, scale: float, tol: Tolerances) -> None:
@@ -425,45 +409,53 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
     ------
     NotHermitianError, NotPositiveError, BadTraceError, SolverFailureError
     """
-    m = np.asarray(raw, dtype=complex)
-    if m.ndim != 2:
-        raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    return _validated(m, tol)[0]
+    spec = eigh(symmetrize(raw, tol), tol)
+    return _state(spec.eigenvalues, spec.eigenvectors, tol)
 
 
 # A stack of states is gated and solved in slices of at most this many
-# complex entries (128 KiB, two 64 x 64 states).  Stacking saves the
-# fixed cost of a solver call, which dominates at small d; at large d a
-# bigger slice only adds memory traffic: on a 2-core Xeon (2 MiB L2),
-# slices of four 64 x 64 states spent about 50 us more per state on the
-# Hermiticity gate and the reconstruction than slices of two.
-_STACK_ENTRIES = 2**13
+# complex entries (64 KiB), so a 64 x 64 state fills a slice alone and
+# is solved as validate_density solves it.  Stacking saves the fixed
+# cost of a solver call, which dominates at small d; at d = 64 it saves
+# little, and a slice of two such states costs more than it saves.  On
+# a 2-core Xeon with one BLAS thread, 12-trial corollary3 campaigns,
+# alternating in one process with the per-trial check they replace
+# over 40 rounds, took 1.02x its time at d = 64 and 0.89x at d = 32
+# with this bound, and 1.11x and 0.84x with 2^13 (slices of 128 KiB,
+# the size from which glibc's default allocator maps each array
+# afresh).
+_STACK_ENTRIES = 2**12
 
 
-def _validated(m: np.ndarray, tol: Tolerances) -> list[DensityOperator]:
-    """The states of a complex ``(d, d)`` matrix or ``(n, d, d)`` stack: the body of :func:`validate_density`.
+def _validated(matrices, tol: Tolerances) -> list[DensityOperator]:
+    """:func:`validate_density` of each of a sequence of complex ``d x d`` matrices.
 
-    Every matrix passes the gates of :func:`validate_density` on its
-    own, at the same bounds and in the same order: Hermiticity, then
-    the Gram and reconstruction defects of its eigenvectors, positivity
-    and unit trace.  A matrix is solved as it is; a stack is taken in
-    slices of at most :data:`_STACK_ENTRIES` entries, each gated for
-    Hermiticity matrix by matrix, solved by one :func:`_solve` call and
-    then gated matrix by matrix; the first matrix that fails a gate
-    raises.  The state of a matrix does not depend on the other
-    matrices of its stack.
+    Every matrix passes the gates of :func:`validate_density` at the
+    same bounds, and the state of a matrix does not depend on the
+    other matrices.  The matrices are taken in slices of at most
+    :data:`_STACK_ENTRIES` entries; a slice of one matrix is validated
+    by :func:`validate_density` itself.  A larger slice is stacked, the
+    Hermiticity of each of its matrices is gated, one :func:`_solve`
+    call solves it, and then each matrix in turn has its Gram,
+    reconstruction, positivity and trace gates.  So the first failure
+    raises, in that order: a matrix that fails Hermiticity is reported
+    before an earlier matrix of its slice that would fail a later gate.
     """
-    if m.shape[-1] != m.shape[-2]:
-        raise NotHermitianError(f"expected square matrices, got shape {m.shape}")
-    per_slice = max(1, _STACK_ENTRIES // max(1, m.shape[-1] ** 2))
-    parts = [m] if m.ndim == 2 else [m[a : a + per_slice] for a in range(0, len(m), per_slice)]
+    per_slice = max(1, _STACK_ENTRIES // np.size(matrices[0]))
     states = []
-    for part in parts:
-        part = _hermitian_part(part, _frobenius_each(part), tol)
+    for a in range(0, len(matrices), per_slice):
+        part = matrices[a : a + per_slice]
+        if len(part) == 1:
+            states.append(validate_density(part[0], tol))
+            continue
+        part = np.stack(part)
+        adj = part.conj().swapaxes(-1, -2)
+        for defect, scale in zip(np.linalg.norm(part - adj, axis=(-2, -1)), np.linalg.norm(part, axis=(-2, -1))):
+            _check_hermitian(float(defect), float(scale), tol)
+        part = (part + adj) / 2.0
         w, v, gram_defect, recon_sq = _solve(part)
-        scale = _frobenius_each(part)
-        for i in [()] if part.ndim == 2 else range(len(part)):
-            _check_solve(float(gram_defect[i]), float(recon_sq[i]), float(scale[i]), tol)
+        for i, scale in enumerate(np.linalg.norm(part, axis=(-2, -1))):
+            _check_solve(float(gram_defect[i]), float(recon_sq[i]), float(scale), tol)
             states.append(_state(w[i], v[i], tol))
     return states
 

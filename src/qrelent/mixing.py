@@ -303,8 +303,9 @@ def _classical_embedding_checks(
     """:func:`classical_embedding_check` of each ``(p, w, basis)`` case, the bases on one dimension.
 
     Every case passes its length and orthonormality checks first; then
-    the ``2n`` embedded states are validated as one stack, each on its
-    own gates, so each case's result is the one it has alone.
+    the ``2n`` embedded states go to one stacked validation, each on its
+    own gates, so each case's result is the one it has alone.  When
+    several cases fail, the error raised may be a later case's.
     """
     embedded = []
     for p, w, basis in cases:
@@ -317,7 +318,7 @@ def _classical_embedding_checks(
         Projector.from_basis(b, tol)
         embedded += [(b * p.probs) @ b.conj().T, (b * w.probs) @ b.conj().T]
 
-    states = _validated(np.stack(embedded), tol)
+    states = _validated(embedded, tol)
     return [
         (classical_relative_entropy(p, w, tol), quantum_relative_entropy(rho_p, rho_w, tol))
         for (p, w, _), rho_p, rho_w in zip(cases, states[::2], states[1::2])

@@ -108,7 +108,7 @@ def _corollary3_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
 
 
 def test_corollary3_records_match_a_per_trial_evaluation():
-    # At d = 32 the 9 trials span three chunks; the records are those of
+    # At d = 32 the 9 trials span five chunks; the records are those of
     # one trial at a time, bit for bit.
     cfg = VerifyConfig(identity="corollary3", dims=(2, 32), trials=9, seed=11, include_infinite=True)
     assert _chunk_trials(32) < 9 <= _chunk_trials(2)
@@ -125,14 +125,15 @@ def test_corollary3_records_match_a_per_trial_evaluation():
 
 def test_corollary3_solves_each_chunk_once(monkeypatch):
     # At d <= 8 one chunk holds all 12 trials: one QR and one solve of
-    # the 24 embedded states per dimension.  At d = 64 a chunk is one
-    # trial, whose two states make one solve.
+    # the 24 embedded states per dimension.  At d = 32 a chunk is two
+    # trials, whose four states make one solve; at d = 64 a chunk is one
+    # trial, and each of its two states is solved alone.
     calls = count_solver_calls(monkeypatch)
     run_campaign(VerifyConfig(identity="corollary3", dims=(2, 8), trials=12, seed=3, include_infinite=True))
     assert calls == [(24, 2, 2), (24, 8, 8)]
     calls.clear()
-    run_campaign(VerifyConfig(identity="corollary3", dims=(64,), trials=3, seed=3))
-    assert calls == [(2, 64, 64)] * 3
+    run_campaign(VerifyConfig(identity="corollary3", dims=(32, 64), trials=3, seed=3))
+    assert calls == [(4, 32, 32), (2, 32, 32)] + [(64, 64)] * 6
 
 
 def test_corollary2_trial_solves_only_the_probe_in_full(monkeypatch):

@@ -41,7 +41,7 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _overlaps, _pinched, _pinched_state, _stack, _validated
+from qrelent.linop import _STACK_ENTRIES, _overlaps, _pinched, _pinched_state, _stack, _validated
 from qrelent.stategen import _ginibre_block
 from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, exp_hermitian, pure
 
@@ -389,14 +389,33 @@ def test_stack_states_are_bit_identical_to_validate_density(stack):
     _assert_bit_identical(stack[0], DEFAULT_TOL)
 
 
-def test_stack_solves_in_slices_with_bit_identical_states(monkeypatch, tol):
-    # Five 64 x 64 states fill three slices of at most two; each state
+@pytest.mark.parametrize(
+    ("dim", "slices"), [(32, [(4, 32, 32), (4, 32, 32), (32, 32)]), (64, [(64, 64)] * 9)], ids=["d32", "d64"]
+)
+def test_stack_solves_in_slices_with_bit_identical_states(monkeypatch, tol, dim, slices):
+    # Nine states fill slices of at most 2^12 entries; a slice of one
+    # matrix is solved alone, as validate_density solves it.  Each state
     # is the one validate_density makes of its matrix.
-    mats = [random_density(64, rank=r, seed=r).matrix for r in (64, 1, 40, 64, 7)]
+    mats = [random_density(dim, rank=r, seed=r).matrix for r in (dim, 1, 20, dim, 7, 2, dim, 3, 9)]
     kernel = count_kernel_calls(monkeypatch)
-    _validated(np.stack(mats), tol)
-    assert kernel == [(2, 64, 64), (2, 64, 64), (1, 64, 64)]
+    _validated(mats, tol)
+    assert kernel == slices
     _assert_bit_identical(mats, tol)
+
+
+def test_stack_gates_hermiticity_of_a_slice_before_its_solve(tol):
+    # In one slice a non-Hermitian third matrix is reported before a
+    # non-positive second one; across slices the earlier slice raises.
+    clean = random_density(3, seed=22, tol=tol).matrix
+    negative = _gate_matrix("psd", 2.0, tol)
+    skew = _gate_matrix("herm", 2.0, tol)
+    with pytest.raises(NotHermitianError):
+        _validated([clean, negative, skew], tol)
+    with pytest.raises(NotPositiveError):
+        validate_density(negative, tol)
+    per_slice = _STACK_ENTRIES // 9
+    with pytest.raises(NotPositiveError):
+        _validated([clean, negative] + [clean] * (per_slice - 2) + [skew], tol)
 
 
 # -- Projector ----------------------------------------------------------
