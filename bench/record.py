@@ -14,6 +14,12 @@ alternates from pair to pair.  The last line of each run's output
 (the benchmark's JSON) is kept whole.  Then, per workload and side,
 ``TRACED`` runs of ``TRACE_SECONDS`` at ``--trace 1`` on one fixed
 seed give the per-layer counts, which repeat exactly for a seed.
+Last, each side's solve shapes: for every identity at each of
+``SHAPE_DIMS``, one ``run_campaign`` of ``SHAPE_TRIALS`` trials on
+``SHAPE_SEED`` in the exported tree, with every eigensolver call
+recorded by shape.  Per trial it gives the ``d x d`` solves and the
+smaller solves, each matrix of a stack counted once, and the solver
+calls; stacking shows as fewer calls for the same solves.
 
 The result is ``BENCH_<label>.json`` in the repository root: every
 run, each side's failed runs and failed operations, the median,
@@ -43,6 +49,37 @@ SEEDS = tuple(range(1, PAIRS + 1))  # pair i runs benchmark seed SEEDS[i]
 TRACED = 2  # traced runs per workload and side
 TRACE_SECONDS = 5.0
 TRACE_SEED = 1
+SHAPE_DIMS = (4, 64)
+SHAPE_TRIALS = 24
+SHAPE_SEED = 11
+
+# Run in an exported tree: every numpy.linalg.eigh/eigvalsh call of one
+# campaign per (identity, dim), counted by the size of what it solves.
+SHAPE_CODE = """
+import json, math, sys
+import numpy as np
+sys.path.insert(0, "src")
+from qrelent.campaign import IDENTITIES, VerifyConfig, run_campaign
+
+dims, trials, seed = json.loads(sys.argv[1])
+shapes = []
+for name in ("eigh", "eigvalsh"):
+    def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+        shapes.append(np.shape(a))
+        return _real(a, *args, **kwargs)
+    setattr(np.linalg, name, counted)
+out = {}
+for identity in IDENTITIES:
+    for dim in dims:
+        shapes.clear()
+        run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=seed, include_infinite=True))
+        full = sum(math.prod(s[:-2]) for s in shapes if s[-1] == dim)
+        smaller = sum(math.prod(s[:-2]) for s in shapes if s[-1] < dim)
+        out.setdefault(identity, {})[str(dim)] = {
+            "dxd_solves": full / trials, "smaller_solves": smaller / trials, "solver_calls": len(shapes) / trials,
+        }
+print(json.dumps(out))
+"""
 
 
 def git(*args: str) -> str:
@@ -135,6 +172,14 @@ def solve_counts(traced: dict) -> dict:
     return out
 
 
+def solve_shapes(checkout: Path) -> dict:
+    """Per identity and dimension of ``SHAPE_DIMS``, the solves and solver calls per trial in ``checkout``."""
+    argv = [sys.executable, "-c", SHAPE_CODE, json.dumps([SHAPE_DIMS, SHAPE_TRIALS, SHAPE_SEED])]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def blas_facts() -> dict:
     """NumPy's build and BLAS facts, from a fresh interpreter pinned as the benchmark pins it."""
     code = (
@@ -187,6 +232,7 @@ def main(argv=None) -> int:
             for k in range(TRACED):
                 for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
                     traced[workload][side].append(run_bench(sides[side], workload, TRACE_SEED, trace=True))
+        shapes = {side: solve_shapes(path) for side, path in sides.items()}
 
     document = {
         "label": args.label,
@@ -208,11 +254,14 @@ def main(argv=None) -> int:
             "traced_runs": TRACED,
             "trace_seconds": TRACE_SECONDS,
             "trace_seed": TRACE_SEED,
+            "solve_shapes": f"run_campaign(identity, dims=(d,), trials={SHAPE_TRIALS}, seed={SHAPE_SEED},"
+            f" include_infinite=True) for d in {SHAPE_DIMS}; counts per trial, each matrix of a stack once",
             "order": "pair i runs base first when i is even, head first when i is odd",
         },
         "notes": args.note,
         "summary": {w: summarize(pairs[w], spec) for w in WORKLOADS},
         "solve_counts": {w: solve_counts(traced[w]) for w in WORKLOADS},
+        "solve_shapes": shapes,
         "traced": traced,
         "pairs": pairs,
     }

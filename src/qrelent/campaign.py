@@ -7,6 +7,14 @@ trials built to violate a support hypothesis, whether both routes
 agree on infinity.  Records depend only on the configuration and the
 per-trial seed derived from ``(master seed, dim, trial index)``, so a
 report is byte-for-byte reproducible.
+
+Trials run a chunk at a time.  lemma1, eq3a and theorem1 share one
+chunk fixture, which draws every trial's block frame with one stacked
+Haar QR and validates every trial's mixture with one stacked solve;
+corollary3 stacks its Haar draws and embedded states likewise; the
+other identities run their trials one by one.  A stacked solve gates
+and solves each matrix as it would be alone, so grouping changes no
+record.  An error raised inside a chunk names the chunk.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, FileFormatError, QrelentError
 from .linop import (
     DEFAULT_TOL,
     DensityOperator,
@@ -33,6 +41,7 @@ from .linop import (
     validate_density,
     _STACK_ENTRIES,
     _spectral_log,
+    _validated,
 )
 from .entropy import ProbabilityVector
 from .mixing import (
@@ -54,6 +63,7 @@ from .stategen import (
     _composition,
     _ginibre_block,
     _haar_unitaries,
+    _random_block_families,
 )
 
 __all__ = [
@@ -172,30 +182,6 @@ def _random_weights(rng: np.random.Generator, n: int, allow_zero: bool) -> np.nd
     return w / w.sum()
 
 
-def _mixture_fixture(
-    rng: np.random.Generator,
-    blocks: list[Projector],
-    tol: Tolerances,
-    include_singular: bool,
-    allow_zero_weight: bool = True,
-) -> OrthogonalDecomposition:
-    """A random state mixed over the given blocks, decomposed back.
-
-    The blocks are raw draws; only the mixture is validated, once, and
-    the decomposition then validates each part in its block.
-    """
-    weights = _random_weights(rng, len(blocks), allow_zero_weight)
-    dim = blocks[0].dim
-    mixture = np.zeros((dim, dim), dtype=complex)
-    for b, w in zip(blocks, weights.tolist()):
-        if w == 0.0:
-            continue
-        rank = int(rng.integers(1, b.rank + 1)) if include_singular else b.rank
-        mixture += w * _raw_state_in(b, rank, _sub_seed(rng))
-    sigma = validate_density(mixture, tol)
-    return decompose_by_projectors(sigma, blocks, tol)
-
-
 def _raw_state_in(p: Projector, rank: int, seed: int) -> np.ndarray:
     """The matrix of ``random_state_in_support(p, rank, seed)``, unvalidated."""
     return p.basis @ _ginibre_block(p, rank, seed) @ p.basis.conj().T
@@ -207,59 +193,111 @@ def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list
     return random_block_projectors(dim, sizes, seed=_sub_seed(rng), tol=tol)
 
 
-def _trial_lemma1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
-    d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
-    lhs = _spectral_log(d.sigma.spectrum)
-    rhs = lemma1_log_decomposition(d)
-    return True, True, frobenius(lhs - rhs), _min_nonzero_eig(d.sigma), None
-
-
-def _trial_eq3a(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
-    d = _mixture_fixture(rng, _blocks_fixture(rng, dim, cfg.tol), cfg.tol, cfg.include_singular)
-    lhs, rhs = entropy_mixing_identity(d)
-    return True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma), None
-
-
 def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
     return cfg.include_infinite and trial % 3 == 2
 
 
-def _trial_theorem1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
-    tol = cfg.tol
-    if _infinite_slot(cfg, trial):
-        # Confine sigma to all blocks but the last; give rho mass there,
-        # so both evaluation routes must independently report +inf.
-        blocks = _blocks_fixture(rng, dim, tol)
-        inside, outside = blocks[:-1], blocks[-1]
-        d = _mixture_fixture(rng, inside, tol, cfg.include_singular, allow_zero_weight=False)
-        rho_out = _raw_state_in(outside, 1, _sub_seed(rng))
-        supp = support_projector(d.sigma)
-        rho_in = _raw_state_in(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng))
-        mix = rng.uniform(0.2, 0.8)
-        rho = validate_density(mix * rho_in + (1.0 - mix) * rho_out, tol)
-    else:
-        d = _mixture_fixture(rng, _blocks_fixture(rng, dim, tol), tol, cfg.include_singular)
-        supp = support_projector(d.sigma)
-        options = sorted({1, math.ceil(dim / 2), dim} if cfg.include_singular else {dim})
-        options = [r for r in options if r <= supp.rank] or [supp.rank]
-        rank = int(options[int(rng.integers(0, len(options)))])
-        if rng.random() < 0.25:
-            # Confine rho to a single populated block: some p_k are then
-            # exactly zero and the primed sums must cope.
-            populated = [q for q in d.supports if q.rank >= 1]
-            q = populated[int(rng.integers(0, len(populated)))]
-            rho = random_state_in_support(q, min(rank, q.rank), _sub_seed(rng), tol)
-        else:
-            rho = random_state_in_support(supp, rank, _sub_seed(rng), tol)
+def _mixture_chunk(
+    cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator], confine: bool = False
+) -> list[tuple[list[Projector], OrthogonalDecomposition]]:
+    """Per trial of a chunk, a random block frame and a state mixed over
+    it, decomposed back; returns each trial's blocks and decomposition.
 
-    bd = theorem1_breakdown(rho, d, tol)
-    return (
-        bd.total_lhs.is_finite,
-        bd.total_rhs.is_finite,
-        bd.residual,
-        _min_nonzero_eig(d.sigma),
-        support_leakage(rho, d.sigma),
-    )
+    Each trial draws, from its own stream and in trial order, its block
+    sizes, its frame seed, then the weight, rank and seed of each block
+    state.  With ``confine``, an infinite slot mixes over every block
+    but the last and allows no zero weight.  Then one QR call builds
+    every frame, each block through the Gram gate of
+    :meth:`~qrelent.linop.Projector.from_basis`; the raw block states
+    are mixed, one :func:`~qrelent.linop._validated` call validates the
+    chunk's mixtures, and each is decomposed over its blocks.
+
+    Every frame is gated before the first mixture, and every mixture's
+    Hermiticity before the chunk's solve; so when several trials of a
+    chunk fail (under a tight ``--tol``), the error raised may be a
+    later trial's rather than the one the first failing trial raises
+    alone.  Passing trials give the records of one trial at a time.
+    """
+    tol = cfg.tol
+    families, frame_seeds, mixed, drawn = [], [], [], []
+    for trial, rng in zip(trials, rngs):
+        sizes = _composition(rng, dim, int(rng.integers(2, min(dim, 4) + 1)))
+        families.append(sizes)
+        frame_seeds.append(_sub_seed(rng))
+        n = len(sizes) - 1 if confine and _infinite_slot(cfg, trial) else len(sizes)
+        mixed.append(n)
+        parts = []
+        for k, w in enumerate(_random_weights(rng, n, allow_zero=n == len(sizes)).tolist()):
+            if w != 0.0:
+                rank = int(rng.integers(1, sizes[k] + 1)) if cfg.include_singular else sizes[k]
+                parts.append((k, w, rank, _sub_seed(rng)))
+        drawn.append(parts)
+    frames = _random_block_families(dim, families, frame_seeds, tol)
+    mixtures = []
+    for blocks, parts in zip(frames, drawn):
+        mixture = np.zeros((dim, dim), dtype=complex)
+        for k, w, rank, seed in parts:
+            mixture += w * _raw_state_in(blocks[k], rank, seed)
+        mixtures.append(mixture)
+    return [
+        (blocks, decompose_by_projectors(sigma, blocks[:n], tol))
+        for blocks, sigma, n in zip(frames, _validated(mixtures, tol), mixed)
+    ]
+
+
+def _chunk_lemma1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+    out = []
+    for _, d in _mixture_chunk(cfg, dim, trials, rngs):
+        residual = frobenius(_spectral_log(d.sigma.spectrum) - lemma1_log_decomposition(d))
+        out.append((True, True, residual, _min_nonzero_eig(d.sigma), None))
+    return out
+
+
+def _chunk_eq3a(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+    out = []
+    for _, d in _mixture_chunk(cfg, dim, trials, rngs):
+        lhs, rhs = entropy_mixing_identity(d)
+        out.append((True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma), None))
+    return out
+
+
+def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+    """A chunk of theorem1 trials: the fixtures of :func:`_mixture_chunk`,
+    then each trial's rho drawn on from that trial's own stream."""
+    tol = cfg.tol
+    out = []
+    for trial, rng, (blocks, d) in zip(trials, rngs, _mixture_chunk(cfg, dim, trials, rngs, confine=True)):
+        supp = support_projector(d.sigma)
+        if _infinite_slot(cfg, trial):
+            # sigma is confined to all blocks but the last; give rho mass
+            # there, so both evaluation routes must independently report +inf.
+            rho_out = _raw_state_in(blocks[-1], 1, _sub_seed(rng))
+            rho_in = _raw_state_in(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng))
+            mix = rng.uniform(0.2, 0.8)
+            rho = validate_density(mix * rho_in + (1.0 - mix) * rho_out, tol)
+        else:
+            options = sorted({1, math.ceil(dim / 2), dim} if cfg.include_singular else {dim})
+            options = [r for r in options if r <= supp.rank] or [supp.rank]
+            rank = int(options[int(rng.integers(0, len(options)))])
+            if rng.random() < 0.25:
+                # Confine rho to a single populated block: some p_k are then
+                # exactly zero and the primed sums must cope.
+                populated = [q for q in d.supports if q.rank >= 1]
+                q = populated[int(rng.integers(0, len(populated)))]
+                rho = random_state_in_support(q, min(rank, q.rank), _sub_seed(rng), tol)
+            else:
+                rho = random_state_in_support(supp, rank, _sub_seed(rng), tol)
+        bd = theorem1_breakdown(rho, d, tol)
+        out.append(
+            (
+                bd.total_lhs.is_finite,
+                bd.total_rhs.is_finite,
+                bd.residual,
+                _min_nonzero_eig(d.sigma),
+                support_leakage(rho, d.sigma),
+            )
+        )
+    return out
 
 
 def _random_probe(rng: np.random.Generator, dim: int, include_singular: bool, tol: Tolerances) -> DensityOperator:
@@ -354,9 +392,9 @@ def _per_trial(trial_fn):
 # A chunk function takes the configuration, the dimension, a range of
 # trials and one generator per trial, and returns one outcome per trial.
 _CHUNKS = {
-    "lemma1": _per_trial(_trial_lemma1),
-    "eq3a": _per_trial(_trial_eq3a),
-    "theorem1": _per_trial(_trial_theorem1),
+    "lemma1": _chunk_lemma1,
+    "eq3a": _chunk_eq3a,
+    "theorem1": _chunk_theorem1,
     "corollary1": _per_trial(_trial_corollary1),
     "corollary2": _per_trial(_trial_corollary2),
     "corollary3": _chunk_corollary3,
@@ -366,8 +404,11 @@ _CHUNKS = {
 
 def _chunk_trials(dim: int) -> int:
     """Trials per chunk at ``dim``: as many as keep a chunk's stacked
-    ``dim x dim`` states, two per corollary3 trial, within one slice of
-    :data:`~qrelent.linop._STACK_ENTRIES` complex entries."""
+    ``dim x dim`` states within one slice of
+    :data:`~qrelent.linop._STACK_ENTRIES` complex entries when each
+    trial puts two in, as a corollary3 trial does.  A mixture trial
+    (lemma1, eq3a, theorem1) puts one in, so its chunk fills half a
+    slice; at d = 64 a chunk is one trial, solved alone."""
     return max(1, _STACK_ENTRIES // (2 * dim * dim))
 
 
@@ -377,7 +418,10 @@ def run_campaign(config: VerifyConfig) -> CampaignResult:
     The records are a pure function of ``config``: per-trial seeds are
     derived from ``(config.seed, dim, trial)``.  Each dimension's trials
     go to the identity's chunk function a chunk at a time; how they are
-    grouped changes no record.
+    grouped changes no record.  A :class:`~qrelent.errors.QrelentError`
+    raised by a chunk is raised again as the same class, its message
+    prefixed with the identity, dimension, trials and master seed, as in
+    ``eq3a d=2 trials 0-2 (seed 0): ...``.
     """
     chunk_fn = _CHUNKS[config.identity]
     start = time.perf_counter()
@@ -387,7 +431,11 @@ def run_campaign(config: VerifyConfig) -> CampaignResult:
         for first in range(0, config.trials, size):
             trials = range(first, min(first + size, config.trials))
             seeds = [derive_seed(config.seed, dim, t) for t in trials]
-            outcomes = chunk_fn(config, dim, trials, [np.random.default_rng(seed) for seed in seeds])
+            try:
+                outcomes = chunk_fn(config, dim, trials, [np.random.default_rng(seed) for seed in seeds])
+            except QrelentError as exc:
+                span = f"trial {first}" if len(trials) == 1 else f"trials {first}-{trials[-1]}"
+                raise type(exc)(f"{config.identity} d={dim} {span} (seed {config.seed}): {exc}") from exc
             for t, seed, (lhs_finite, rhs_finite, residual, min_eig, leakage) in zip(trials, seeds, outcomes):
                 residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
                 records.append(TrialRecord(config.identity, dim, t, seed, residual, min_eig, leakage, passed))

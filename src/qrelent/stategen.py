@@ -102,21 +102,36 @@ def random_block_projectors(
     is appended as one more block, so the family always resolves the
     identity.
     """
+    return _random_block_families(dim, [block_sizes], [seed], tol)[0]
+
+
+def _random_block_families(
+    dim: int, block_sizes: Sequence[Sequence[int]], seeds: Sequence[int], tol: Tolerances
+) -> list[list[Projector]]:
+    """``random_block_projectors(dim, sizes, seed=seed, tol=tol)`` for each
+    pair of ``block_sizes`` and ``seeds``, with one QR call: on one
+    matrix for one family, on an ``(n, dim, dim)`` stack for several.
+    Each family depends only on its own sizes and seed."""
     _check_dim(dim)
-    sizes = list(block_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise BadSpecError(f"block sizes must be positive, got {tuple(sizes)}")
-    leftover = dim - sum(sizes)
-    if leftover < 0:
-        raise BadSpecError(f"block sizes {tuple(sizes)} sum to {sum(sizes)} > dim {dim}")
-    if leftover > 0:
-        sizes.append(leftover)
-    u = _haar(_ginibre(_rng(seed), dim, dim))
-    out: list[Projector] = []
-    start = 0
-    for s in sizes:
-        out.append(Projector.from_basis(u[:, start : start + s], tol))
-        start += s
+    families = []
+    for sizes in block_sizes:
+        sizes = list(sizes)
+        if not sizes or any(s < 1 for s in sizes):
+            raise BadSpecError(f"block sizes must be positive, got {tuple(sizes)}")
+        leftover = dim - sum(sizes)
+        if leftover < 0:
+            raise BadSpecError(f"block sizes {tuple(sizes)} sum to {sum(sizes)} > dim {dim}")
+        families.append(sizes + [leftover] if leftover > 0 else sizes)
+    draws = [_ginibre(_rng(seed), dim, dim) for seed in seeds]
+    frames = [_haar(draws[0])] if len(draws) == 1 else _haar(np.stack(draws))
+    out = []
+    for sizes, u in zip(families, frames, strict=True):
+        blocks: list[Projector] = []
+        start = 0
+        for s in sizes:
+            blocks.append(Projector.from_basis(u[:, start : start + s], tol))
+            start += s
+        out.append(blocks)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +11,21 @@ from helpers import count_kernel_calls, count_solver_calls
 from qrelent import (
     DEFAULT_TOL,
     ConfigError,
+    NotOrthogonalError,
     ProbabilityVector,
     classical_embedding_check,
+    decompose_by_projectors,
     derive_seed,
+    entropy_mixing_identity,
+    frobenius,
     haar_unitary,
+    lemma1_log_decomposition,
     random_block_projectors,
     random_state_in_support,
+    support_leakage,
+    support_projector,
+    theorem1_breakdown,
+    validate_density,
 )
 from qrelent.campaign import (
     IDENTITIES,
@@ -26,9 +36,10 @@ from qrelent.campaign import (
     run_campaign,
     write_report,
     _chunk_trials,
-    _mixture_fixture,
+    _mixture_chunk,
     _raw_state_in,
 )
+from qrelent.linop import _spectral_log
 
 
 def small(identity, **kw):
@@ -158,14 +169,130 @@ def test_mixture_trial_solves_sigma_once(monkeypatch, identity):
 
 
 def test_mixture_fixture_validates_each_state_once(monkeypatch):
-    # The block draws are mixed raw: one solve for the mixture, then
-    # one batched solve per block size for the parts the decomposition
-    # validates in their blocks.
-    blocks = random_block_projectors(8, (2, 3, 3), seed=5)
+    # The block draws of a chunk are mixed raw: one stacked solve for
+    # the chunk's mixtures, then only batched solves of blocks smaller
+    # than d, for the parts each decomposition validates in its blocks.
+    cfg = VerifyConfig(identity="eq3a", dims=(8,), trials=5, seed=6)
+    rngs = [np.random.default_rng(derive_seed(cfg.seed, 8, t)) for t in range(5)]
     calls = count_solver_calls(monkeypatch)
-    d = _mixture_fixture(np.random.default_rng(6), blocks, DEFAULT_TOL, True, allow_zero_weight=False)
-    assert all(part is not None for part in d.parts)
-    assert sorted(calls) == [(1, 2, 2), (2, 3, 3), (8, 8)]
+    fixtures = _mixture_chunk(cfg, 8, range(5), rngs)
+    assert len(fixtures) == 5
+    assert calls[0] == (5, 8, 8)
+    assert calls[1:] and all(len(shape) == 3 and shape[-1] < 8 for shape in calls[1:])
+
+
+def _mixture_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
+    """One lemma1, eq3a or theorem1 trial drawn and evaluated one trial
+    at a time, as the campaign drew it before trials were stacked:
+    random_block_projectors for the frame, validate_density for the
+    mixture, decompose_by_projectors, and random_state_in_support for
+    theorem1's rho.  The raw block states come from _raw_state_in,
+    pinned to random_state_in_support below.  Returns the outcome
+    (residual, min_nonzero_eig, leakage) and whether both routes are finite."""
+    tol = cfg.tol
+    rng = np.random.default_rng(derive_seed(cfg.seed, dim, trial))
+    sub_seed = lambda: int(rng.integers(0, 2**63))  # noqa: E731
+    n_blocks = int(rng.integers(2, min(dim, 4) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False))
+    sizes = np.diff([0, *cuts.tolist(), dim]).tolist()
+    blocks = random_block_projectors(dim, sizes, seed=sub_seed(), tol=tol)
+    infinite = cfg.identity == "theorem1" and cfg.include_infinite and trial % 3 == 2
+    inside = blocks[:-1] if infinite else blocks
+    weights = rng.dirichlet(np.ones(len(inside))) + 0.1
+    if not infinite and len(inside) >= 2 and rng.random() < 0.3:
+        weights[int(rng.integers(0, len(inside)))] = 0.0
+    weights /= weights.sum()
+    mixture = np.zeros((dim, dim), dtype=complex)
+    for b, w in zip(inside, weights.tolist()):
+        if w != 0.0:
+            rank = int(rng.integers(1, b.rank + 1)) if cfg.include_singular else b.rank
+            mixture += w * _raw_state_in(b, rank, sub_seed())
+    d = decompose_by_projectors(validate_density(mixture, tol), inside, tol)
+    min_eig = float(d.sigma.spectrum.eigenvalues[0])
+    if cfg.identity == "lemma1":
+        return (frobenius(_spectral_log(d.sigma.spectrum) - lemma1_log_decomposition(d)), min_eig, None), True
+    if cfg.identity == "eq3a":
+        lhs, rhs = entropy_mixing_identity(d)
+        return (abs(lhs - rhs), min_eig, None), True
+    supp = support_projector(d.sigma)
+    if infinite:
+        rho_out = _raw_state_in(blocks[-1], 1, sub_seed())
+        rho_in = _raw_state_in(supp, int(rng.integers(1, supp.rank + 1)), sub_seed())
+        mix = rng.uniform(0.2, 0.8)
+        rho = validate_density(mix * rho_in + (1.0 - mix) * rho_out, tol)
+    else:
+        options = sorted({1, math.ceil(dim / 2), dim} if cfg.include_singular else {dim})
+        options = [r for r in options if r <= supp.rank] or [supp.rank]
+        rank = int(options[int(rng.integers(0, len(options)))])
+        q = supp
+        if rng.random() < 0.25:
+            populated = [p for p in d.supports if p.rank >= 1]
+            q = populated[int(rng.integers(0, len(populated)))]
+        rho = random_state_in_support(q, min(rank, q.rank), sub_seed(), tol)
+    bd = theorem1_breakdown(rho, d, tol)
+    finite = bd.total_lhs.is_finite and bd.total_rhs.is_finite
+    assert finite or not (bd.total_lhs.is_finite or bd.total_rhs.is_finite)
+    residual = bd.residual if finite else INFINITE_CONSISTENT
+    return (residual, min_eig, support_leakage(rho, d.sigma)), finite
+
+
+@pytest.mark.parametrize("identity", ["lemma1", "eq3a", "theorem1"])
+@pytest.mark.parametrize("include_singular", [True, False])
+def test_mixture_records_match_a_per_trial_evaluation(identity, include_singular):
+    # At d = 32 the 9 trials span five chunks, at d = 2 one; the records
+    # are those of one trial at a time, bit for bit, infinite slots too.
+    cfg = VerifyConfig(
+        identity=identity, dims=(2, 32), trials=9, seed=11, include_infinite=True, include_singular=include_singular
+    )
+    assert _chunk_trials(32) < 9 <= _chunk_trials(2)
+    records = run_campaign(cfg).records
+    assert [(r.dim, r.trial) for r in records] == [(d, t) for d in (2, 32) for t in range(9)]
+    infinite = 0
+    for rec in records:
+        expected, finite = _mixture_by_public_calls(cfg, rec.dim, rec.trial)
+        assert (rec.residual, rec.min_nonzero_eig, rec.leakage) == expected
+        infinite += not finite
+    assert infinite == (6 if identity == "theorem1" else 0)
+
+
+@pytest.mark.parametrize("identity", ["lemma1", "eq3a", "theorem1"])
+def test_mixture_campaigns_solve_each_chunk_once(monkeypatch, identity):
+    # The mixtures of a chunk are validated by one stacked solve: all 12
+    # trials at d <= 8, two at d = 32.  At d = 64 a chunk is one trial,
+    # whose mixture is solved alone, as validate_density solves it.
+    calls = count_solver_calls(monkeypatch)
+    for dim, trials, stacks in [(2, 12, [(12, 2, 2)]), (8, 12, [(12, 8, 8)]), (32, 12, [(2, 32, 32)] * 6), (64, 3, [])]:
+        calls.clear()
+        run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=3, include_infinite=True))
+        assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
+        if identity != "theorem1":  # theorem1's rho makes d x d solves of its own
+            assert calls.count((dim, dim)) == (trials if dim == 64 else 0)
+
+
+def test_mixture_chunk_draws_each_frame_in_one_qr(monkeypatch):
+    # One QR per chunk: on a (12, d, d) stack at d <= 8, on one 2-D
+    # matrix at d = 64, as random_block_projectors draws it.
+    shapes = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    run_campaign(VerifyConfig(identity="eq3a", dims=(4, 64), trials=12, seed=3))
+    assert shapes == [(12, 4, 4)] + [(64, 64)] * 12
+
+
+def test_chunk_error_names_the_chunk():
+    # Under an absurd tolerance the blocks of a chunk fail their
+    # orthogonality gate; the error keeps its class and names the chunk.
+    cfg = VerifyConfig(identity="eq3a", dims=(2,), trials=3, seed=0, tol=DEFAULT_TOL.replace(identity=1e-30))
+    with pytest.raises(NotOrthogonalError, match=r"^eq3a d=2 trials 0-2 \(seed 0\): projectors 0 and 1 overlap"):
+        run_campaign(cfg)
+    one = VerifyConfig(identity="theorem1", dims=(64,), trials=2, seed=5, tol=cfg.tol)
+    with pytest.raises(NotOrthogonalError, match=r"^theorem1 d=64 trial 0 \(seed 5\): "):
+        run_campaign(one)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

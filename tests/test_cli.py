@@ -176,6 +176,15 @@ def test_verify_absurd_tolerance_rejects_block_fixtures(tmp_path, monkeypatch, c
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_error_names_its_chunk(tmp_path, monkeypatch, capsys):
+    # Trials are checked a chunk at a time, so an error names the
+    # identity, dimension, trial range and master seed it came from.
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "eq3a", "--dims", "2", "--trials", "3", "--tol", "1e-30"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eq3a d=2 trials 0-2 (seed 0): projectors 0 and 1 overlap: ")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_verify_rejects_non_finite_tolerance(tmp_path, monkeypatch, capsys, tol):
     monkeypatch.chdir(tmp_path)

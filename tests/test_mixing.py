@@ -118,6 +118,20 @@ def test_decompose_rejects_leaked_support():
         decompose_by_projectors(sigma, [basis_projector(3, [0]), basis_projector(3, [1])])
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_decompose_leak_gate_at_its_bound(factor, accepted, tol):
+    # Trace mass of 0.99x tol.supp outside the blocks is accepted, and
+    # 1.01x raises the leak gate's own error.
+    eps = factor * tol.supp
+    sigma = diag_state(0.5 - eps / 2, 0.5 - eps / 2, eps)
+    blocks = [basis_projector(3, [0]), basis_projector(3, [1])]
+    if accepted:
+        assert decompose_by_projectors(sigma, blocks, tol).n_parts == 2
+    else:
+        with pytest.raises(LeakedSupportError, match="outside the given blocks"):
+            decompose_by_projectors(sigma, blocks, tol)
+
+
 def test_decompose_leak_boundary(tol):
     eps_ok = tol.supp / 10
     ok = diag_state(1.0 - eps_ok, eps_ok)

@@ -1,5 +1,7 @@
 """Seeded generation: determinism, validity, parameter checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 import qrelent.linop
 from qrelent import (
+    DEFAULT_TOL,
     BadSpecError,
+    NotOrthonormalError,
     Projector,
     derive_seed,
     frobenius,
@@ -19,7 +23,8 @@ from qrelent import (
     random_state_in_support,
     support_projector,
 )
-from qrelent.stategen import _haar_unitaries
+import qrelent.stategen
+from qrelent.stategen import _haar_unitaries, _random_block_families
 from helpers import count_solver_calls
 
 
@@ -150,6 +155,57 @@ def test_block_projectors_pads_leftover():
 def test_block_projectors_requires_sizes():
     with pytest.raises(TypeError):
         random_block_projectors(4, seed=1)
+
+
+def test_block_families_stack_the_one_family_draws():
+    # One QR call over the stack of frames; each family is
+    # random_block_projectors' for its sizes and seed, bit for bit.
+    sizes, seeds = [(1, 2, 3), (6,), (2,), (3, 3)], [4, 0, 2**40, 4]
+    calls = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "qr", counted)
+        families = _random_block_families(6, sizes, seeds, DEFAULT_TOL)
+        assert calls == [(4, 6, 6)]
+        calls.clear()
+        random_block_projectors(6, (1, 2, 3), seed=4)
+        assert calls == [(6, 6)]
+    for family, size, seed in zip(families, sizes, seeds, strict=True):
+        alone = random_block_projectors(6, size, seed=seed)
+        assert len(family) == len(alone)
+        for b, a in zip(family, alone):
+            assert np.array_equal(b.basis, a.basis)
+    with pytest.raises(BadSpecError):
+        _random_block_families(6, [(1, 2), (4, 4)], [1, 2], DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("families", [1, 3])
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_block_frame_orth_gate_at_its_bound(monkeypatch, families, factor, accepted):
+    # Every block of a drawn frame passes Projector.from_basis's Gram
+    # gate: a defect of 0.99x tol.orth in one column of the last frame
+    # is accepted, and one of 1.01x raises NotOrthonormalError, for one
+    # family (a 2-D QR) and inside a stack alike.
+    tol = DEFAULT_TOL
+    real = qrelent.stategen._haar
+
+    def spoiled(g):
+        u = real(g)
+        (u[-1] if u.ndim == 3 else u)[:, 0] *= math.sqrt(1.0 + factor * tol.orth)
+        return u
+
+    monkeypatch.setattr(qrelent.stategen, "_haar", spoiled)
+    draw = lambda: _random_block_families(5, [(1, 4)] * families, list(range(families)), tol)  # noqa: E731
+    if accepted:
+        assert draw()[-1][0].rank == 1
+    else:
+        with pytest.raises(NotOrthonormalError, match="basis columns not orthonormal"):
+            draw()
 
 
 # -- random_state_in_support ----------------------------------------------
