@@ -182,13 +182,13 @@ def test_mixture_fixture_validates_each_state_once(monkeypatch):
 
 
 def _mixture_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
-    """One lemma1, eq3a or theorem1 trial drawn and evaluated one trial
-    at a time, as the campaign drew it before trials were stacked:
-    random_block_projectors for the frame, validate_density for the
-    mixture, decompose_by_projectors, and random_state_in_support for
-    theorem1's rho.  The raw block states come from _raw_state_in,
-    pinned to random_state_in_support below.  Returns the outcome
-    (residual, min_nonzero_eig, leakage) and whether both routes are finite."""
+    """One lemma1, eq3a or theorem1 trial drawn from its own stream and
+    evaluated alone: random_block_projectors for the frame,
+    validate_density for the mixture, decompose_by_projectors, and
+    random_state_in_support for theorem1's rho.  The raw block states
+    come from _raw_state_in, pinned to random_state_in_support below.
+    Returns the record's (residual, min_nonzero_eig, leakage) and
+    whether both routes are finite."""
     tol = cfg.tol
     rng = np.random.default_rng(derive_seed(cfg.seed, dim, trial))
     sub_seed = lambda: int(rng.integers(0, 2**63))  # noqa: E731
