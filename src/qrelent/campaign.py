@@ -8,13 +8,16 @@ agree on infinity.  Records depend only on the configuration and the
 per-trial seed derived from ``(master seed, dim, trial index)``, so a
 report is byte-for-byte reproducible.
 
-Trials run a chunk at a time.  lemma1, eq3a and theorem1 share one
-chunk fixture, which draws every trial's block frame with one stacked
-Haar QR and validates every trial's mixture with one stacked solve;
-corollary3 stacks its Haar draws and embedded states likewise; the
-other identities run their trials one by one.  A stacked solve gates
-and solves each matrix as it would be alone, so grouping changes no
-record.  An error raised inside a chunk names the chunk.
+Trials run a chunk at a time, and every identity but theorem2 is
+checked a chunk at a time.  lemma1, eq3a and theorem1 share one chunk
+fixture, which draws every trial's block frame with one stacked Haar
+QR and validates every trial's mixture with one stacked solve;
+corollary1 and corollary2 share another, which draws the frames
+likewise and validates every trial's probe state with one stacked
+solve; corollary3 stacks its Haar draws and embedded states likewise;
+theorem2 runs its trials one by one.  A stacked solve gates and solves
+each matrix as it would be alone, so grouping changes no record.  An
+error raised inside a chunk names the chunk.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _co
 from .stategen import (
     derive_seed,
     haar_unitary,
-    random_block_projectors,
     random_density,
     random_refinement,
     random_state_in_support,
@@ -64,6 +66,7 @@ from .stategen import (
     _ginibre_block,
     _haar_unitaries,
     _random_block_families,
+    _random_densities,
 )
 
 __all__ = [
@@ -187,12 +190,6 @@ def _raw_state_in(p: Projector, rank: int, seed: int) -> np.ndarray:
     return p.basis @ _ginibre_block(p, rank, seed) @ p.basis.conj().T
 
 
-def _blocks_fixture(rng: np.random.Generator, dim: int, tol: Tolerances) -> list[Projector]:
-    n_blocks = int(rng.integers(2, min(dim, 4) + 1))
-    sizes = _composition(rng, dim, n_blocks)
-    return random_block_projectors(dim, sizes, seed=_sub_seed(rng), tol=tol)
-
-
 def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
     return cfg.include_infinite and trial % 3 == 2
 
@@ -300,29 +297,60 @@ def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
     return out
 
 
-def _random_probe(rng: np.random.Generator, dim: int, include_singular: bool, tol: Tolerances) -> DensityOperator:
-    rank = int(rng.integers(1, dim + 1)) if include_singular else dim
-    return random_density(dim, rank=rank, seed=_sub_seed(rng), tol=tol)
+def _measurement_chunk(
+    cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator], refine: bool = False
+) -> list[tuple[list[Projector], DensityOperator, tuple[int, bool] | None]]:
+    """Per trial of a chunk, a random block frame and a probe state;
+    with ``refine``, also the seed and ``rank_one`` coin of the frame's
+    refinement, else None.
+
+    Each trial draws, from its own stream and in trial order, its block
+    sizes and its frame seed, then (with ``refine``) its refinement
+    seed and coin, then its probe's rank and seed.  Then one QR call
+    builds every frame, each block through the Gram gate of
+    :meth:`~qrelent.linop.Projector.from_basis`, and one
+    :func:`~qrelent.stategen._random_densities` call validates every
+    probe.
+
+    Every frame is gated before the first probe, and every probe's
+    Hermiticity before the chunk's solve, all before any trial builds
+    its observables; so when several trials of a chunk fail (under a
+    tight ``--tol``), the error raised may be a later trial's rather
+    than the one the first failing trial raises alone.  Passing trials
+    give the records of one trial at a time.
+    """
+    families, frame_seeds, refinements, ranks, probe_seeds = [], [], [], [], []
+    for rng in rngs:
+        families.append(_composition(rng, dim, int(rng.integers(2, min(dim, 4) + 1))))
+        frame_seeds.append(_sub_seed(rng))
+        refinements.append((_sub_seed(rng), bool(rng.random() < 0.25)) if refine else None)
+        ranks.append(int(rng.integers(1, dim + 1)) if cfg.include_singular else dim)
+        probe_seeds.append(_sub_seed(rng))
+    frames = _random_block_families(dim, families, frame_seeds, cfg.tol)
+    probes = _random_densities(dim, ranks, probe_seeds, cfg.tol)
+    return list(zip(frames, probes, refinements))
 
 
-def _trial_corollary1(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
+def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     tol = cfg.tol
-    blocks = _blocks_fixture(rng, dim, tol)
-    obs = ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol)
-    rho = _random_probe(rng, dim, cfg.include_singular, tol)
-    direct, gap, rho_l = _corollary1(rho, obs, tol)
-    residual = abs(direct.value - gap) if direct.is_finite else None
-    return direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l)
+    out = []
+    for blocks, rho, _ in _measurement_chunk(cfg, dim, rngs):
+        obs = ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol)
+        direct, gap, rho_l = _corollary1(rho, obs, tol)
+        residual = abs(direct.value - gap) if direct.is_finite else None
+        out.append((direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l)))
+    return out
 
 
-def _trial_corollary2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
+def _chunk_corollary2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     tol = cfg.tol
-    blocks = _blocks_fixture(rng, dim, tol)
-    coarse, fine = random_refinement(blocks, _sub_seed(rng), tol, rank_one=bool(rng.random() < 0.25))
-    rho = _random_probe(rng, dim, cfg.include_singular, tol)
-    report, composition = corollary2_check(rho, coarse, fine, tol)
-    residual = max(report.residual, composition) if report.all_finite else None
-    return report.all_finite, True, residual, None, None
+    out = []
+    for blocks, rho, (seed, rank_one) in _measurement_chunk(cfg, dim, rngs, refine=True):
+        coarse, fine = random_refinement(blocks, seed, tol, rank_one=rank_one)
+        report, composition = corollary2_check(rho, coarse, fine, tol)
+        residual = max(report.residual, composition) if report.all_finite else None
+        out.append((report.all_finite, True, residual, None, None))
+    return out
 
 
 def _chunk_corollary3(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
@@ -395,20 +423,21 @@ _CHUNKS = {
     "lemma1": _chunk_lemma1,
     "eq3a": _chunk_eq3a,
     "theorem1": _chunk_theorem1,
-    "corollary1": _per_trial(_trial_corollary1),
-    "corollary2": _per_trial(_trial_corollary2),
+    "corollary1": _chunk_corollary1,
+    "corollary2": _chunk_corollary2,
     "corollary3": _chunk_corollary3,
     "theorem2": _per_trial(_trial_theorem2),
 }
 
 
 def _chunk_trials(dim: int) -> int:
-    """Trials per chunk at ``dim``: as many as keep a chunk's stacked
-    ``dim x dim`` states within one slice of
-    :data:`~qrelent.linop._STACK_ENTRIES` complex entries when each
+    """Trials per chunk at ``dim``, for every identity but theorem2: as
+    many as keep a chunk's stacked ``dim x dim`` states within one slice
+    of :data:`~qrelent.linop._STACK_ENTRIES` complex entries when each
     trial puts two in, as a corollary3 trial does.  A mixture trial
-    (lemma1, eq3a, theorem1) puts one in, so its chunk fills half a
-    slice; at d = 64 a chunk is one trial, solved alone."""
+    (lemma1, eq3a, theorem1) puts one in, its mixture, and so does a
+    corollary1 or corollary2 trial, its probe; their chunks fill half a
+    slice.  At d = 64 a chunk is one trial, solved alone."""
     return max(1, _STACK_ENTRIES // (2 * dim * dim))
 
 

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import BadSpecError
-from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _density, _readonly
+from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _density, _readonly, _validated
 from .lueders import ProjectiveObservable
 
 __all__ = [
@@ -82,14 +82,26 @@ def random_density(
     dim: int, *, rank: int | None = None, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> DensityOperator:
     """A random state of the given rank, full rank by default (trace-normalized Ginibre)."""
+    return _random_densities(dim, [dim if rank is None else rank], [seed], tol)[0]
+
+
+def _random_densities(
+    dim: int, ranks: Sequence[int], seeds: Sequence[int], tol: Tolerances
+) -> list[DensityOperator]:
+    """``random_density(dim, rank=rank, seed=seed, tol=tol)`` for each pair
+    of ``ranks`` and ``seeds``, validated by one
+    :func:`~qrelent.linop._validated` call: a lone state by
+    :func:`~qrelent.linop.validate_density`, several as stacked slices.
+    Each state depends only on its own rank and seed."""
     _check_dim(dim)
-    if rank is None:
-        rank = dim
-    elif not 1 <= rank <= dim:
-        raise BadSpecError(f"rank {rank} outside [1, {dim}]")
-    g = _ginibre(_rng(seed), dim, rank)
-    m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real, tol)
+    raw = []
+    for rank, seed in zip(ranks, seeds, strict=True):
+        if not 1 <= rank <= dim:
+            raise BadSpecError(f"rank {rank} outside [1, {dim}]")
+        g = _ginibre(_rng(seed), dim, rank)
+        m = g @ g.conj().T
+        raw.append(m / np.trace(m).real)
+    return _validated(raw, tol)
 
 
 def random_block_projectors(

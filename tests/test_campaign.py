@@ -13,14 +13,20 @@ from qrelent import (
     ConfigError,
     NotOrthogonalError,
     ProbabilityVector,
+    ProjectiveObservable,
     classical_embedding_check,
+    corollary1_check,
+    corollary2_check,
     decompose_by_projectors,
     derive_seed,
     entropy_mixing_identity,
     frobenius,
     haar_unitary,
     lemma1_log_decomposition,
+    lueders_state,
     random_block_projectors,
+    random_density,
+    random_refinement,
     random_state_in_support,
     support_leakage,
     support_projector,
@@ -282,6 +288,88 @@ def test_mixture_chunk_draws_each_frame_in_one_qr(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted)
     run_campaign(VerifyConfig(identity="eq3a", dims=(4, 64), trials=12, seed=3))
     assert shapes == [(12, 4, 4)] + [(64, 64)] * 12
+
+
+def _corollary_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
+    """One corollary1 or corollary2 trial drawn from its own stream and
+    evaluated alone: random_block_projectors for the frame,
+    random_density for the probe, then corollary1_check, or
+    random_refinement and corollary2_check.  Returns the record's
+    (residual, min_nonzero_eig, leakage)."""
+    tol = cfg.tol
+    rng = np.random.default_rng(derive_seed(cfg.seed, dim, trial))
+    sub_seed = lambda: int(rng.integers(0, 2**63))  # noqa: E731
+    n_blocks = int(rng.integers(2, min(dim, 4) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False))
+    sizes = np.diff([0, *cuts.tolist(), dim]).tolist()
+    blocks = random_block_projectors(dim, sizes, seed=sub_seed(), tol=tol)
+    if cfg.identity == "corollary2":
+        refinement_seed = sub_seed()
+        coarse, fine = random_refinement(blocks, refinement_seed, tol, rank_one=bool(rng.random() < 0.25))
+    rank = int(rng.integers(1, dim + 1)) if cfg.include_singular else dim
+    rho = random_density(dim, rank=rank, seed=sub_seed(), tol=tol)
+    if cfg.identity == "corollary1":
+        obs = ProjectiveObservable.validated(range(len(blocks)), blocks, tol)
+        direct, gap = corollary1_check(rho, obs, tol)
+        assert direct.is_finite
+        rho_l = lueders_state(rho, obs, tol)
+        return abs(direct.value - gap), float(rho_l.spectrum.eigenvalues[0]), support_leakage(rho, rho_l)
+    report, composition = corollary2_check(rho, coarse, fine, tol)
+    assert report.all_finite
+    return max(report.residual, composition), None, None
+
+
+@pytest.mark.parametrize("identity", ["corollary1", "corollary2"])
+@pytest.mark.parametrize("include_singular", [True, False])
+def test_corollary_records_match_a_per_trial_evaluation(identity, include_singular):
+    # At d = 32 the 9 trials span five chunks, at d = 2 one; the records
+    # are those of one trial at a time, bit for bit.
+    cfg = VerifyConfig(
+        identity=identity, dims=(2, 32), trials=9, seed=11, include_infinite=True, include_singular=include_singular
+    )
+    assert _chunk_trials(32) < 9 <= _chunk_trials(2)
+    records = run_campaign(cfg).records
+    assert [(r.dim, r.trial) for r in records] == [(d, t) for d in (2, 32) for t in range(9)]
+    for rec in records:
+        assert (rec.residual, rec.min_nonzero_eig, rec.leakage) == _corollary_by_public_calls(cfg, rec.dim, rec.trial)
+
+
+@pytest.mark.parametrize("identity", ["corollary1", "corollary2"])
+def test_corollary_campaigns_solve_each_chunk_once(monkeypatch, identity):
+    # The probes of a chunk are validated by one stacked solve: all 12
+    # trials at d <= 8, two at d = 32.  At d = 64 a chunk is one trial,
+    # whose probe is solved alone, as validate_density solves it; every
+    # other solve is of blocks smaller than d.
+    calls = count_solver_calls(monkeypatch)
+    for dim, trials, stacks in [(2, 12, [(12, 2, 2)]), (8, 12, [(12, 8, 8)]), (32, 12, [(2, 32, 32)] * 6), (64, 3, [])]:
+        calls.clear()
+        run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=3, include_infinite=True))
+        assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
+        assert calls.count((dim, dim)) == (trials if dim == 64 else 0)
+        assert all(shape[-1] < dim for shape in calls if shape[-2:] != (dim, dim))
+
+
+@pytest.mark.parametrize("identity", ["corollary1", "corollary2"])
+def test_corollary_chunk_draws_each_frame_in_one_qr(monkeypatch, identity):
+    # One QR per chunk for the frames: on a (12, d, d) stack at d = 4,
+    # on one 2-D matrix at d = 64, as random_block_projectors draws it.
+    # corollary2's refinement draws each coarse block's rotation alone,
+    # smaller than d.
+    shapes = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for dim, frames in [(4, [(12, 4, 4)]), (64, [(64, 64)] * 12)]:
+        shapes.clear()
+        run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=12, seed=3))
+        assert [shape for shape in shapes if shape[-1] == dim] == frames
+        rotations = [shape for shape in shapes if shape[-1] != dim]
+        assert all(len(shape) == 2 and shape[0] < dim for shape in rotations)
+        assert bool(rotations) == (identity == "corollary2")
 
 
 def test_chunk_error_names_the_chunk():

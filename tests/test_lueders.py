@@ -84,6 +84,23 @@ def test_observable_errors_are_package_errors(eigenvalues, indices):
     assert isinstance(info.value, QrelentError)
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_observable_completeness_gate_at_its_bound(tol, factor, accepted):
+    # Two mutually orthogonal blocks of a Haar frame, the first column
+    # scaled so that ||sum_i P_i - 1||_F = |s^2 - 1| is factor x
+    # tol.identity: 0.99x is accepted, 1.01x raises BadObservableError.
+    u = haar_unitary(3, 12)
+    s = math.sqrt(1.0 + factor * tol.identity)
+    family = (Projector(basis=u[:, :1] * s), Projector(basis=u[:, 1:]))
+    defect = frobenius(sum(p.basis @ p.basis.conj().T for p in family) - np.eye(3))
+    assert abs(defect / tol.identity - factor) < 1e-6
+    if accepted:
+        assert ProjectiveObservable.validated([0.0, 1.0], family, tol).eigenvalues == (0.0, 1.0)
+    else:
+        with pytest.raises(BadObservableError, match="do not resolve the identity"):
+            ProjectiveObservable.validated([0.0, 1.0], family, tol)
+
+
 def test_observable_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatchError):
         ProjectiveObservable.validated([0.0, 1.0], [basis_projector(2, [0]), basis_projector(3, [1])])

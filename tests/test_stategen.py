@@ -24,7 +24,7 @@ from qrelent import (
     support_projector,
 )
 import qrelent.stategen
-from qrelent.stategen import _haar_unitaries, _random_block_families
+from qrelent.stategen import _haar_unitaries, _random_block_families, _random_densities
 from helpers import count_solver_calls
 
 
@@ -132,6 +132,33 @@ def test_random_density_valid_and_full_rank(dim, seed):
 def test_random_density_respects_rank(rank):
     rho = random_density(4, rank=rank, seed=5)
     assert support_projector(rho).rank == rank
+
+
+@given(
+    dim=st.integers(2, 8),
+    draws=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2**63 - 1)), min_size=1, max_size=6),
+)
+@settings(deadline=None, max_examples=30)
+def test_random_densities_stack_the_one_state_draws(dim, draws):
+    # One stacked solve for several states, validate_density's own
+    # solve for one; each state is random_density's for its rank and
+    # seed, bit for bit.
+    ranks = [min(rank, dim) for rank, _ in draws]
+    seeds = [seed for _, seed in draws]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_solver_calls(mp)
+        states = _random_densities(dim, ranks, seeds, DEFAULT_TOL)
+    assert calls == ([(len(draws), dim, dim)] if len(draws) > 1 else [(dim, dim)])
+    for state, rank, seed in zip(states, ranks, seeds, strict=True):
+        alone = random_density(dim, rank=rank, seed=seed).spectrum
+        assert np.array_equal(state.spectrum.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(state.spectrum.eigenvectors, alone.eigenvectors)
+
+
+def test_random_densities_refuse_a_bad_rank_or_seed():
+    for ranks, seeds in [([2, 0], [1, 2]), ([2, 4], [1, 2]), ([2, 2], [1, -2])]:
+        with pytest.raises(BadSpecError):
+            _random_densities(3, ranks, seeds, DEFAULT_TOL)
 
 
 # -- random_block_projectors ----------------------------------------------
