@@ -22,6 +22,7 @@ from qrelent import (
     random_refinement,
     random_state_in_support,
     support_projector,
+    validate_density,
 )
 import qrelent.stategen
 from qrelent.stategen import _haar_unitaries, _random_block_families, _random_densities
@@ -153,6 +154,22 @@ def test_random_densities_stack_the_one_state_draws(dim, draws):
         alone = random_density(dim, rank=rank, seed=seed).spectrum
         assert np.array_equal(state.spectrum.eigenvalues, alone.eigenvalues)
         assert np.array_equal(state.spectrum.eigenvectors, alone.eigenvectors)
+
+
+@pytest.mark.parametrize("dim, rank", [(4, 4), (4, 2), (64, 64), (64, 9)])
+def test_random_density_validates_its_ginibre_draw_alone(dim, rank):
+    # The lone state is validate_density of the trace-normalized
+    # Ginibre draw, as its own d x d solve.
+    rng = np.random.default_rng(31)
+    g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2.0)
+    m = g @ g.conj().T
+    expected = validate_density(m / np.trace(m).real).spectrum
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_solver_calls(mp)
+        spec = random_density(dim, rank=rank, seed=31).spectrum
+    assert calls == [(dim, dim)]
+    assert np.array_equal(spec.eigenvalues, expected.eigenvalues)
+    assert np.array_equal(spec.eigenvectors, expected.eigenvectors)
 
 
 def test_random_densities_refuse_a_bad_rank_or_seed():
