@@ -8,16 +8,27 @@ agree on infinity.  Records depend only on the configuration and the
 per-trial seed derived from ``(master seed, dim, trial index)``, so a
 report is byte-for-byte reproducible.
 
-Trials run a chunk at a time, and every identity but theorem2 is
-checked a chunk at a time.  lemma1, eq3a and theorem1 share one chunk
-fixture, which draws every trial's block frame with one stacked Haar
-QR and validates every trial's mixture with one stacked solve;
-corollary1 and corollary2 share another, which draws the frames
-likewise and validates every trial's probe state with one stacked
-solve; corollary3 stacks its Haar draws and embedded states likewise;
-theorem2 runs its trials one by one.  A stacked solve gates and solves
-each matrix as it would be alone, so grouping changes no record.  An
-error raised inside a chunk names the chunk.
+Trials run a chunk at a time, and every identity is checked a chunk
+at a time.  Each trial draws from its own generator, so a chunk takes
+its draws in passes over its trials without changing any stream, each
+trial's in the order a trial alone takes them.  lemma1, eq3a,
+theorem1, corollary1 and corollary2 first draw every trial's block
+frame, all built by one stacked Haar QR (:func:`_frames`).  lemma1,
+eq3a and theorem1 then mix a state over each frame and validate the
+chunk's mixtures with one stacked solve; corollary1 and corollary2
+validate every trial's probe state with one stacked solve; corollary3
+stacks its Haar draws and embedded states likewise; theorem2 stacks
+the Haar eigenbases of its degenerate sigma and validates every sigma
+with one stacked solve.  A stacked solve gates and solves each matrix
+as it would be alone, so grouping changes no record.
+
+Passing trials give the records of one trial at a time.  A chunk gates
+what it draws first (frames, probability vectors, theorem2's sigma)
+before the states built on them, and every matrix's Hermiticity before
+its chunk's solve; so when several trials of a chunk fail (under a
+tight ``--tol``), the error raised may be a later trial's rather than
+the one the first failing trial raises alone.  An error raised inside
+a chunk names the chunk.
 """
 
 from __future__ import annotations
@@ -58,8 +69,6 @@ from .mixing import (
 from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _corollary1
 from .stategen import (
     derive_seed,
-    haar_unitary,
-    random_density,
     random_refinement,
     random_state_in_support,
     _composition,
@@ -67,6 +76,7 @@ from .stategen import (
     _haar_unitaries,
     _random_block_families,
     _random_densities,
+    _raw_density,
 )
 
 __all__ = [
@@ -159,10 +169,10 @@ def _min_nonzero_eig(state: DensityOperator) -> float:
 
 
 # What a trial returns: (lhs finite, rhs finite, residual, min_nonzero_eig,
-# leakage), with residual None unless both sides are finite; ``run_one``
-# turns it into a TrialRecord.  Identities that claim a finite value
-# (corollary1, corollary2, theorem2) pass their claimed side as finite,
-# so any infinity is an infinite-mismatch and fails.
+# leakage), with residual None unless both sides are finite;
+# ``run_campaign`` turns it into a TrialRecord.  Identities that claim a
+# finite value (corollary1, corollary2, theorem2) pass their claimed
+# side as finite, so any infinity is an infinite-mismatch and fails.
 _Outcome = tuple[bool, bool, float | None, float | None, float | None]
 
 
@@ -194,51 +204,42 @@ def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
     return cfg.include_infinite and trial % 3 == 2
 
 
+def _frames(cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator]) -> list[list[Projector]]:
+    """Each trial's random block frame: its block sizes, then its frame
+    seed, drawn from its own stream.  One QR call builds every frame,
+    each block through the Gram gate of
+    :meth:`~qrelent.linop.Projector.from_basis`."""
+    sizes = [_composition(rng, dim, int(rng.integers(2, min(dim, 4) + 1))) for rng in rngs]
+    return _random_block_families(dim, sizes, [_sub_seed(rng) for rng in rngs], cfg.tol)
+
+
 def _mixture_chunk(
     cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator], confine: bool = False
 ) -> list[tuple[list[Projector], OrthogonalDecomposition]]:
-    """Per trial of a chunk, a random block frame and a state mixed over
-    it, decomposed back; returns each trial's blocks and decomposition.
+    """Per trial of a chunk, its :func:`_frames` frame and a state mixed
+    over it, decomposed back; returns each trial's blocks and decomposition.
 
-    Each trial draws, from its own stream and in trial order, its block
-    sizes, its frame seed, then the weight, rank and seed of each block
-    state.  With ``confine``, an infinite slot mixes over every block
-    but the last and allows no zero weight.  Then one QR call builds
-    every frame, each block through the Gram gate of
-    :meth:`~qrelent.linop.Projector.from_basis`; the raw block states
-    are mixed, one :func:`~qrelent.linop._validated` call validates the
-    chunk's mixtures, and each is decomposed over its blocks.
-
-    Every frame is gated before the first mixture, and every mixture's
-    Hermiticity before the chunk's solve; so when several trials of a
-    chunk fail (under a tight ``--tol``), the error raised may be a
-    later trial's rather than the one the first failing trial raises
-    alone.  Passing trials give the records of one trial at a time.
+    After its frame, each trial draws the weight, rank and seed of each
+    block state.  With ``confine``, an infinite slot mixes over every
+    block but the last and allows no zero weight.  The raw block states
+    are mixed, and one :func:`~qrelent.linop._validated` call validates
+    the chunk's mixtures.
     """
     tol = cfg.tol
-    families, frame_seeds, mixed, drawn = [], [], [], []
-    for trial, rng in zip(trials, rngs):
-        sizes = _composition(rng, dim, int(rng.integers(2, min(dim, 4) + 1)))
-        families.append(sizes)
-        frame_seeds.append(_sub_seed(rng))
-        n = len(sizes) - 1 if confine and _infinite_slot(cfg, trial) else len(sizes)
-        mixed.append(n)
-        parts = []
-        for k, w in enumerate(_random_weights(rng, n, allow_zero=n == len(sizes)).tolist()):
-            if w != 0.0:
-                rank = int(rng.integers(1, sizes[k] + 1)) if cfg.include_singular else sizes[k]
-                parts.append((k, w, rank, _sub_seed(rng)))
-        drawn.append(parts)
-    frames = _random_block_families(dim, families, frame_seeds, tol)
-    mixtures = []
-    for blocks, parts in zip(frames, drawn):
+    frames = _frames(cfg, dim, rngs)
+    inside, mixtures = [], []
+    for trial, rng, blocks in zip(trials, rngs, frames):
+        n = len(blocks) - 1 if confine and _infinite_slot(cfg, trial) else len(blocks)
         mixture = np.zeros((dim, dim), dtype=complex)
-        for k, w, rank, seed in parts:
-            mixture += w * _raw_state_in(blocks[k], rank, seed)
+        for b, w in zip(blocks, _random_weights(rng, n, allow_zero=n == len(blocks)).tolist()):
+            if w != 0.0:
+                rank = int(rng.integers(1, b.rank + 1)) if cfg.include_singular else b.rank
+                mixture += w * _raw_state_in(b, rank, _sub_seed(rng))
+        inside.append(blocks[:n])
         mixtures.append(mixture)
     return [
-        (blocks, decompose_by_projectors(sigma, blocks[:n], tol))
-        for blocks, sigma, n in zip(frames, _validated(mixtures, tol), mixed)
+        (blocks, decompose_by_projectors(sigma, parts, tol))
+        for blocks, parts, sigma in zip(frames, inside, _validated(mixtures, tol))
     ]
 
 
@@ -297,44 +298,17 @@ def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
     return out
 
 
-def _measurement_chunk(
-    cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator], refine: bool = False
-) -> list[tuple[list[Projector], DensityOperator, tuple[int, bool] | None]]:
-    """Per trial of a chunk, a random block frame and a probe state;
-    with ``refine``, also the seed and ``rank_one`` coin of the frame's
-    refinement, else None.
-
-    Each trial draws, from its own stream and in trial order, its block
-    sizes and its frame seed, then (with ``refine``) its refinement
-    seed and coin, then its probe's rank and seed.  Then one QR call
-    builds every frame, each block through the Gram gate of
-    :meth:`~qrelent.linop.Projector.from_basis`, and one
-    :func:`~qrelent.stategen._random_densities` call validates every
-    probe.
-
-    Every frame is gated before the first probe, and every probe's
-    Hermiticity before the chunk's solve, all before any trial builds
-    its observables; so when several trials of a chunk fail (under a
-    tight ``--tol``), the error raised may be a later trial's rather
-    than the one the first failing trial raises alone.  Passing trials
-    give the records of one trial at a time.
-    """
-    families, frame_seeds, refinements, ranks, probe_seeds = [], [], [], [], []
-    for rng in rngs:
-        families.append(_composition(rng, dim, int(rng.integers(2, min(dim, 4) + 1))))
-        frame_seeds.append(_sub_seed(rng))
-        refinements.append((_sub_seed(rng), bool(rng.random() < 0.25)) if refine else None)
-        ranks.append(int(rng.integers(1, dim + 1)) if cfg.include_singular else dim)
-        probe_seeds.append(_sub_seed(rng))
-    frames = _random_block_families(dim, families, frame_seeds, cfg.tol)
-    probes = _random_densities(dim, ranks, probe_seeds, cfg.tol)
-    return list(zip(frames, probes, refinements))
+def _probes(cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator]) -> list[DensityOperator]:
+    """Each trial's probe state: its rank, then its seed, drawn from its own stream; one stacked validation."""
+    ranks = [int(rng.integers(1, dim + 1)) if cfg.include_singular else dim for rng in rngs]
+    return _random_densities(dim, ranks, [_sub_seed(rng) for rng in rngs], cfg.tol)
 
 
 def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     tol = cfg.tol
+    frames = _frames(cfg, dim, rngs)
     out = []
-    for blocks, rho, _ in _measurement_chunk(cfg, dim, rngs):
+    for blocks, rho in zip(frames, _probes(cfg, dim, rngs)):
         obs = ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol)
         direct, gap, rho_l = _corollary1(rho, obs, tol)
         residual = abs(direct.value - gap) if direct.is_finite else None
@@ -343,9 +317,13 @@ def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
 
 
 def _chunk_corollary2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+    """A chunk of corollary2 trials: after its frame, each trial draws its
+    refinement's seed and ``rank_one`` coin, then its probe."""
     tol = cfg.tol
+    frames = _frames(cfg, dim, rngs)
+    refinements = [(_sub_seed(rng), bool(rng.random() < 0.25)) for rng in rngs]
     out = []
-    for blocks, rho, (seed, rank_one) in _measurement_chunk(cfg, dim, rngs, refine=True):
+    for blocks, (seed, rank_one), rho in zip(frames, refinements, _probes(cfg, dim, rngs)):
         coarse, fine = random_refinement(blocks, seed, tol, rank_one=rank_one)
         report, composition = corollary2_check(rho, coarse, fine, tol)
         residual = max(report.residual, composition) if report.all_finite else None
@@ -355,14 +333,9 @@ def _chunk_corollary2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
 
 def _chunk_corollary3(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     """A chunk of corollary3 trials: each drawn from its own stream, in
-    trial order, then checked with one stacked Haar QR and one stacked
-    validation of the embedded states.
-
-    Every trial's probability vectors are validated as it is drawn,
-    before the chunk's first embedded state; so when several trials of
-    a chunk fail (under a tight ``--tol``), the error raised may be a
-    later trial's rather than the one the first failing trial raises
-    alone.  Passing trials give the records of one trial at a time."""
+    trial order, its probability vectors validated as they are drawn,
+    then checked with one stacked Haar QR and one stacked validation of
+    the embedded states."""
     tol = cfg.tol
     draws = []
     for trial, rng in zip(trials, rngs):
@@ -386,35 +359,42 @@ def _chunk_corollary3(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
     ]
 
 
-def _trial_theorem2(cfg: VerifyConfig, dim: int, trial: int, rng: np.random.Generator) -> _Outcome:
+def _chunk_theorem2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
+    """A chunk of theorem2 trials: every trial's sigma, then each trial's
+    rho inside supp sigma, drawn from the trial's own stream.
+
+    A degenerate sigma (every fourth trial, from trial 1) draws a
+    spectrum with repeated eigenvalues, and a zero one under
+    ``include_singular``, then its Haar seed; one QR call draws the
+    eigenbases of the chunk's degenerate sigma.  Any other sigma is a raw
+    Ginibre draw.  One :func:`~qrelent.linop._validated` call validates
+    every sigma of the chunk."""
     tol = cfg.tol
-    degenerate = trial % 4 == 1
+    raw, degenerate = [], []
+    for trial, rng in zip(trials, rngs):
+        if trial % 4 == 1:
+            lam = rng.dirichlet(np.ones(dim)) + 0.05
+            lam[1] = lam[0]
+            if dim >= 4:
+                lam[3] = lam[2]
+            if cfg.include_singular and rng.random() < 0.3 and dim >= 3:
+                lam[-1] = 0.0
+            lam /= lam.sum()
+            degenerate.append((len(raw), lam, _sub_seed(rng)))
+            raw.append(None)
+        else:
+            rank = int(rng.integers(max(1, dim // 2), dim + 1)) if cfg.include_singular else dim
+            raw.append(_raw_density(dim, rank, _sub_seed(rng)))
     if degenerate:
-        lam = rng.dirichlet(np.ones(dim)) + 0.05
-        lam[1] = lam[0]
-        if dim >= 4:
-            lam[3] = lam[2]
-        if cfg.include_singular and rng.random() < 0.3 and dim >= 3:
-            lam[-1] = 0.0
-        lam /= lam.sum()
-        u = haar_unitary(dim, _sub_seed(rng))
-        sigma = validate_density((u * lam) @ u.conj().T, tol)
-    else:
-        rank = int(rng.integers(max(1, dim // 2), dim + 1)) if cfg.include_singular else dim
-        sigma = random_density(dim, rank=rank, seed=_sub_seed(rng), tol=tol)
-    supp = support_projector(sigma)
-    rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
-    report, _middle = theorem2_check(rho, sigma, tol)
-    return report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)
-
-
-def _per_trial(trial_fn):
-    """The chunk function that runs ``trial_fn`` on each trial of a chunk in turn."""
-
-    def chunk_fn(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
-        return [trial_fn(cfg, dim, trial, rng) for trial, rng in zip(trials, rngs)]
-
-    return chunk_fn
+        for (i, lam, _), u in zip(degenerate, _haar_unitaries(dim, [seed for _, _, seed in degenerate])):
+            raw[i] = (u * lam) @ u.conj().T
+    out = []
+    for rng, sigma in zip(rngs, _validated(raw, tol)):
+        supp = support_projector(sigma)
+        rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
+        report, _middle = theorem2_check(rho, sigma, tol)
+        out.append((report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)))
+    return out
 
 
 # A chunk function takes the configuration, the dimension, a range of
@@ -426,18 +406,19 @@ _CHUNKS = {
     "corollary1": _chunk_corollary1,
     "corollary2": _chunk_corollary2,
     "corollary3": _chunk_corollary3,
-    "theorem2": _per_trial(_trial_theorem2),
+    "theorem2": _chunk_theorem2,
 }
 
 
 def _chunk_trials(dim: int) -> int:
-    """Trials per chunk at ``dim``, for every identity but theorem2: as
-    many as keep a chunk's stacked ``dim x dim`` states within one slice
-    of :data:`~qrelent.linop._STACK_ENTRIES` complex entries when each
-    trial puts two in, as a corollary3 trial does.  A mixture trial
-    (lemma1, eq3a, theorem1) puts one in, its mixture, and so does a
-    corollary1 or corollary2 trial, its probe; their chunks fill half a
-    slice.  At d = 64 a chunk is one trial, solved alone."""
+    """Trials per chunk at ``dim``: as many as keep a chunk's stacked
+    ``dim x dim`` states within one slice of
+    :data:`~qrelent.linop._STACK_ENTRIES` complex entries when each trial
+    puts two in, as a corollary3 trial does.  A mixture trial (lemma1,
+    eq3a, theorem1) puts one in, its mixture, and so does a corollary1
+    or corollary2 trial, its probe, and a theorem2 trial, its sigma;
+    their chunks fill half a slice.  At d = 64 a chunk is one trial,
+    solved alone."""
     return max(1, _STACK_ENTRIES // (2 * dim * dim))
 
 

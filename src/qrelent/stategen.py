@@ -89,19 +89,22 @@ def _random_densities(
     dim: int, ranks: Sequence[int], seeds: Sequence[int], tol: Tolerances
 ) -> list[DensityOperator]:
     """``random_density(dim, rank=rank, seed=seed, tol=tol)`` for each pair
-    of ``ranks`` and ``seeds``, validated by one
-    :func:`~qrelent.linop._validated` call: a lone state by
+    of ``ranks`` and ``seeds``: the :func:`_raw_density` draws, validated
+    by one :func:`~qrelent.linop._validated` call, a lone state by
     :func:`~qrelent.linop.validate_density`, several as stacked slices.
     Each state depends only on its own rank and seed."""
+    return _validated([_raw_density(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)], tol)
+
+
+def _raw_density(dim: int, rank: int, seed: int) -> np.ndarray:
+    """The unvalidated ``dim x dim`` matrix of ``random_density(dim, rank=rank, seed=seed)``:
+    a trace-normalized Ginibre draw of the given rank."""
     _check_dim(dim)
-    raw = []
-    for rank, seed in zip(ranks, seeds, strict=True):
-        if not 1 <= rank <= dim:
-            raise BadSpecError(f"rank {rank} outside [1, {dim}]")
-        g = _ginibre(_rng(seed), dim, rank)
-        m = g @ g.conj().T
-        raw.append(m / np.trace(m).real)
-    return _validated(raw, tol)
+    if not 1 <= rank <= dim:
+        raise BadSpecError(f"rank {rank} outside [1, {dim}]")
+    g = _ginibre(_rng(seed), dim, rank)
+    m = g @ g.conj().T
+    return m / np.trace(m).real
 
 
 def random_block_projectors(
@@ -167,15 +170,10 @@ def random_state_in_support(
 
 
 def _ginibre_block(p: Projector, rank: int, seed: int) -> np.ndarray:
-    """The unvalidated ``p.rank x p.rank`` block ``S`` of :func:`random_state_in_support`.
-
-    A trace-normalized Ginibre draw of the given rank in the frame of
-    ``p.basis``; the state is ``V S V^dag``.  Callers that mix several
-    such blocks validate the mixture instead of each block.
-    """
-    g = _ginibre(_rng(seed), p.rank, rank)
-    small = g @ g.conj().T
-    return small / np.trace(small).real
+    """The unvalidated ``p.rank x p.rank`` block ``S`` of :func:`random_state_in_support`,
+    drawn in the frame of ``p.basis``; the state is ``V S V^dag``.  Callers
+    that mix several such blocks validate the mixture instead of each block."""
+    return _raw_density(p.rank, rank, seed)
 
 
 def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int]:

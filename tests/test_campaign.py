@@ -31,6 +31,7 @@ from qrelent import (
     support_leakage,
     support_projector,
     theorem1_breakdown,
+    theorem2_check,
     validate_density,
 )
 from qrelent.campaign import (
@@ -370,6 +371,82 @@ def test_corollary_chunk_draws_each_frame_in_one_qr(monkeypatch, identity):
         rotations = [shape for shape in shapes if shape[-1] != dim]
         assert all(len(shape) == 2 and shape[0] < dim for shape in rotations)
         assert bool(rotations) == (identity == "corollary2")
+
+
+def _theorem2_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
+    """One theorem2 trial drawn from its own stream and evaluated alone:
+    haar_unitary and validate_density for a degenerate sigma, else
+    random_density, then random_state_in_support and theorem2_check.
+    Returns the record's (residual, min_nonzero_eig, leakage) and the
+    rank of sigma."""
+    tol = cfg.tol
+    rng = np.random.default_rng(derive_seed(cfg.seed, dim, trial))
+    sub_seed = lambda: int(rng.integers(0, 2**63))  # noqa: E731
+    if trial % 4 == 1:
+        lam = rng.dirichlet(np.ones(dim)) + 0.05
+        lam[1] = lam[0]
+        if dim >= 4:
+            lam[3] = lam[2]
+        if cfg.include_singular and rng.random() < 0.3 and dim >= 3:
+            lam[-1] = 0.0
+        lam /= lam.sum()
+        u = haar_unitary(dim, sub_seed())
+        sigma = validate_density((u * lam) @ u.conj().T, tol)
+    else:
+        rank = int(rng.integers(max(1, dim // 2), dim + 1)) if cfg.include_singular else dim
+        sigma = random_density(dim, rank=rank, seed=sub_seed(), tol=tol)
+    supp = support_projector(sigma)
+    rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), sub_seed(), tol)
+    report, _middle = theorem2_check(rho, sigma, tol)
+    assert report.all_finite
+    return (report.residual, float(sigma.spectrum.eigenvalues[0]), support_leakage(rho, sigma)), supp.rank
+
+
+@pytest.mark.parametrize("include_singular", [True, False])
+def test_theorem2_records_match_a_per_trial_evaluation(include_singular):
+    # At d = 32 the 9 trials span five chunks, at d = 2 one; trials 1
+    # and 5 have a degenerate sigma.  The records are those of one trial
+    # at a time, bit for bit, singular sigma too.
+    cfg = VerifyConfig(identity="theorem2", dims=(2, 32), trials=9, seed=11, include_singular=include_singular)
+    assert _chunk_trials(32) < 9 <= _chunk_trials(2)
+    records = run_campaign(cfg).records
+    assert [(r.dim, r.trial) for r in records] == [(d, t) for d in (2, 32) for t in range(9)]
+    singular = 0
+    for rec in records:
+        expected, rank = _theorem2_by_public_calls(cfg, rec.dim, rec.trial)
+        assert (rec.residual, rec.min_nonzero_eig, rec.leakage) == expected
+        singular += rank < rec.dim
+    assert bool(singular) == include_singular
+
+
+def test_theorem2_campaigns_solve_each_chunk_once(monkeypatch):
+    # Every sigma of a chunk is validated by one stacked solve: all 12
+    # trials at d <= 8, two at d = 32.  At d = 64 a chunk is one trial,
+    # and every d x d solve is of one matrix, as validate_density solves
+    # it.  The degenerate sigma of a chunk (trials 1, 5 and 9) draw
+    # their eigenbases with one Haar QR.
+    calls = count_solver_calls(monkeypatch)
+    shapes = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for dim, trials, stacks, haar in [
+        (2, 12, [(12, 2, 2)], [(3, 2, 2)]),
+        (8, 12, [(12, 8, 8)], [(3, 8, 8)]),
+        (32, 12, [(2, 32, 32)] * 6, [(1, 32, 32)] * 3),
+        (64, 3, [], [(1, 64, 64)]),
+    ]:
+        calls.clear()
+        shapes.clear()
+        run_campaign(VerifyConfig(identity="theorem2", dims=(dim,), trials=trials, seed=3))
+        assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
+        if dim == 64:
+            assert calls.count((dim, dim)) >= trials
+        assert [shape for shape in shapes if len(shape) == 3] == haar
 
 
 def test_chunk_error_names_the_chunk():

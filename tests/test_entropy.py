@@ -80,6 +80,32 @@ def test_probability_vector_rejects_matrix():
         ProbabilityVector.validated([[0.5, 0.5]])
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_probability_vector_psd_gate_at_its_bound(factor, accepted):
+    # An entry of -0.99x tol.psd is clamped to 0, and -1.01x raises.
+    tol = DEFAULT_TOL
+    raw = [1.0 + factor * tol.psd, -factor * tol.psd]
+    if accepted:
+        assert ProbabilityVector.validated(raw, tol).probs[1] == 0.0
+    else:
+        with pytest.raises(NotPositiveError, match="negative probability"):
+            ProbabilityVector.validated(raw, tol)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_probability_vector_trace_gate_at_its_bound(factor, accepted, sign):
+    # A total off 1 by 0.99x tol.trace, either way, is kept as drawn
+    # (not renormalized), and one off by 1.01x raises.
+    tol = DEFAULT_TOL
+    raw = [0.5, 0.5 + sign * factor * tol.trace]
+    if accepted:
+        assert ProbabilityVector.validated(raw, tol).probs.tolist() == raw
+    else:
+        with pytest.raises(BadTraceError, match="probabilities sum to"):
+            ProbabilityVector.validated(raw, tol)
+
+
 @given(
     value=st.sampled_from([math.nan, math.inf, -math.inf]),
     rest=st.lists(st.floats(0.0, 1.0), max_size=4),

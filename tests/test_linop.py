@@ -432,6 +432,22 @@ def test_projector_rejects_non_idempotent():
         Projector.validated(np.diag([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_projector_idempotency_gate_at_its_bound(tol, factor, accepted):
+    # A rank-1 projector in a Haar frame, with eigenvalue eps added in a
+    # second direction: ||P^2 - P||_F = eps (1 - eps) and ||P||_F is 1
+    # to round-off, so eps at 0.99x tol.idem is accepted (as rank 1)
+    # and at 1.01x raises.
+    u = haar_unitary(3, 8)
+    eps = factor * tol.idem
+    raw = (u * [1.0, eps, 0.0]) @ u.conj().T
+    if accepted:
+        assert Projector.validated(raw, tol).rank == 1
+    else:
+        with pytest.raises(NotIdempotentError, match="projector defect"):
+            Projector.validated(raw, tol)
+
+
 def test_projector_zero():
     z = Projector.zero(3)
     assert z.rank == 0 and z.basis.shape == (3, 0) and frobenius(z.matrix) == 0.0
@@ -591,6 +607,20 @@ def test_pinch_trace_preserving_and_idempotent(seed, tol):
 def test_pinch_mass_loss():
     with pytest.raises(MassLossError):
         pinch(pure([1.0, 0.0]), [basis_projector(2, [1])])
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_pinch_mass_loss_gate_at_its_bound(tol, factor, accepted):
+    # The family covers e0 and e1; the state puts 0.99x tol.supp on e2
+    # (accepted, and the pinched trace passes tol.trace) or 1.01x (raises).
+    leak = factor * tol.supp
+    rho = diag_state(0.5, 0.5 - leak, leak)
+    family = [basis_projector(3, [0]), basis_projector(3, [1])]
+    if accepted:
+        assert support_projector(pinch(rho, family, tol)).rank == 2
+    else:
+        with pytest.raises(MassLossError, match="pinching kept only trace"):
+            pinch(rho, family, tol)
 
 
 def test_pinch_rejects_overlapping_projectors():

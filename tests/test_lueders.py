@@ -413,6 +413,24 @@ def test_theorem2_rejects_basis_that_does_not_diagonalize():
         theorem2_check(rho, sigma, basis=u)
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_theorem2_diagonalization_gate_at_its_bound(tol, factor, accepted):
+    # The eigenbasis of sigma = diag(3/4, 1/4) turned by theta leaves
+    # off-diagonal Frobenius mass sqrt(2)/4 * sin(2 theta) in sigma; at
+    # 0.99x tol.identity the basis is accepted, at 1.01x it raises.
+    off = factor * tol.identity
+    theta = math.asin(2.0 * math.sqrt(2.0) * off) / 2.0
+    c, s = math.cos(theta), math.sin(theta)
+    basis = np.array([[c, -s], [s, c]])
+    rho, sigma = diag_state(0.5, 0.5), diag_state(0.75, 0.25)
+    if accepted:
+        report, _middle = theorem2_check(rho, sigma, tol, basis=basis)
+        assert report.all_finite
+    else:
+        with pytest.raises(NotDiagonalizingError, match="basis does not diagonalize"):
+            theorem2_check(rho, sigma, tol, basis=basis)
+
+
 def test_theorem2_non_diagonalizing_basis_is_package_error():
     u = haar_unitary(2, 44)
     with pytest.raises(NotDiagonalizingError) as info:
