@@ -19,14 +19,22 @@ Last, each side's solve shapes: for every identity at each of
 ``SHAPE_SEED`` in the exported tree, with every eigensolver call
 recorded by shape.  Per trial it gives the ``d x d`` solves and the
 smaller solves, each matrix of a stack counted once, and the solver
-calls; stacking shows as fewer calls for the same solves.
+calls; stacking shows as fewer calls for the same solves.  QRs are
+counted alike, as matrices factored and calls.
+
+After every benchmark run a fixed numpy-only workload is timed in its
+own fresh interpreter.  It runs no code of the program, so within a
+pair the ratio of its two rates reads the drift of the machine alone.
+Each end-to-end metric's head/base ratio per pair is reported raw and
+divided by that drift, next to each other; the medians, quartiles and
+wins stay those of the raw runs.
 
 The result is ``BENCH_<label>.json`` in the repository root: every
 run, each side's failed runs and failed operations, the median,
 quartiles and win count of each end-to-end metric of
 ``BENCHMARK.json`` (a win is a pair where the change reads better, in
 the metric's own direction; a pair where either run failed counts as
-a loss), and the machine facts of the run.
+a loss), the per-pair ratios, and the machine facts of the run.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ SHAPE_TRIALS = 24
 SHAPE_SEED = 11
 
 # Run in an exported tree: every numpy.linalg.eigh/eigvalsh call of one
-# campaign per (identity, dim), counted by the size of what it solves.
+# campaign per (identity, dim), counted by the size of what it solves,
+# and every numpy.linalg.qr call with the number of matrices it factors.
 SHAPE_CODE = """
 import json, math, sys
 import numpy as np
@@ -62,23 +71,55 @@ sys.path.insert(0, "src")
 from qrelent.campaign import IDENTITIES, VerifyConfig, run_campaign
 
 dims, trials, seed = json.loads(sys.argv[1])
-shapes = []
-for name in ("eigh", "eigvalsh"):
-    def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
-        shapes.append(np.shape(a))
+calls = {"eigh": [], "eigvalsh": [], "qr": []}
+for name, shapes in calls.items():
+    def counted(a, *args, _real=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+        _shapes.append(np.shape(a))
         return _real(a, *args, **kwargs)
     setattr(np.linalg, name, counted)
 out = {}
 for identity in IDENTITIES:
     for dim in dims:
-        shapes.clear()
+        for shapes in calls.values():
+            shapes.clear()
         run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=seed, include_infinite=True))
+        shapes = calls["eigh"] + calls["eigvalsh"]
         full = sum(math.prod(s[:-2]) for s in shapes if s[-1] == dim)
         smaller = sum(math.prod(s[:-2]) for s in shapes if s[-1] < dim)
         out.setdefault(identity, {})[str(dim)] = {
             "dxd_solves": full / trials, "smaller_solves": smaller / trials, "solver_calls": len(shapes) / trials,
+            "qr_matrices": sum(math.prod(s[:-2]) for s in calls["qr"]) / trials, "qr_calls": len(calls["qr"]) / trials,
         }
 print(json.dumps(out))
+"""
+
+# Run in a fresh interpreter after every benchmark run: a fixed
+# numpy-only workload (small and batched eigensolves and QRs, and one
+# 64 x 64 eigensolve, on fixed matrices), repeated in rounds for
+# REFERENCE_SECONDS; its rate is rounds over elapsed time, as the
+# benchmark's rates are operations over its run.  It imports nothing of
+# the program, so its rate moves only with the machine, and the ratio
+# of the two sides' rates within a pair reads the drift of that pair.
+REFERENCE_SECONDS = 5.0
+REFERENCE_CODE = """
+import json, sys, time
+import numpy as np
+
+rng = np.random.default_rng(0)
+def hermitian(*shape):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return a + a.conj().swapaxes(-1, -2)
+small, batch, large = hermitian(4, 4), hermitian(24, 8, 8), hermitian(64, 64)
+rounds, start = 0, time.perf_counter()
+while time.perf_counter() - start < float(sys.argv[1]):
+    for _ in range(20):
+        np.linalg.eigh(small)
+        np.linalg.eigh(batch)
+        np.linalg.qr(small)
+        np.linalg.qr(batch)
+    np.linalg.eigh(large)
+    rounds += 1
+print(json.dumps({"rounds_per_s": rounds / (time.perf_counter() - start)}))
 """
 
 
@@ -108,6 +149,14 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
         return {"returncode": proc.returncode, "result": None, "stderr_tail": proc.stderr[-2000:]}
 
 
+def reference_rate() -> float:
+    """The rate of ``REFERENCE_CODE`` in a fresh interpreter with one BLAS thread: rounds per second."""
+    argv = [sys.executable, "-c", REFERENCE_CODE, str(REFERENCE_SECONDS)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])["rounds_per_s"]
+
+
 def run_failed(run: dict) -> bool:
     """A run that exited non-zero, printed no JSON or reports a wrong result."""
     return run["returncode"] != 0 or run["result"] is None or not run["result"].get("correct", False)
@@ -124,10 +173,40 @@ def metric(run: dict, name: str) -> float | None:
     return run["result"]["metrics"][name]["value"]
 
 
+def pair_ratios(pairs: list[dict], name: str, unit: str) -> dict | None:
+    """The head/base ratio of a metric in each pair, raw and divided by
+    the drift the pair's reference runs read.
+
+    The reference ratio is the head side's reference rate over the base
+    side's.  A rate (a unit per second) is divided by it and a time (in
+    seconds) multiplied by it; other units are not normalised.  A pair
+    with a failed run, or without both reference rates, gives no ratio.
+    """
+    raw, normalised = [], []
+    for p in pairs:
+        base, head = metric(p["base"], name), metric(p["head"], name)
+        if base is None or head is None or not base:
+            continue
+        raw.append(head / base)
+        if "reference_rate" in p["base"] and "reference_rate" in p["head"]:
+            drift = p["head"]["reference_rate"] / p["base"]["reference_rate"]
+            if unit.endswith("/s"):
+                normalised.append(head / base / drift)
+            elif unit == "s":
+                normalised.append(head / base * drift)
+    if not raw:
+        return None
+
+    def spread(ratios: list[float]) -> dict | None:
+        return {**quartiles(ratios), "min": min(ratios), "max": max(ratios), "ratios": ratios} if ratios else None
+
+    return {"raw": spread(raw), "drift_normalised": spread(normalised)}
+
+
 def summarize(pairs: list[dict], spec: dict) -> dict:
     """Each side's failed runs and its attempted and failed operations;
-    per end-to-end metric, each side's median and quartiles, and the
-    change's wins."""
+    per end-to-end metric, each side's median and quartiles, the
+    change's wins, and the per-pair ratios of :func:`pair_ratios`."""
     out = {
         "failed_runs": {side: sum(run_failed(p[side]) for p in pairs) for side in ("base", "head")},
         "operations": {
@@ -159,6 +238,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             "head_wins": sum(1 for b, h in measured if (h > b if higher else h < b)),
             "ties": sum(1 for b, h in measured if h == b),
             "gain_beyond_base_iqr": gain > base_q["iqr"],
+            "pair_ratios": pair_ratios(pairs, name, m["unit"]),
         }
     return out
 
@@ -224,6 +304,7 @@ def main(argv=None) -> int:
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_bench(sides[side], workload, seed, trace=False)
+                    pair[side]["reference_rate"] = reference_rate()
                 pairs[workload].append(pair)
                 print(f"pair {i} {workload} done", file=sys.stderr, flush=True)
 
@@ -257,6 +338,9 @@ def main(argv=None) -> int:
             "solve_shapes": f"run_campaign(identity, dims=(d,), trials={SHAPE_TRIALS}, seed={SHAPE_SEED},"
             f" include_infinite=True) for d in {SHAPE_DIMS}; counts per trial, each matrix of a stack once",
             "order": "pair i runs base first when i is even, head first when i is odd",
+            "reference": f"after every benchmark run, REFERENCE_CODE in a fresh interpreter for"
+            f" {REFERENCE_SECONDS} s; summary pair_ratios divide each pair's head/base ratio by the"
+            " ratio of its two reference rates (rates divided, times multiplied, other units left raw)",
         },
         "notes": args.note,
         "summary": {w: summarize(pairs[w], spec) for w in WORKLOADS},

@@ -8,27 +8,27 @@ agree on infinity.  Records depend only on the configuration and the
 per-trial seed derived from ``(master seed, dim, trial index)``, so a
 report is byte-for-byte reproducible.
 
-Trials run a chunk at a time, and every identity is checked a chunk
-at a time.  Each trial draws from its own generator, so a chunk takes
-its draws in passes over its trials without changing any stream, each
-trial's in the order a trial alone takes them.  lemma1, eq3a,
-theorem1, corollary1 and corollary2 first draw every trial's block
-frame, all built by one stacked Haar QR (:func:`_frames`).  lemma1,
-eq3a and theorem1 then mix a state over each frame and validate the
-chunk's mixtures with one stacked solve; corollary1 and corollary2
-validate every trial's probe state with one stacked solve; corollary3
-stacks its Haar draws and embedded states likewise; theorem2 stacks
-the Haar eigenbases of its degenerate sigma and validates every sigma
-with one stacked solve.  A stacked solve gates and solves each matrix
-as it would be alone, so grouping changes no record.
+Trials run a chunk at a time.  Each trial draws from its own generator,
+so a chunk takes its draws in passes over its trials without changing
+any stream, each trial's in the order a trial alone takes them.  What
+a pass draws is then solved together, grouped by shape as
+:func:`~qrelent.linop._by_shape` groups it: every Haar QR (block
+frames, corollary2's refinement rotations by block rank, the
+eigenbases of corollary3 and of theorem2's degenerate sigma) and every
+validation (mixtures, probes, corollary3's embedded states, theorem2's
+sigma, and the rho of theorem1 and theorem2, by size).  A stacked call
+gates and solves each matrix as it would be alone, so grouping changes
+no record.
 
 Passing trials give the records of one trial at a time.  A chunk gates
-what it draws first (frames, probability vectors, theorem2's sigma)
-before the states built on them, and every matrix's Hermiticity before
-its chunk's solve; so when several trials of a chunk fail (under a
-tight ``--tol``), the error raised may be a later trial's rather than
-the one the first failing trial raises alone.  An error raised inside
-a chunk names the chunk.
+what it draws first before what is built on it: its frames,
+probability vectors and sigma before their states, every rotation's
+draw before any refinement's Gram gate, every rho before any trial's
+check, and each matrix's Hermiticity before its slice's solve.  So
+when several trials of a chunk fail (under a tight ``--tol``), the
+error raised may be a later trial's rather than the one the first
+failing trial raises alone.  An error raised inside a chunk names the
+chunk.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .linop import (
     frobenius,
     support_leakage,
     support_projector,
-    validate_density,
     _STACK_ENTRIES,
+    _by_shape,
     _spectral_log,
     _validated,
 )
@@ -69,14 +69,14 @@ from .mixing import (
 from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _corollary1
 from .stategen import (
     derive_seed,
-    random_refinement,
-    random_state_in_support,
     _composition,
-    _ginibre_block,
-    _haar_unitaries,
+    _ginibre,
+    _haar,
+    _lifted_states,
     _random_block_families,
-    _random_densities,
+    _random_refinements,
     _raw_density,
+    _rng,
 )
 
 __all__ = [
@@ -197,7 +197,7 @@ def _random_weights(rng: np.random.Generator, n: int, allow_zero: bool) -> np.nd
 
 def _raw_state_in(p: Projector, rank: int, seed: int) -> np.ndarray:
     """The matrix of ``random_state_in_support(p, rank, seed)``, unvalidated."""
-    return p.basis @ _ginibre_block(p, rank, seed) @ p.basis.conj().T
+    return p.basis @ _raw_density(p.rank, rank, seed) @ p.basis.conj().T
 
 
 def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
@@ -260,11 +260,12 @@ def _chunk_eq3a(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random
 
 
 def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
-    """A chunk of theorem1 trials: the fixtures of :func:`_mixture_chunk`,
-    then each trial's rho drawn on from that trial's own stream."""
+    """A chunk of theorem1 trials: the fixtures of :func:`_mixture_chunk`, then each
+    trial's rho drawn on from its own stream, all validated together."""
     tol = cfg.tol
-    out = []
-    for trial, rng, (blocks, d) in zip(trials, rngs, _mixture_chunk(cfg, dim, trials, rngs, confine=True)):
+    fixtures = _mixture_chunk(cfg, dim, trials, rngs, confine=True)
+    draws = []
+    for trial, rng, (blocks, d) in zip(trials, rngs, fixtures):
         supp = support_projector(d.sigma)
         if _infinite_slot(cfg, trial):
             # sigma is confined to all blocks but the last; give rho mass
@@ -272,19 +273,19 @@ def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
             rho_out = _raw_state_in(blocks[-1], 1, _sub_seed(rng))
             rho_in = _raw_state_in(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng))
             mix = rng.uniform(0.2, 0.8)
-            rho = validate_density(mix * rho_in + (1.0 - mix) * rho_out, tol)
-        else:
-            options = sorted({1, math.ceil(dim / 2), dim} if cfg.include_singular else {dim})
-            options = [r for r in options if r <= supp.rank] or [supp.rank]
-            rank = int(options[int(rng.integers(0, len(options)))])
-            if rng.random() < 0.25:
-                # Confine rho to a single populated block: some p_k are then
-                # exactly zero and the primed sums must cope.
-                populated = [q for q in d.supports if q.rank >= 1]
-                q = populated[int(rng.integers(0, len(populated)))]
-                rho = random_state_in_support(q, min(rank, q.rank), _sub_seed(rng), tol)
-            else:
-                rho = random_state_in_support(supp, rank, _sub_seed(rng), tol)
+            draws.append((mix * rho_in + (1.0 - mix) * rho_out, None))
+            continue
+        options = sorted({1, math.ceil(dim / 2), dim} if cfg.include_singular else {dim})
+        options = [r for r in options if r <= supp.rank] or [supp.rank]
+        rank = int(options[int(rng.integers(0, len(options)))])
+        if rng.random() < 0.25:
+            # Confine rho to a single populated block: some p_k are then
+            # exactly zero and the primed sums must cope.
+            populated = [q for q in d.supports if q.rank >= 1]
+            supp = populated[int(rng.integers(0, len(populated)))]
+        draws.append((_raw_density(supp.rank, min(rank, supp.rank), _sub_seed(rng)), supp.basis))
+    out = []
+    for (_, d), rho in zip(fixtures, _lifted_states(draws, tol)):
         bd = theorem1_breakdown(rho, d, tol)
         out.append(
             (
@@ -301,7 +302,7 @@ def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
 def _probes(cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator]) -> list[DensityOperator]:
     """Each trial's probe state: its rank, then its seed, drawn from its own stream; one stacked validation."""
     ranks = [int(rng.integers(1, dim + 1)) if cfg.include_singular else dim for rng in rngs]
-    return _random_densities(dim, ranks, [_sub_seed(rng) for rng in rngs], cfg.tol)
+    return _validated([_raw_density(dim, rank, _sub_seed(rng)) for rank, rng in zip(ranks, rngs)], cfg.tol)
 
 
 def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
@@ -318,13 +319,12 @@ def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
 
 def _chunk_corollary2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     """A chunk of corollary2 trials: after its frame, each trial draws its
-    refinement's seed and ``rank_one`` coin, then its probe."""
+    refinement's seed and ``rank_one`` coin, then its probe; then every refinement."""
     tol = cfg.tol
     frames = _frames(cfg, dim, rngs)
-    refinements = [(_sub_seed(rng), bool(rng.random() < 0.25)) for rng in rngs]
+    seeds, rank_ones = zip(*[(_sub_seed(rng), bool(rng.random() < 0.25)) for rng in rngs])
     out = []
-    for blocks, (seed, rank_one), rho in zip(frames, refinements, _probes(cfg, dim, rngs)):
-        coarse, fine = random_refinement(blocks, seed, tol, rank_one=rank_one)
+    for (coarse, fine), rho in zip(_random_refinements(frames, seeds, rank_ones, tol), _probes(cfg, dim, rngs)):
         report, composition = corollary2_check(rho, coarse, fine, tol)
         residual = max(report.residual, composition) if report.all_finite else None
         out.append((report.all_finite, True, residual, None, None))
@@ -351,7 +351,7 @@ def _chunk_corollary3(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
         p /= p.sum()
         w /= w.sum()
         draws.append((ProbabilityVector.validated(p, tol), ProbabilityVector.validated(w, tol), _sub_seed(rng)))
-    unitaries = _haar_unitaries(dim, [seed for _, _, seed in draws])
+    unitaries = _by_shape(_haar, [_ginibre(_rng(seed), dim, dim) for _, _, seed in draws])
     checks = _classical_embedding_checks([(p, w, u[:, : len(p)]) for (p, w, _), u in zip(draws, unitaries)], tol)
     return [
         (c.is_finite, q.is_finite, abs(c.value - q.value) if c.is_finite and q.is_finite else None, None, None)
@@ -365,13 +365,12 @@ def _chunk_theorem2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
 
     A degenerate sigma (every fourth trial, from trial 1) draws a
     spectrum with repeated eigenvalues, and a zero one under
-    ``include_singular``, then its Haar seed; one QR call draws the
-    eigenbases of the chunk's degenerate sigma.  Any other sigma is a raw
-    Ginibre draw.  One :func:`~qrelent.linop._validated` call validates
-    every sigma of the chunk."""
+    ``include_singular``, then the Ginibre draw of its eigenbasis, which
+    the chunk's Haar QRs turn into sigma.  Any other sigma is a raw
+    Ginibre draw.  Every sigma, then every rho, is validated together."""
     tol = cfg.tol
-    raw, degenerate = [], []
-    for trial, rng in zip(trials, rngs):
+    raw, spectra = [], {}
+    for i, (trial, rng) in enumerate(zip(trials, rngs)):
         if trial % 4 == 1:
             lam = rng.dirichlet(np.ones(dim)) + 0.05
             lam[1] = lam[0]
@@ -380,18 +379,19 @@ def _chunk_theorem2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
             if cfg.include_singular and rng.random() < 0.3 and dim >= 3:
                 lam[-1] = 0.0
             lam /= lam.sum()
-            degenerate.append((len(raw), lam, _sub_seed(rng)))
-            raw.append(None)
+            spectra[i] = lam
+            raw.append(_ginibre(_rng(_sub_seed(rng)), dim, dim))
         else:
             rank = int(rng.integers(max(1, dim // 2), dim + 1)) if cfg.include_singular else dim
             raw.append(_raw_density(dim, rank, _sub_seed(rng)))
-    if degenerate:
-        for (i, lam, _), u in zip(degenerate, _haar_unitaries(dim, [seed for _, _, seed in degenerate])):
-            raw[i] = (u * lam) @ u.conj().T
+    for i, u in zip(spectra, _by_shape(_haar, [raw[i] for i in spectra])):
+        raw[i] = (u * spectra[i]) @ u.conj().T
+    sigmas = _validated(raw, tol)
+    draws = []
+    for rng, p in zip(rngs, map(support_projector, sigmas)):
+        draws.append((_raw_density(p.rank, int(rng.integers(1, p.rank + 1)), _sub_seed(rng)), p.basis))
     out = []
-    for rng, sigma in zip(rngs, _validated(raw, tol)):
-        supp = support_projector(sigma)
-        rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), _sub_seed(rng), tol)
+    for sigma, rho in zip(sigmas, _lifted_states(draws, tol)):
         report, _middle = theorem2_check(rho, sigma, tol)
         out.append((report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)))
     return out
@@ -414,11 +414,11 @@ def _chunk_trials(dim: int) -> int:
     """Trials per chunk at ``dim``: as many as keep a chunk's stacked
     ``dim x dim`` states within one slice of
     :data:`~qrelent.linop._STACK_ENTRIES` complex entries when each trial
-    puts two in, as a corollary3 trial does.  A mixture trial (lemma1,
-    eq3a, theorem1) puts one in, its mixture, and so does a corollary1
-    or corollary2 trial, its probe, and a theorem2 trial, its sigma;
-    their chunks fill half a slice.  At d = 64 a chunk is one trial,
-    solved alone."""
+    puts two in: corollary3 its embedded states, theorem1 its mixture
+    and its rho, theorem2 its sigma and its rho.  A rho smaller than
+    ``dim`` is stacked with the chunk's rho of its size.  lemma1, eq3a,
+    corollary1 and corollary2 put one in, and their chunks fill half a
+    slice.  At d = 64 a chunk is one trial, solved alone."""
     return max(1, _STACK_ENTRIES // (2 * dim * dim))
 
 

@@ -28,9 +28,9 @@ Conventions
 * Every eigensolve is one call of the kernel :func:`_solve`, on a
   matrix, a batch of blocks or a stack of states, gated by
   :func:`_check_solve` on each matrix's own defects.
-* :func:`_validated` is the stack form of :func:`validate_density`: one
-  solve per slice of :data:`_STACK_ENTRIES` entries, and every state
-  gated on its own, as it would be alone.
+* :func:`_by_shape` groups items by shape into slices of
+  :data:`_STACK_ENTRIES` entries, one call each; :func:`_validated`, the
+  stack form of :func:`validate_density`, gates each state on its own.
 * Every state built from blocks ends in :func:`_block_spectra`, which
   solves the compression ``B = V^dag M V`` with one batched eigensolve
   per distinct block size, rank-1 blocks read off the diagonal, and no
@@ -427,36 +427,54 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
 _STACK_ENTRIES = 2**12
 
 
-def _validated(matrices, tol: Tolerances) -> list[DensityOperator]:
-    """:func:`validate_density` of each of a sequence of complex ``d x d`` matrices.
+def _by_shape(fn, items, *args) -> list:
+    """``fn`` of ``items``, a slice of one shape at a time; the results in input order.
 
-    Every matrix passes the gates of :func:`validate_density` at the
-    same bounds, and the state of a matrix does not depend on the
-    other matrices.  The matrices are taken in slices of at most
-    :data:`_STACK_ENTRIES` entries; a slice of one matrix is validated
-    by :func:`validate_density` itself.  A larger slice is stacked, the
-    Hermiticity of each of its matrices is gated, one :func:`_solve`
-    call solves it, and then each matrix in turn has its Gram,
-    reconstruction, positivity and trace gates.  So the first failure
-    raises, in that order: a matrix that fails Hermiticity is reported
-    before an earlier matrix of its slice that would fail a later gate.
+    The items of each shape, shapes in the order first met, are cut in
+    input order into slices of at most :data:`_STACK_ENTRIES` entries.
+    ``fn(stack, *args)`` gets a slice of several items stacked and returns
+    one result per item; ``fn(item, *args)`` gets a lone item unstacked.
     """
-    per_slice = max(1, _STACK_ENTRIES // np.size(matrices[0]))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(np.shape(item), []).append(i)
+    out = {}
+    for shape, indices in groups.items():
+        per_slice = max(1, _STACK_ENTRIES // math.prod(shape))
+        for a in range(0, len(indices), per_slice):
+            part = indices[a : a + per_slice]
+            results = fn(np.stack([items[i] for i in part]), *args) if len(part) > 1 else [fn(items[part[0]], *args)]
+            out.update(zip(part, results, strict=True))
+    return [out[i] for i in range(len(items))]
+
+
+def _validated(matrices, tol: Tolerances) -> list[DensityOperator]:
+    """:func:`validate_density` of each of a sequence of complex square matrices of any sizes.
+
+    Each matrix passes the gates of :func:`validate_density` at the same
+    bounds, and its state does not depend on the others.  Per slice of
+    :func:`_by_shape`: a lone matrix goes to :func:`validate_density`; in
+    a stack every matrix's Hermiticity is gated, one :func:`_solve` call
+    solves the stack, then each matrix in turn has its Gram,
+    reconstruction, positivity and trace gates.  So sizes fail in the
+    order first met, and in a slice a Hermiticity failure comes first.
+    """
+    return _by_shape(_validated_slice, matrices, tol)
+
+
+def _validated_slice(part: np.ndarray, tol: Tolerances):
+    """The state of one matrix, or the list of states of a stack, as :func:`_validated` makes them."""
+    if part.ndim == 2:
+        return validate_density(part, tol)
+    adj = part.conj().swapaxes(-1, -2)
+    for defect, scale in zip(np.linalg.norm(part - adj, axis=(-2, -1)), np.linalg.norm(part, axis=(-2, -1))):
+        _check_hermitian(float(defect), float(scale), tol)
+    part = (part + adj) / 2.0
+    w, v, gram_defect, recon_sq = _solve(part)
     states = []
-    for a in range(0, len(matrices), per_slice):
-        part = matrices[a : a + per_slice]
-        if len(part) == 1:
-            states.append(validate_density(part[0], tol))
-            continue
-        part = np.stack(part)
-        adj = part.conj().swapaxes(-1, -2)
-        for defect, scale in zip(np.linalg.norm(part - adj, axis=(-2, -1)), np.linalg.norm(part, axis=(-2, -1))):
-            _check_hermitian(float(defect), float(scale), tol)
-        part = (part + adj) / 2.0
-        w, v, gram_defect, recon_sq = _solve(part)
-        for i, scale in enumerate(np.linalg.norm(part, axis=(-2, -1))):
-            _check_solve(float(gram_defect[i]), float(recon_sq[i]), float(scale), tol)
-            states.append(_state(w[i], v[i], tol))
+    for i, scale in enumerate(np.linalg.norm(part, axis=(-2, -1))):
+        _check_solve(float(gram_defect[i]), float(recon_sq[i]), float(scale), tol)
+        states.append(_state(w[i], v[i], tol))
     return states
 
 

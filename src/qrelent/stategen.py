@@ -11,11 +11,12 @@ campaign sees the same stream no matter how trials are scheduled.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from .errors import BadSpecError
-from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, validate_density, _density, _readonly, _validated
+from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, _by_shape, _density, _readonly, _validated
 from .lueders import ProjectiveObservable
 
 __all__ = [
@@ -67,12 +68,6 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return _haar(_ginibre(_rng(seed), dim, dim))
 
 
-def _haar_unitaries(dim: int, seeds: Sequence[int]) -> np.ndarray:
-    """``haar_unitary(dim, seed)`` for each seed, as one ``(n, dim, dim)`` stack from one QR call."""
-    _check_dim(dim)
-    return _haar(np.stack([_ginibre(_rng(seed), dim, dim) for seed in seeds]))
-
-
 def _check_dim(dim: int) -> None:
     if dim < 1:
         raise BadSpecError(f"dim must be >= 1, got {dim}")
@@ -82,18 +77,7 @@ def random_density(
     dim: int, *, rank: int | None = None, seed: int = 0, tol: Tolerances = DEFAULT_TOL
 ) -> DensityOperator:
     """A random state of the given rank, full rank by default (trace-normalized Ginibre)."""
-    return _random_densities(dim, [dim if rank is None else rank], [seed], tol)[0]
-
-
-def _random_densities(
-    dim: int, ranks: Sequence[int], seeds: Sequence[int], tol: Tolerances
-) -> list[DensityOperator]:
-    """``random_density(dim, rank=rank, seed=seed, tol=tol)`` for each pair
-    of ``ranks`` and ``seeds``: the :func:`_raw_density` draws, validated
-    by one :func:`~qrelent.linop._validated` call, a lone state by
-    :func:`~qrelent.linop.validate_density`, several as stacked slices.
-    Each state depends only on its own rank and seed."""
-    return _validated([_raw_density(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)], tol)
+    return _validated([_raw_density(dim, dim if rank is None else rank, seed)], tol)[0]
 
 
 def _raw_density(dim: int, rank: int, seed: int) -> np.ndarray:
@@ -124,30 +108,20 @@ def _random_block_families(
     dim: int, block_sizes: Sequence[Sequence[int]], seeds: Sequence[int], tol: Tolerances
 ) -> list[list[Projector]]:
     """``random_block_projectors(dim, sizes, seed=seed, tol=tol)`` for each
-    pair of ``block_sizes`` and ``seeds``, with one QR call: on one
-    matrix for one family, on an ``(n, dim, dim)`` stack for several.
-    Each family depends only on its own sizes and seed."""
+    pair of ``block_sizes`` and ``seeds``, the frames drawn by Haar QRs
+    grouped as :func:`~qrelent.linop._by_shape` groups them.  Each family
+    depends only on its own sizes and seed."""
     _check_dim(dim)
-    families = []
     for sizes in block_sizes:
-        sizes = list(sizes)
-        if not sizes or any(s < 1 for s in sizes):
+        if not len(sizes) or any(s < 1 for s in sizes):
             raise BadSpecError(f"block sizes must be positive, got {tuple(sizes)}")
-        leftover = dim - sum(sizes)
-        if leftover < 0:
+        if sum(sizes) > dim:
             raise BadSpecError(f"block sizes {tuple(sizes)} sum to {sum(sizes)} > dim {dim}")
-        families.append(sizes + [leftover] if leftover > 0 else sizes)
-    draws = [_ginibre(_rng(seed), dim, dim) for seed in seeds]
-    frames = [_haar(draws[0])] if len(draws) == 1 else _haar(np.stack(draws))
-    out = []
-    for sizes, u in zip(families, frames, strict=True):
-        blocks: list[Projector] = []
-        start = 0
-        for s in sizes:
-            blocks.append(Projector.from_basis(u[:, start : start + s], tol))
-            start += s
-        out.append(blocks)
-    return out
+    frames = _by_shape(_haar, [_ginibre(_rng(seed), dim, dim) for seed in seeds])
+    return [
+        [Projector.from_basis(u[:, a:z], tol) for a, z in pairwise([0, *accumulate(sizes), dim]) if z > a]
+        for sizes, u in zip(block_sizes, frames, strict=True)
+    ]
 
 
 def random_state_in_support(
@@ -155,25 +129,24 @@ def random_state_in_support(
 ) -> DensityOperator:
     """A random rank-``rank`` state supported inside ``range(p)``.
 
-    Its ``p.rank x p.rank`` block ``S`` is validated by
-    :func:`~qrelent.linop.validate_density` and its kept eigenpairs
-    ``(w, U)`` are lifted by ``V = p.basis`` into the state with
-    spectrum ``(w, V U)``: as ``V`` preserves norms and traces, that is
-    ``validate_density(V S V^dag)`` up to round-off, with a thin spectrum.
+    Its ``p.rank x p.rank`` block ``S``, a :func:`_raw_density` draw, is
+    validated by :func:`~qrelent.linop.validate_density` and its kept
+    eigenpairs ``(w, U)`` are lifted by ``V = p.basis`` into the state
+    with spectrum ``(w, V U)``: as ``V`` preserves norms and traces, that
+    is ``validate_density(V S V^dag)`` up to round-off, with a thin spectrum.
     """
     if p.rank < 1:
         raise BadSpecError("cannot place a state inside a rank-0 projector")
-    if not 1 <= rank <= p.rank:
-        raise BadSpecError(f"rank {rank} outside [1, {p.rank}]")
-    spec = validate_density(_ginibre_block(p, rank, seed), tol).spectrum
-    return _density(spec.eigenvalues, p.basis @ spec.eigenvectors)
+    return _lifted_states([(_raw_density(p.rank, rank, seed), p.basis)], tol)[0]
 
 
-def _ginibre_block(p: Projector, rank: int, seed: int) -> np.ndarray:
-    """The unvalidated ``p.rank x p.rank`` block ``S`` of :func:`random_state_in_support`,
-    drawn in the frame of ``p.basis``; the state is ``V S V^dag``.  Callers
-    that mix several such blocks validate the mixture instead of each block."""
-    return _raw_density(p.rank, rank, seed)
+def _lifted_states(draws: Sequence[tuple[np.ndarray, np.ndarray | None]], tol: Tolerances) -> list[DensityOperator]:
+    """The state of each ``(S, V)``: ``S`` validated by :func:`~qrelent.linop._validated`, its kept
+    eigenpairs ``(w, U)`` then lifted to ``(w, V U)``, or left as they are if ``V`` is None."""
+    return [
+        state if v is None else _density(state.spectrum.eigenvalues, v @ state.spectrum.eigenvectors)
+        for state, (_, v) in zip(_validated([s for s, _ in draws], tol), draws, strict=True)
+    ]
 
 
 def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int]:
@@ -183,13 +156,6 @@ def _composition(rng: np.random.Generator, total: int, n_parts: int) -> list[int
     cuts = np.sort(rng.choice(np.arange(1, total), size=n_parts - 1, replace=False))
     edges = [0, *cuts.tolist(), total]
     return [edges[i + 1] - edges[i] for i in range(len(edges) - 1)]
-
-
-def _random_composition(rng: np.random.Generator, total: int) -> list[int]:
-    """A uniformly random ordered composition of ``total``."""
-    if total == 1:
-        return [1]
-    return _composition(rng, total, int(rng.integers(1, total + 1)))
 
 
 def random_refinement(
@@ -208,15 +174,31 @@ def random_refinement(
     rotated basis is checked orthonormal once: a group's Gram matrix is
     a principal submatrix of the whole basis's, so its defect is no larger.
     """
-    rng = _rng(seed)
-    coarse_obs = ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol)
-    fine_projs: list[Projector] = []
-    for p in coarse:
-        rotated = Projector.from_basis(p.basis @ _haar(_ginibre(rng, p.rank, p.rank)), tol).basis
-        sizes = [1] * p.rank if rank_one else _random_composition(rng, p.rank)
-        start = 0
-        for s in sizes:
+    return _random_refinements([coarse], [seed], [rank_one], tol)[0]
+
+
+def _random_refinements(families, seeds: Sequence[int], rank_ones: Sequence[bool], tol: Tolerances):
+    """``random_refinement(coarse, seed, tol, rank_one=rank_one)`` for each of
+    ``families``, ``seeds`` and ``rank_ones``.  Each family's stream gives,
+    block by block, its rotation's Ginibre draw and then its group sizes;
+    then :func:`~qrelent.linop._by_shape` draws every rotation, one QR per
+    block rank, before any Gram gate.  Each refinement depends only on its
+    own family, seed and mode."""
+    coarse_obs, draws, sizes = [], [], []
+    for coarse, seed, rank_one in zip(families, seeds, rank_ones, strict=True):
+        rng = _rng(seed)
+        coarse_obs.append(ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol))
+        for p in coarse:
+            draws.append(_ginibre(rng, p.rank, p.rank))
+            one = rank_one or p.rank == 1
+            sizes.append([1] * p.rank if one else _composition(rng, p.rank, int(rng.integers(1, p.rank + 1))))
+    rotations = zip(_by_shape(_haar, draws), sizes)
+    out = []
+    for coarse, obs in zip(families, coarse_obs):
+        fine: list[Projector] = []
+        for p, (u, groups) in zip(coarse, rotations):
+            rotated = Projector.from_basis(p.basis @ u, tol).basis
             # A C-contiguous copy per group, the array from_basis would store.
-            fine_projs.append(Projector(basis=_readonly(rotated[:, start : start + s].copy())))
-            start += s
-    return coarse_obs, ProjectiveObservable.validated(range(len(fine_projs)), tuple(fine_projs), tol)
+            fine += [Projector(basis=_readonly(rotated[:, a:z].copy())) for a, z in pairwise([0, *accumulate(groups)])]
+        out.append((obs, ProjectiveObservable.validated(range(len(fine)), tuple(fine), tol)))
+    return out

@@ -267,13 +267,17 @@ def test_mixture_campaigns_solve_each_chunk_once(monkeypatch, identity):
     # The mixtures of a chunk are validated by one stacked solve: all 12
     # trials at d <= 8, two at d = 32.  At d = 64 a chunk is one trial,
     # whose mixture is solved alone, as validate_density solves it.
+    # theorem1's rho of a chunk are validated together, one solve per
+    # size: its d x d rho make one more stack at d <= 8, and are solved
+    # alone at d = 32 (no chunk there holds two) and d = 64.
     calls = count_solver_calls(monkeypatch)
+    rho = {2: ([(8, 2, 2)], 0), 8: ([(4, 8, 8)], 0), 32: ([], 4), 64: ([], 1)}
     for dim, trials, stacks in [(2, 12, [(12, 2, 2)]), (8, 12, [(12, 8, 8)]), (32, 12, [(2, 32, 32)] * 6), (64, 3, [])]:
+        rho_stacks, rho_alone = rho[dim] if identity == "theorem1" else ([], 0)
         calls.clear()
         run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=3, include_infinite=True))
-        assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
-        if identity != "theorem1":  # theorem1's rho makes d x d solves of its own
-            assert calls.count((dim, dim)) == (trials if dim == 64 else 0)
+        assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks + rho_stacks
+        assert calls.count((dim, dim)) == (trials if dim == 64 else 0) + rho_alone
 
 
 def test_mixture_chunk_draws_each_frame_in_one_qr(monkeypatch):
@@ -354,8 +358,9 @@ def test_corollary_campaigns_solve_each_chunk_once(monkeypatch, identity):
 def test_corollary_chunk_draws_each_frame_in_one_qr(monkeypatch, identity):
     # One QR per chunk for the frames: on a (12, d, d) stack at d = 4,
     # on one 2-D matrix at d = 64, as random_block_projectors draws it.
-    # corollary2's refinement draws each coarse block's rotation alone,
-    # smaller than d.
+    # corollary2's refinement rotations take one QR per block rank of a
+    # chunk: a stack per rank at d = 4; at d = 64, where no family of
+    # these draws repeats a rank, one 2-D QR per coarse block.
     shapes = []
     real = np.linalg.qr
 
@@ -369,8 +374,12 @@ def test_corollary_chunk_draws_each_frame_in_one_qr(monkeypatch, identity):
         run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=12, seed=3))
         assert [shape for shape in shapes if shape[-1] == dim] == frames
         rotations = [shape for shape in shapes if shape[-1] != dim]
-        assert all(len(shape) == 2 and shape[0] < dim for shape in rotations)
-        assert bool(rotations) == (identity == "corollary2")
+        if identity == "corollary1":
+            assert not rotations
+        elif dim == 4:
+            assert rotations == [(29, 1, 1), (3, 3, 3), (5, 2, 2)]
+        else:
+            assert rotations and all(len(shape) == 2 and shape[0] < dim for shape in rotations)
 
 
 def _theorem2_by_public_calls(cfg: VerifyConfig, dim: int, trial: int):
@@ -423,8 +432,11 @@ def test_theorem2_campaigns_solve_each_chunk_once(monkeypatch):
     # Every sigma of a chunk is validated by one stacked solve: all 12
     # trials at d <= 8, two at d = 32.  At d = 64 a chunk is one trial,
     # and every d x d solve is of one matrix, as validate_density solves
-    # it.  The degenerate sigma of a chunk (trials 1, 5 and 9) draw
-    # their eigenbases with one Haar QR.
+    # it.  Then the chunk's rho are validated, one solve per rank of
+    # supp sigma in the order the ranks first appear, a lone rho alone;
+    # a full-rank sigma's rho joins the d x d stacks.  The degenerate
+    # sigma of a chunk (trials 1, 5 and 9) draw their eigenbases with
+    # one Haar QR, on one 2-D matrix when the chunk holds one of them.
     calls = count_solver_calls(monkeypatch)
     shapes = []
     real = np.linalg.qr
@@ -434,19 +446,20 @@ def test_theorem2_campaigns_solve_each_chunk_once(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counted)
-    for dim, trials, stacks, haar in [
-        (2, 12, [(12, 2, 2)], [(3, 2, 2)]),
-        (8, 12, [(12, 8, 8)], [(3, 8, 8)]),
-        (32, 12, [(2, 32, 32)] * 6, [(1, 32, 32)] * 3),
-        (64, 3, [], [(1, 64, 64)]),
+    for dim, trials, first, stacks, haar in [
+        (2, 12, [(12, 2, 2), (6, 2, 2), (6, 1, 1)], [(12, 2, 2), (6, 2, 2)], [(3, 2, 2)]),
+        (8, 12, [(12, 8, 8), (3, 7, 7), (5, 8, 8), (3, 5, 5), (6, 6)], [(12, 8, 8), (5, 8, 8)], [(3, 8, 8)]),
+        (32, 12, [(2, 32, 32), (21, 21), (32, 32)], [(2, 32, 32)] * 6, [(32, 32)] * 3),
+        (64, 3, [(64, 64), (37, 37)], [], [(64, 64)]),
     ]:
         calls.clear()
         shapes.clear()
         run_campaign(VerifyConfig(identity="theorem2", dims=(dim,), trials=trials, seed=3))
+        assert calls[: len(first)] == first
         assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
         if dim == 64:
             assert calls.count((dim, dim)) >= trials
-        assert [shape for shape in shapes if len(shape) == 3] == haar
+        assert [shape for shape in shapes if shape[-2:] == (dim, dim)] == haar
 
 
 def test_chunk_error_names_the_chunk():

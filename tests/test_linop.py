@@ -41,8 +41,8 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _STACK_ENTRIES, _overlaps, _pinched, _pinched_state, _stack, _validated
-from qrelent.stategen import _ginibre_block
+from qrelent.linop import _STACK_ENTRIES, _by_shape, _overlaps, _pinched, _pinched_state, _stack, _validated
+from qrelent.stategen import _raw_density
 from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, exp_hermitian, pure
 
 ATOL = 1e-12
@@ -195,7 +195,7 @@ def _range_fixture(dim: int, r: int, rank: int, seed: int) -> tuple[Projector, n
     """A Haar rank-``r`` projector on ``dim`` and the block ``S`` that
     :func:`random_state_in_support` draws in its range for ``rank`` and ``seed``."""
     p = Projector.from_basis(haar_unitary(dim, seed)[:, :r])
-    return p, _ginibre_block(p, rank, seed)
+    return p, _raw_density(p.rank, rank, seed)
 
 
 @st.composite
@@ -405,17 +405,55 @@ def test_stack_solves_in_slices_with_bit_identical_states(monkeypatch, tol, dim,
 
 def test_stack_gates_hermiticity_of_a_slice_before_its_solve(tol):
     # In one slice a non-Hermitian third matrix is reported before a
-    # non-positive second one; across slices the earlier slice raises.
+    # non-positive second one, also when a matrix of another size sits
+    # between them; across slices the earlier slice raises.
     clean = random_density(3, seed=22, tol=tol).matrix
     negative = _gate_matrix("psd", 2.0, tol)
     skew = _gate_matrix("herm", 2.0, tol)
     with pytest.raises(NotHermitianError):
         _validated([clean, negative, skew], tol)
+    with pytest.raises(NotHermitianError):
+        _validated([clean, negative, random_density(2, seed=22, tol=tol).matrix, skew], tol)
     with pytest.raises(NotPositiveError):
         validate_density(negative, tol)
     per_slice = _STACK_ENTRIES // 9
     with pytest.raises(NotPositiveError):
         _validated([clean, negative] + [clean] * (per_slice - 2) + [skew], tol)
+
+
+@st.composite
+def _mixed_items(draw):
+    """Real arrays of mixed shapes in mixed order: shapes met once, shapes
+    that fill several slices, and 64 x 64 items that fill a slice alone."""
+    shapes = st.sampled_from([(1, 1), (2, 3), (4, 4), (24, 24), (33, 20), (64, 64)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return [rng.standard_normal(shape) for shape in draw(st.lists(shapes, min_size=1, max_size=24))]
+
+
+@given(items=_mixed_items())
+@settings(deadline=None, max_examples=60)
+def test_by_shape_makes_one_call_per_slice_in_input_order(items):
+    # The items of each shape, shapes in the order first met, are cut in
+    # input order into slices of at most _STACK_ENTRIES entries, one call
+    # each, a lone item unstacked; each result is the one fn gives alone.
+    calls = []
+
+    def fn(a, scale):
+        calls.append(a)
+        return np.linalg.qr(a).Q * scale
+
+    results = _by_shape(fn, items, 2.0)
+    for item, result in zip(items, results, strict=True):
+        assert np.array_equal(result, np.linalg.qr(item).Q * 2.0)
+    counts = {}
+    for item in items:
+        counts[item.shape] = counts.get(item.shape, 0) + 1
+    assert len(calls) == sum(math.ceil(n / (_STACK_ENTRIES // math.prod(shape) or 1)) for shape, n in counts.items())
+    assert all(a.ndim == 2 or (len(a) >= 2 and a.size <= _STACK_ENTRIES) for a in calls)
+    passed = [m for a in calls for m in (a if a.ndim == 3 else [a])]
+    expected = [item for shape in counts for item in items if item.shape == shape]
+    assert len(passed) == len(expected)
+    assert all(np.array_equal(p, e) for p, e in zip(passed, expected))
 
 
 # -- Projector ----------------------------------------------------------

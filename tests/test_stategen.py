@@ -25,7 +25,8 @@ from qrelent import (
     validate_density,
 )
 import qrelent.stategen
-from qrelent.stategen import _haar_unitaries, _random_block_families, _random_densities
+from qrelent.linop import _by_shape, _validated
+from qrelent.stategen import _ginibre, _haar, _random_block_families, _random_refinements, _raw_density, _rng
 from helpers import count_solver_calls
 
 
@@ -101,12 +102,12 @@ def test_haar_unitaries_stack_the_one_matrix_draws():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "qr", counted)
-        stack = _haar_unitaries(5, seeds)
+        stack = _by_shape(_haar, [_ginibre(_rng(seed), 5, 5) for seed in seeds])
     assert calls == [(4, 5, 5)]
     for u, seed in zip(stack, seeds, strict=True):
         assert np.array_equal(u, haar_unitary(5, seed))
     with pytest.raises(BadSpecError):
-        _haar_unitaries(5, [1, -1])
+        _by_shape(_haar, [_ginibre(_rng(seed), 5, 5) for seed in [1, -1]])
 
 
 def test_derive_seed_stable_and_branch_sensitive():
@@ -148,7 +149,7 @@ def test_random_densities_stack_the_one_state_draws(dim, draws):
     seeds = [seed for _, seed in draws]
     with pytest.MonkeyPatch.context() as mp:
         calls = count_solver_calls(mp)
-        states = _random_densities(dim, ranks, seeds, DEFAULT_TOL)
+        states = _validated([_raw_density(dim, rank, seed) for rank, seed in zip(ranks, seeds)], DEFAULT_TOL)
     assert calls == ([(len(draws), dim, dim)] if len(draws) > 1 else [(dim, dim)])
     for state, rank, seed in zip(states, ranks, seeds, strict=True):
         alone = random_density(dim, rank=rank, seed=seed).spectrum
@@ -175,7 +176,7 @@ def test_random_density_validates_its_ginibre_draw_alone(dim, rank):
 def test_random_densities_refuse_a_bad_rank_or_seed():
     for ranks, seeds in [([2, 0], [1, 2]), ([2, 4], [1, 2]), ([2, 2], [1, -2])]:
         with pytest.raises(BadSpecError):
-            _random_densities(3, ranks, seeds, DEFAULT_TOL)
+            _validated([_raw_density(3, rank, seed) for rank, seed in zip(ranks, seeds)], DEFAULT_TOL)
 
 
 # -- random_block_projectors ----------------------------------------------
@@ -314,6 +315,40 @@ def test_random_refinement_checks_each_rotated_block_once(monkeypatch, rank_one)
     _, fine = random_refinement(blocks, seed=12, rank_one=rank_one)
     assert checked == [b.basis.shape for b in blocks]
     assert sum(p.rank for p in fine.projectors) == 9
+
+
+@given(
+    draws=st.lists(
+        st.tuples(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 2**63 - 1), st.booleans()),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(deadline=None, max_examples=30)
+def test_random_refinements_stack_the_one_family_draws(draws):
+    # Each refinement is random_refinement's for its family, seed and
+    # mode, bit for bit; the rotations of all families take one QR per
+    # distinct block rank, ranks in the order first met, a rank held by
+    # one block alone on its own 2-D matrix.
+    families = [random_block_projectors(sum(sizes), sizes, seed=k) for k, (sizes, _, _) in enumerate(draws)]
+    calls = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "qr", counted)
+        refinements = _random_refinements(families, [s for _, s, _ in draws], [r for _, _, r in draws], DEFAULT_TOL)
+    ranks = {}
+    for p in (p for family in families for p in family):
+        ranks[p.rank] = ranks.get(p.rank, 0) + 1
+    assert calls == [(n, r, r) if n > 1 else (r, r) for r, n in ranks.items()]
+    for family, (_, seed, rank_one), (coarse, fine) in zip(families, draws, refinements, strict=True):
+        alone = random_refinement(family, seed, rank_one=rank_one)
+        for got, want in zip(coarse.projectors + fine.projectors, alone[0].projectors + alone[1].projectors, strict=True):
+            assert np.array_equal(got.basis, want.basis)
 
 
 def test_random_refinement_rank_one_mode():
