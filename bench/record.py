@@ -22,12 +22,14 @@ smaller solves, each matrix of a stack counted once, and the solver
 calls; stacking shows as fewer calls for the same solves.  QRs are
 counted alike, as matrices factored and calls.
 
-After every benchmark run a fixed numpy-only workload is timed in its
-own fresh interpreter.  It runs no code of the program, so within a
-pair the ratio of its two rates reads the drift of the machine alone.
 Each end-to-end metric's head/base ratio per pair is reported raw and
-divided by that drift, next to each other; the medians, quartiles and
-wins stay those of the raw runs.
+divided by the same pair's ``compute_calls_per_s`` ratio (``REFERENCE``),
+next to each other; the medians, quartiles and wins stay those of the
+raw runs.  Within a pair the rates of untouched code move together, so
+the divided ratio reads a change apart from the drift of its run, as
+long as the change leaves the reference's path alone: ``compute`` runs
+``load_matrix``, ``validate_density`` and ``quantum_relative_entropy``,
+and a change that touches them cannot read the divided ratios.
 
 The result is ``BENCH_<label>.json`` in the repository root: every
 run, each side's failed runs and failed operations, the median,
@@ -93,34 +95,8 @@ for identity in IDENTITIES:
 print(json.dumps(out))
 """
 
-# Run in a fresh interpreter after every benchmark run: a fixed
-# numpy-only workload (small and batched eigensolves and QRs, and one
-# 64 x 64 eigensolve, on fixed matrices), repeated in rounds for
-# REFERENCE_SECONDS; its rate is rounds over elapsed time, as the
-# benchmark's rates are operations over its run.  It imports nothing of
-# the program, so its rate moves only with the machine, and the ratio
-# of the two sides' rates within a pair reads the drift of that pair.
-REFERENCE_SECONDS = 5.0
-REFERENCE_CODE = """
-import json, sys, time
-import numpy as np
-
-rng = np.random.default_rng(0)
-def hermitian(*shape):
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return a + a.conj().swapaxes(-1, -2)
-small, batch, large = hermitian(4, 4), hermitian(24, 8, 8), hermitian(64, 64)
-rounds, start = 0, time.perf_counter()
-while time.perf_counter() - start < float(sys.argv[1]):
-    for _ in range(20):
-        np.linalg.eigh(small)
-        np.linalg.eigh(batch)
-        np.linalg.qr(small)
-        np.linalg.qr(batch)
-    np.linalg.eigh(large)
-    rounds += 1
-print(json.dumps({"rounds_per_s": rounds / (time.perf_counter() - start)}))
-"""
+# The end-to-end metric whose per-pair ratio each pair's ratios are divided by.
+REFERENCE = "compute_calls_per_s"
 
 
 def git(*args: str) -> str:
@@ -149,14 +125,6 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
         return {"returncode": proc.returncode, "result": None, "stderr_tail": proc.stderr[-2000:]}
 
 
-def reference_rate() -> float:
-    """The rate of ``REFERENCE_CODE`` in a fresh interpreter with one BLAS thread: rounds per second."""
-    argv = [sys.executable, "-c", REFERENCE_CODE, str(REFERENCE_SECONDS)]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])["rounds_per_s"]
-
-
 def run_failed(run: dict) -> bool:
     """A run that exited non-zero, printed no JSON or reports a wrong result."""
     return run["returncode"] != 0 or run["result"] is None or not run["result"].get("correct", False)
@@ -175,12 +143,11 @@ def metric(run: dict, name: str) -> float | None:
 
 def pair_ratios(pairs: list[dict], name: str, unit: str) -> dict | None:
     """The head/base ratio of a metric in each pair, raw and divided by
-    the drift the pair's reference runs read.
+    the same pair's ``REFERENCE`` ratio.
 
-    The reference ratio is the head side's reference rate over the base
-    side's.  A rate (a unit per second) is divided by it and a time (in
-    seconds) multiplied by it; other units are not normalised.  A pair
-    with a failed run, or without both reference rates, gives no ratio.
+    A rate (a unit per second) is divided by the reference ratio and a
+    time (in seconds) multiplied by it; other units are not normalised.
+    A pair with a failed run gives no ratio.
     """
     raw, normalised = [], []
     for p in pairs:
@@ -188,8 +155,9 @@ def pair_ratios(pairs: list[dict], name: str, unit: str) -> dict | None:
         if base is None or head is None or not base:
             continue
         raw.append(head / base)
-        if "reference_rate" in p["base"] and "reference_rate" in p["head"]:
-            drift = p["head"]["reference_rate"] / p["base"]["reference_rate"]
+        ref_base, ref_head = metric(p["base"], REFERENCE), metric(p["head"], REFERENCE)
+        if ref_base and ref_head:
+            drift = ref_head / ref_base
             if unit.endswith("/s"):
                 normalised.append(head / base / drift)
             elif unit == "s":
@@ -304,7 +272,6 @@ def main(argv=None) -> int:
                 pair = {"pair": i, "seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = run_bench(sides[side], workload, seed, trace=False)
-                    pair[side]["reference_rate"] = reference_rate()
                 pairs[workload].append(pair)
                 print(f"pair {i} {workload} done", file=sys.stderr, flush=True)
 
@@ -338,9 +305,10 @@ def main(argv=None) -> int:
             "solve_shapes": f"run_campaign(identity, dims=(d,), trials={SHAPE_TRIALS}, seed={SHAPE_SEED},"
             f" include_infinite=True) for d in {SHAPE_DIMS}; counts per trial, each matrix of a stack once",
             "order": "pair i runs base first when i is even, head first when i is odd",
-            "reference": f"after every benchmark run, REFERENCE_CODE in a fresh interpreter for"
-            f" {REFERENCE_SECONDS} s; summary pair_ratios divide each pair's head/base ratio by the"
-            " ratio of its two reference rates (rates divided, times multiplied, other units left raw)",
+            "reference": f"summary pair_ratios divide each pair's head/base ratio by the same pair's {REFERENCE}"
+            " ratio (rates divided, times multiplied, other units left raw); compute runs load_matrix,"
+            " validate_density and quantum_relative_entropy, so a change that touches them cannot read"
+            " the divided ratios",
         },
         "notes": args.note,
         "summary": {w: summarize(pairs[w], spec) for w in WORKLOADS},

@@ -16,19 +16,26 @@ a pass draws is then solved together, grouped by shape as
 frames, corollary2's refinement rotations by block rank, the
 eigenbases of corollary3 and of theorem2's degenerate sigma) and every
 validation (mixtures, probes, corollary3's embedded states, theorem2's
-sigma, and the rho of theorem1 and theorem2, by size).  A stacked call
-gates and solves each matrix as it would be alone, so grouping changes
-no record.
+sigma, and the rho of theorem1 and theorem2, by size).  The checks run
+in passes too, each pass one stacked call that solves the blocks of one
+size, across the chunk, together: the decompositions of
+:func:`_mixture_chunk`, theorem1's breakdowns, corollary1's Lüders
+states, corollary2's rho_A, then its rho_B, then its composed states,
+and theorem2's middle states.  Stacking joins trials, never routes: the
+operands of two routes never share a pass.  A stacked call gates and
+solves each matrix as it would be alone, so grouping changes no record.
 
 Passing trials give the records of one trial at a time.  A chunk gates
 what it draws first before what is built on it: its frames,
 probability vectors and sigma before their states, every rotation's
 draw before any refinement's Gram gate, every rho before any trial's
-check, and each matrix's Hermiticity before its slice's solve.  So
-when several trials of a chunk fail (under a tight ``--tol``), the
-error raised may be a later trial's rather than the one the first
-failing trial raises alone.  An error raised inside a chunk names the
-chunk.
+check, every refinement before any Lüders state, every rho_A before any
+rho_B, every support check of theorem2 (``d_total``) before any middle
+state, every family's orthogonality before any block state, and each
+matrix's Hermiticity before its slice's solve.  So when several trials
+of a chunk fail (under a tight ``--tol``), the error raised may be a
+later trial's rather than the one the first failing trial raises alone.
+An error raised inside a chunk names the chunk.
 """
 
 from __future__ import annotations
@@ -60,13 +67,13 @@ from .linop import (
 from .entropy import ProbabilityVector
 from .mixing import (
     OrthogonalDecomposition,
-    decompose_by_projectors,
     entropy_mixing_identity,
     lemma1_log_decomposition,
-    theorem1_breakdown,
+    _breakdowns,
     _classical_embedding_checks,
+    _decompositions,
 )
-from .lueders import ProjectiveObservable, corollary2_check, theorem2_check, _corollary1
+from .lueders import ProjectiveObservable, _corollary1_checks, _corollary2_checks, _theorem2_checks
 from .stategen import (
     derive_seed,
     _composition,
@@ -222,8 +229,8 @@ def _mixture_chunk(
     After its frame, each trial draws the weight, rank and seed of each
     block state.  With ``confine``, an infinite slot mixes over every
     block but the last and allows no zero weight.  The raw block states
-    are mixed, and one :func:`~qrelent.linop._validated` call validates
-    the chunk's mixtures.
+    are mixed, one :func:`~qrelent.linop._validated` call validates
+    the chunk's mixtures, and one decomposition pass splits them.
     """
     tol = cfg.tol
     frames = _frames(cfg, dim, rngs)
@@ -237,10 +244,7 @@ def _mixture_chunk(
                 mixture += w * _raw_state_in(b, rank, _sub_seed(rng))
         inside.append(blocks[:n])
         mixtures.append(mixture)
-    return [
-        (blocks, decompose_by_projectors(sigma, parts, tol))
-        for blocks, parts, sigma in zip(frames, inside, _validated(mixtures, tol))
-    ]
+    return list(zip(frames, _decompositions(list(zip(_validated(mixtures, tol), inside)), tol)))
 
 
 def _chunk_lemma1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
@@ -261,7 +265,8 @@ def _chunk_eq3a(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random
 
 def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     """A chunk of theorem1 trials: the fixtures of :func:`_mixture_chunk`, then each
-    trial's rho drawn on from its own stream, all validated together."""
+    trial's rho drawn on from its own stream, all validated together, then
+    one breakdown pass."""
     tol = cfg.tol
     fixtures = _mixture_chunk(cfg, dim, trials, rngs, confine=True)
     draws = []
@@ -284,9 +289,9 @@ def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
             populated = [q for q in d.supports if q.rank >= 1]
             supp = populated[int(rng.integers(0, len(populated)))]
         draws.append((_raw_density(supp.rank, min(rank, supp.rank), _sub_seed(rng)), supp.basis))
+    cases = [(rho, d) for (_, d), rho in zip(fixtures, _lifted_states(draws, tol))]
     out = []
-    for (_, d), rho in zip(fixtures, _lifted_states(draws, tol)):
-        bd = theorem1_breakdown(rho, d, tol)
+    for (rho, d), bd in zip(cases, _breakdowns(cases, tol)):
         out.append(
             (
                 bd.total_lhs.is_finite,
@@ -308,10 +313,10 @@ def _probes(cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator]) -> lis
 def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     tol = cfg.tol
     frames = _frames(cfg, dim, rngs)
+    rhos = _probes(cfg, dim, rngs)
+    observables = [ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol) for blocks in frames]
     out = []
-    for blocks, rho in zip(frames, _probes(cfg, dim, rngs)):
-        obs = ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol)
-        direct, gap, rho_l = _corollary1(rho, obs, tol)
+    for rho, (direct, gap, rho_l) in zip(rhos, _corollary1_checks(list(zip(rhos, observables)), tol)):
         residual = abs(direct.value - gap) if direct.is_finite else None
         out.append((direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l)))
     return out
@@ -319,13 +324,17 @@ def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
 
 def _chunk_corollary2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     """A chunk of corollary2 trials: after its frame, each trial draws its
-    refinement's seed and ``rank_one`` coin, then its probe; then every refinement."""
+    refinement's seed and ``rank_one`` coin, then its probe; then every
+    refinement, and the checks in their Lüders passes."""
     tol = cfg.tol
     frames = _frames(cfg, dim, rngs)
     seeds, rank_ones = zip(*[(_sub_seed(rng), bool(rng.random() < 0.25)) for rng in rngs])
+    cases = [
+        (rho, coarse, fine)
+        for (coarse, fine), rho in zip(_random_refinements(frames, seeds, rank_ones, tol), _probes(cfg, dim, rngs))
+    ]
     out = []
-    for (coarse, fine), rho in zip(_random_refinements(frames, seeds, rank_ones, tol), _probes(cfg, dim, rngs)):
-        report, composition = corollary2_check(rho, coarse, fine, tol)
+    for report, composition in _corollary2_checks(cases, tol):
         residual = max(report.residual, composition) if report.all_finite else None
         out.append((report.all_finite, True, residual, None, None))
     return out
@@ -390,9 +399,9 @@ def _chunk_theorem2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
     draws = []
     for rng, p in zip(rngs, map(support_projector, sigmas)):
         draws.append((_raw_density(p.rank, int(rng.integers(1, p.rank + 1)), _sub_seed(rng)), p.basis))
+    cases = [(rho, sigma, None) for sigma, rho in zip(sigmas, _lifted_states(draws, tol))]
     out = []
-    for sigma, rho in zip(sigmas, _lifted_states(draws, tol)):
-        report, _middle = theorem2_check(rho, sigma, tol)
+    for (rho, sigma, _), (report, _middle) in zip(cases, _theorem2_checks(cases, tol)):
         out.append((report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)))
     return out
 

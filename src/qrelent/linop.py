@@ -32,11 +32,16 @@ Conventions
   :data:`_STACK_ENTRIES` entries, one call each; :func:`_validated`, the
   stack form of :func:`validate_density`, gates each state on its own.
 * Every state built from blocks ends in :func:`_block_spectra`, which
-  solves the compression ``B = V^dag M V`` with one batched eigensolve
-  per distinct block size, rank-1 blocks read off the diagonal, and no
-  ``d x d`` solve: Lüders states and Theorem 2's middle state
-  (:func:`_pinched_state`), and the weighted block states of a
-  decomposition (:func:`_block_states`).  Hermiticity and positivity
+  takes the compressions ``B = V^dag M V`` of several operators and
+  solves the blocks of one size, across all of them, with one batched
+  eigensolve, rank-1 blocks read off the diagonal, and no ``d x d``
+  solve; each operator passes every gate on its own, and its result
+  does not depend on the others.  Its stack forms build Lüders states
+  and Theorem 2's middle states (:func:`_pinched_states`), and the
+  weighted block states of decompositions and breakdowns
+  (:func:`_stacked_block_states`); :func:`_pinched_state` and
+  :func:`_block_states` are their one-operator calls, and a lone
+  operator is compressed and solved alone.  Hermiticity and positivity
   are judged on ``B``, never after division by a block's weight.
   :func:`validate_density` and :func:`pinch` keep their ``d x d`` solve.
 """
@@ -435,6 +440,8 @@ def _by_shape(fn, items, *args) -> list:
     ``fn(stack, *args)`` gets a slice of several items stacked and returns
     one result per item; ``fn(item, *args)`` gets a lone item unstacked.
     """
+    if len(items) == 1:
+        return [fn(items[0], *args)]
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(np.shape(item), []).append(i)
@@ -572,18 +579,113 @@ def _pinched(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarra
     return v @ _block_diagonal(matrix, v, labels) @ v.conj().T
 
 
-def _block_spectra(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The checked spectra of the blocks ``B_k`` of ``B = V^dag M V``.
+def _compressions(items, tol: Tolerances, at_scale_of_m: bool = False) -> list:
+    """``(B, V, labels)`` for each ``(M, V, labels)`` item: ``B`` is its
+    :func:`_block_diagonal`, gated and made exactly Hermitian by
+    :func:`_hermitian_part` at the scale ``||B||_F``, as :func:`symmetrize`
+    gates it, or ``||M||_F`` with ``at_scale_of_m``.
 
-    ``B`` is :func:`_block_diagonal` in the stacked frame of :func:`_stack`
-    (each block a run of consecutive columns), made exactly Hermitian by
-    the caller after its Hermiticity gate.  Blocks of one size share one
-    :func:`_solve`, and rank-1 blocks are read off the diagonal.  Then
-    :func:`_check_solve` gates the largest Gram defect of the ``U_k``
-    and the reconstruction defect summed over all blocks, at the scale
-    ``||B||_F``.  Returns each column's eigenvalue, ascending within its
-    block, and the eigenvectors ``V_k U_k``.
+    Items with one shape of ``M`` and of ``V`` are compressed together,
+    shapes in the order first met, by batched products that give each
+    ``B`` as its own product does; then every item of the stack is gated
+    on its own defect.  A lone item of its shape is compressed alone.
     """
+    groups: dict[tuple, list[int]] = {}
+    for i, (m, v, _) in enumerate(items):
+        groups.setdefault((m.shape, v.shape), []).append(i)
+    out = [None] * len(items)
+    for part in groups.values():
+        if len(part) == 1:
+            m, v, labels = items[part[0]]
+            b = _block_diagonal(m, v, labels)
+            out[part[0]] = (_hermitian_part(b, frobenius(m if at_scale_of_m else b), tol), v, labels)
+            continue
+        m, v, labels = map(np.stack, zip(*(items[i] for i in part)))
+        b = v.conj().swapaxes(-1, -2) @ m @ v
+        b[labels[:, :, None] != labels[:, None, :]] = 0.0
+        adj = b.conj().swapaxes(-1, -2)
+        scales = np.linalg.norm(m if at_scale_of_m else b, axis=(-2, -1))
+        for defect, scale in zip(np.linalg.norm(b - adj, axis=(-2, -1)).tolist(), scales.tolist()):
+            _check_hermitian(defect, scale, tol)
+        for i, h in zip(part, (b + adj) / 2.0):
+            out[i] = (h, items[i][1], items[i][2])
+    return out
+
+
+def _block_spectra(items, tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The checked spectra of the blocks ``B_k`` of each of several ``B = V^dag M V``.
+
+    Each item is ``(B, V, labels)``: ``B`` is :func:`_block_diagonal` in
+    the stacked frame of :func:`_stack` (each block a run of consecutive
+    columns), made exactly Hermitian by the caller after its Hermiticity
+    gate.  The items' columns are laid end to end, so every block is a
+    run of consecutive columns of one frame.  Rank-1 blocks are read off
+    the diagonal.  The larger blocks of one size, across all items, share
+    one :func:`_solve`, cut in input order into slices of at most
+    :data:`_STACK_ENTRIES` entries as :func:`_by_shape` cuts them.  Then
+    each item in turn passes :func:`_check_solve` on its own blocks: the
+    largest Gram defect of its ``U_k`` and its reconstruction defect
+    summed over its blocks, at the scale ``||B||_F``.  Returns per item
+    each column's eigenvalue, ascending within its block, and the
+    eigenvectors ``V_k U_k``.  A lone item goes to
+    :func:`_block_spectrum`, as a lone matrix goes to
+    :func:`validate_density` in :func:`_validated`.
+    """
+    if len(items) == 1:
+        return [_block_spectrum(*items[0], tol)]
+    counts = [len(labels) for _, _, labels in items]
+    edges = np.cumsum([0, *counts])
+    owner = np.repeat(np.arange(len(items)), counts)  # the item of each column
+    local = np.arange(edges[-1]) - edges[owner]  # its column within its item
+    labels = np.concatenate([labels for _, _, labels in items])
+    # A block starts where the label changes or an item starts.
+    block = np.cumsum((np.diff(labels, prepend=-1) != 0) | (local == 0)) - 1
+    column_sizes = np.bincount(block)[block]
+    entries = np.concatenate([b.ravel() for b, _, _ in items])
+    squares = [n * n for n in counts]
+    # ||B||_F of each item, the scale of its reconstruction gate.
+    entry_owner = np.repeat(np.arange(len(items)), squares)
+    scales = np.sqrt(np.bincount(entry_owner, weights=entries.real**2 + entries.imag**2, minlength=len(items)))
+    row = np.cumsum([0, *squares])[owner] + local * np.asarray(counts, dtype=int)[owner]  # entry of B[c, 0]
+    # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
+    w = entries[row + local].real.copy()
+    # The columns of each dimension laid end to end in one frame, column c at place[c].
+    dims = [v.shape[0] for _, v, _ in items]
+    bases, start, filled = {}, [], {}
+    for d, (_, v, _), n in zip(dims, items, counts):
+        start.append(filled.get(d, 0))
+        filled[d] = start[-1] + n
+        bases.setdefault(d, []).append(v)
+    frames = {d: np.concatenate(vs, axis=1) for d, vs in bases.items()}
+    vectors = {d: v.copy() for d, v in frames.items()}
+    place = local + np.asarray(start, dtype=int)[owner]
+    column_dims = np.asarray(dims, dtype=int)[owner]
+    gram_defects, recon_sqs = np.zeros(len(items)), np.zeros(len(items))
+    for s in sorted(set(column_sizes.tolist()) - {1}):
+        # Blocks are runs of consecutive columns: one row per block.
+        cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
+        stack = entries[row[cols][:, :, None] + local[cols][:, None, :]]
+        per_slice = max(1, _STACK_ENTRIES // (s * s))
+        solved = [_solve(stack[a : a + per_slice]) for a in range(0, len(stack), per_slice)]
+        bw, bu, gram, recon = solved[0] if len(solved) == 1 else map(np.concatenate, zip(*solved))
+        w[cols] = bw
+        block_owner = owner[cols[:, 0]]
+        np.maximum.at(gram_defects, block_owner, gram)  # keeps a NaN
+        np.add.at(recon_sqs, block_owner, recon)
+        for d, v in frames.items():
+            mine = column_dims[cols[:, 0]] == d
+            c = place[cols[mine]]
+            vectors[d][:, c] = (v[:, c].transpose(1, 0, 2) @ bu[mine]).transpose(1, 0, 2)
+    for gram_defect, recon_sq, scale in zip(gram_defects.tolist(), recon_sqs.tolist(), scales.tolist()):
+        _check_solve(gram_defect, recon_sq, scale, tol)
+    return [
+        (_readonly(w[e : e + n]), _readonly(vectors[d][:, a : a + n]))
+        for d, e, a, n in zip(dims, edges.tolist(), start, counts)
+    ]
+
+
+def _block_spectrum(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_block_spectra` of one item: one :func:`_solve` per block size of its own ``B``."""
     # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
     w = b.diagonal().real.copy()
     vectors = v.copy()
@@ -599,28 +701,38 @@ def _block_spectra(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolera
         w[cols] = bw
         vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
     _check_solve(gram_defect, recon_sq, frobenius(b), tol)
-    return w, _readonly(vectors)
+    return _readonly(w), _readonly(vectors)
+
+
+def _pinched_states(items, tol: Tolerances) -> list[DensityOperator]:
+    """Validate each pinching ``sum_k V_k (V_k^dag M V_k) V_k^dag`` of ``(M, V, labels)`` items.
+
+    ``V`` and ``labels`` come from :func:`_stack`.  The spectrum of a
+    pinching is the union of its block spectra, so no ``d x d`` matrix
+    is solved: every ``B`` passes the Hermiticity gate of
+    :func:`symmetrize`, :func:`_block_spectra` solves them all, then each
+    item's assembled eigenvectors pass one Gram check at ``tol.orth``
+    and its state the positivity and trace gates of
+    :func:`validate_density`.  Each result equals
+    ``validate_density(_pinched(M, V, labels))`` up to round-off and does
+    not depend on the other items; its spectrum is thin when ``V`` does
+    not span the space.  Raises as :func:`validate_density`, and
+    :class:`NotOrthonormalError` if a family is no eigenbasis to within
+    ``tol.orth``; when several items fail, the error may be a later one's.
+    """
+    spectra = _block_spectra(_compressions(items, tol), tol)
+    states = []
+    for (w, vectors), gram_defect in zip(spectra, _by_shape(_gram_defects, [vectors for _, vectors in spectra])):
+        if not (gram_defect <= tol.orth):
+            raise NotOrthonormalError(f"pinched eigenvectors not orthonormal: defect {gram_defect:.3e}")
+        ascending = np.argsort(w, kind="stable")
+        states.append(_state(w[ascending], vectors[:, ascending], tol))
+    return states
 
 
 def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:
-    """Validate the pinching ``sum_k V_k (V_k^dag M V_k) V_k^dag`` from its blocks.
-
-    ``v`` and ``labels`` come from :func:`_stack`.  The spectrum of a
-    pinching is the union of its block spectra, so no ``d x d`` matrix
-    is solved: :func:`_block_spectra` solves ``B`` after the Hermiticity
-    gate of :func:`symmetrize`, then the assembled eigenvectors pass one
-    Gram check at ``tol.orth``.  The result equals
-    ``validate_density(_pinched(M, V, labels))`` up to round-off; its
-    spectrum is thin when ``V`` does not span the space.  Raises as
-    :func:`validate_density`, and :class:`NotOrthonormalError` if the
-    family is no eigenbasis to within ``tol.orth``.
-    """
-    w, vectors = _block_spectra(symmetrize(_block_diagonal(matrix, v, labels), tol), v, labels, tol)
-    gram_defect = _gram_defect(vectors)
-    if not (gram_defect <= tol.orth):
-        raise NotOrthonormalError(f"pinched eigenvectors not orthonormal: defect {gram_defect:.3e}")
-    ascending = np.argsort(w, kind="stable")
-    return _state(w[ascending], vectors[:, ascending], tol)
+    """:func:`_pinched_states` of one item."""
+    return _pinched_states([(matrix, v, labels)], tol)[0]
 
 
 def pinch(
@@ -652,38 +764,50 @@ def pinch(
     return validate_density(out, tol)
 
 
+def _stacked_block_states(
+    items, tol: Tolerances
+) -> list[tuple[np.ndarray, tuple[DensityOperator | None, ...], tuple[np.ndarray, np.ndarray]]]:
+    """Split each ``M`` of ``(M, V, labels, n)`` items into block weights and normalized block states.
+
+    ``V`` and ``labels`` stack ``n`` range bases ``V_k`` (:func:`_stack`).
+    Every compression ``B`` passes its Hermiticity gate, then one
+    :func:`_block_spectra` call solves them all, and each item in turn
+    has its positivity gate and is split; ``p_k``, the trace of block
+    ``B_k`` clamped at 0, is its weight.  Hermiticity and positivity are
+    judged on ``B`` at the scale of ``M`` (``||B - B^dag||_F <= tol.herm *
+    ||M||_F``, no eigenvalue below ``-tol.psd``) before any division by
+    ``p_k``, so round-off is not magnified into a rejection of a light
+    block.  The support cut is made once per item, at the largest
+    eigenvalue of its whole ``B``, never a block's own, and it alone
+    decides which blocks exist: each block with ``p_k > 0`` and a kept
+    eigenvalue becomes the thin state of its kept pairs, renormalized;
+    other blocks carry ``None``, but their ``p_k`` still counts.  Returns
+    per item the read-only weights, the states and the uncut block
+    spectrum (eigenvalues of ``B``, and ``V_k U_k``), each as the item
+    gives them alone.  Raises :class:`NotHermitianError`,
+    :class:`NotPositiveError` or :class:`SolverFailureError`; when
+    several items fail, the error may be a later one's.
+    """
+    compressed = _compressions([(m, v, labels) for m, v, labels, _ in items], tol, at_scale_of_m=True)
+    out = []
+    for (b, _, labels), (_, _, _, n), (w, vectors) in zip(compressed, items, _block_spectra(compressed, tol)):
+        _check_positive(w, tol)
+        weights = np.clip(np.bincount(labels, weights=b.diagonal().real, minlength=n), 0.0, None)
+        kept, kept_vectors, kept_labels = _cut(float(w.max(initial=0.0)), tol, w, vectors, labels)
+        edges = np.cumsum([0, *np.bincount(kept_labels, minlength=n).tolist()]).tolist()
+        states = tuple(
+            _density(kept[a:z] / math.fsum(kept[a:z].tolist()), kept_vectors[:, a:z]) if pk > 0.0 and z > a else None
+            for pk, a, z in zip(weights.tolist(), edges, edges[1:])
+        )
+        out.append((_readonly(weights), states, (w, vectors)))
+    return out
+
+
 def _block_states(
     matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, n: int, tol: Tolerances
 ) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], tuple[np.ndarray, np.ndarray]]:
-    """Split ``M`` into block weights and normalized block states.
-
-    ``v`` and ``labels`` stack ``n`` range bases ``V_k`` (:func:`_stack`);
-    one compression ``B`` is solved by :func:`_block_spectra`, and
-    ``p_k``, the trace of block ``B_k`` clamped at 0, is its weight.
-    Hermiticity and positivity are judged on ``B`` at the scale of ``M``
-    (``||B - B^dag||_F <= tol.herm * ||M||_F``, no eigenvalue below
-    ``-tol.psd``) before any division by ``p_k``, so round-off is not
-    magnified into a rejection of a light block.  The support cut is
-    made once, at the largest eigenvalue of the whole ``B``, never a
-    block's own, and it alone decides which blocks exist: each block
-    with ``p_k > 0`` and a kept eigenvalue becomes the thin state of its
-    kept pairs, renormalized; other blocks carry ``None``, but their
-    ``p_k`` still counts.  Returns the read-only weights, the states and
-    the uncut block spectrum (eigenvalues of ``B``, and ``V_k U_k``).
-    Raises :class:`NotHermitianError`, :class:`NotPositiveError` or
-    :class:`SolverFailureError`.
-    """
-    b = _hermitian_part(_block_diagonal(matrix, v, labels), frobenius(matrix), tol)
-    w, vectors = _block_spectra(b, v, labels, tol)
-    _check_positive(w, tol)
-    weights = np.clip(np.bincount(labels, weights=b.diagonal().real, minlength=n), 0.0, None)
-    kept, kept_vectors, kept_labels = _cut(float(w.max(initial=0.0)), tol, w, vectors, labels)
-    edges = np.cumsum([0, *np.bincount(kept_labels, minlength=n).tolist()]).tolist()
-    states = tuple(
-        _density(kept[a:z] / math.fsum(kept[a:z].tolist()), kept_vectors[:, a:z]) if pk > 0.0 and z > a else None
-        for pk, a, z in zip(weights.tolist(), edges, edges[1:])
-    )
-    return _readonly(weights), states, (w, vectors)
+    """:func:`_stacked_block_states` of one item."""
+    return _stacked_block_states([(matrix, v, labels, n)], tol)[0]
 
 
 def _populations(rho: DensityOperator, v: np.ndarray) -> np.ndarray:

@@ -12,12 +12,14 @@ than trusts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadObservableError,
+    DimensionMismatchError,
     NotARefinementError,
     NotDiagonalizingError,
     NotOrthonormalError,
@@ -30,7 +32,7 @@ from .linop import (
     Tolerances,
     frobenius,
     _check_mutually_orthogonal,
-    _pinched_state,
+    _pinched_states,
     _stack,
 )
 from .entropy import ExtendedReal, quantum_relative_entropy, von_neumann_entropy
@@ -52,7 +54,8 @@ class ProjectiveObservable:
 
     Build through :meth:`validated`, which enforces distinct
     eigenvalues, mutual orthogonality, and completeness
-    ``sum_i P_i = 1``.
+    ``sum_i P_i = 1``.  The stacked frame of the range bases is built
+    once and kept for every map that reads it.
     """
 
     eigenvalues: tuple[float, ...]
@@ -61,6 +64,18 @@ class ProjectiveObservable:
     @property
     def dim(self) -> int:
         return self.projectors[0].dim
+
+    @functools.cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~qrelent.linop._stack` of the projectors, on the first one's dimension."""
+        return _stack(self.projectors, self.dim)
+
+    def _framed(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The kept frame, for a map on ``dim``; :class:`DimensionMismatchError` if it lives elsewhere."""
+        v, labels = self._frame
+        if v.shape[0] != dim:
+            raise DimensionMismatchError(f"projector 0 on dim {self.dim}, expected dim {dim}")
+        return v, labels
 
     @classmethod
     def validated(
@@ -76,11 +91,13 @@ class ProjectiveObservable:
         if len(set(eigs)) != len(eigs):
             raise BadObservableError(f"eigenvalues must be distinct, got {eigs}")
         d = projs[0].dim
-        v, _ = _check_mutually_orthogonal(projs, d, tol)
+        v, labels = _check_mutually_orthogonal(projs, d, tol)
         defect = frobenius(v @ v.conj().T - np.eye(d))
         if not (defect <= tol.identity):
             raise BadObservableError(f"projectors do not resolve the identity: defect {defect:.3e}")
-        return cls(eigenvalues=eigs, projectors=projs)
+        obs = cls(eigenvalues=eigs, projectors=projs)
+        obs.__dict__["_frame"] = v, labels  # the checked frame is the one _frame would build
+        return obs
 
 
 def lueders_state(
@@ -104,7 +121,15 @@ def lueders_state(
         ``tol.identity`` but not to within ``tol.orth``, so they cannot
         carry the state's eigenvectors.
     """
-    return _pinched_state(rho.matrix, *_stack(obs.projectors, rho.dim), tol)
+    return _lueders_states([(rho, obs)], tol)[0]
+
+
+def _lueders_states(cases, tol: Tolerances) -> list[DensityOperator]:
+    """:func:`lueders_state` of each ``(rho, obs)`` case, all in one
+    :func:`~qrelent.linop._pinched_states` pass: every frame is checked
+    against its state's dimension first, and each state passes its own
+    gates, so each result is the one its case gives alone."""
+    return _pinched_states([(rho.matrix, *obs._framed(rho.dim)) for rho, obs in cases], tol)
 
 
 def corollary1_check(
@@ -117,17 +142,16 @@ def corollary1_check(
     particular the distance is finite, because the Lüders state's
     support always contains the state's own.
     """
-    return _corollary1(rho, obs, tol)[:2]
+    return _corollary1_checks([(rho, obs)], tol)[0][:2]
 
 
-def _corollary1(
-    rho: DensityOperator, obs: ProjectiveObservable, tol: Tolerances
-) -> tuple[ExtendedReal, float, DensityOperator]:
-    """:func:`corollary1_check`'s two routes, and the Lüders state they measure against."""
-    rho_l = lueders_state(rho, obs, tol)
-    direct = quantum_relative_entropy(rho, rho_l, tol)
-    gap = von_neumann_entropy(rho_l) - von_neumann_entropy(rho)
-    return direct, gap, rho_l
+def _corollary1_checks(cases, tol: Tolerances) -> list[tuple[ExtendedReal, float, DensityOperator]]:
+    """:func:`corollary1_check`'s two routes for each ``(rho, obs)`` case,
+    and the Lüders state they measure against; one Lüders pass."""
+    return [
+        (quantum_relative_entropy(rho, rho_l, tol), von_neumann_entropy(rho_l) - von_neumann_entropy(rho), rho_l)
+        for (rho, _), rho_l in zip(cases, _lueders_states(cases, tol))
+    ]
 
 
 def is_refinement(
@@ -152,8 +176,8 @@ def is_refinement(
     DimensionMismatchError
         If a fine projector is not on the coarse observable's dimension.
     """
-    vc, coarse_labels = _stack(coarse.projectors, coarse.dim)
-    vf, fine_labels = _stack(fine.projectors, coarse.dim)
+    vc, coarse_labels = coarse._frame
+    vf, fine_labels = fine._framed(coarse.dim)
     overlap = vc.conj().T @ vf
     n_fine = len(fine.projectors)
     absorbed = np.empty((len(coarse.projectors), n_fine), dtype=bool)
@@ -221,17 +245,33 @@ def corollary2_check(
         checked before any Lüders state is built: the identity is only
         claimed under that hypothesis.
     """
-    is_refinement(fine, coarse, tol)
-    rho_a = lueders_state(rho, coarse, tol)
-    rho_b = lueders_state(rho, fine, tol)
-    report = LineReport(
-        d_total=quantum_relative_entropy(rho, rho_b, tol),
-        d_first=quantum_relative_entropy(rho, rho_a, tol),
-        d_second=quantum_relative_entropy(rho_a, rho_b, tol),
-    )
-    composed = lueders_state(rho_a, fine, tol)
-    composition_residual = frobenius(composed.matrix - rho_b.matrix)
-    return report, composition_residual
+    return _corollary2_checks([(rho, coarse, fine)], tol)[0]
+
+
+def _corollary2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, float]]:
+    """:func:`corollary2_check` of each ``(rho, coarse, fine)`` case.
+
+    Every refinement is checked first; then one Lüders pass builds every
+    ``rho_A``, one every ``rho_B``, and one every composed state
+    ``(rho_A)_L(fine)``, so the routes to ``rho_A`` and ``rho_B`` never
+    share a call.
+    """
+    for _, coarse, fine in cases:
+        is_refinement(fine, coarse, tol)
+    rho_a = _lueders_states([(rho, coarse) for rho, coarse, _ in cases], tol)
+    rho_b = _lueders_states([(rho, fine) for rho, _, fine in cases], tol)
+    composed = _lueders_states([(a, fine) for a, (_, _, fine) in zip(rho_a, cases)], tol)
+    return [
+        (
+            LineReport(
+                d_total=quantum_relative_entropy(rho, b, tol),
+                d_first=quantum_relative_entropy(rho, a, tol),
+                d_second=quantum_relative_entropy(a, b, tol),
+            ),
+            frobenius(c.matrix - b.matrix),
+        )
+        for (rho, _, _), a, b, c in zip(cases, rho_a, rho_b, composed)
+    ]
 
 
 def theorem2_check(
@@ -263,32 +303,53 @@ def theorem2_check(
     NotDiagonalizingError
         If an explicit basis does not diagonalize ``sigma``.
     """
-    d_total = quantum_relative_entropy(rho, sigma, tol)
-    if not d_total.is_finite:
-        raise SupportViolationError("state support leaks outside the reference support")
+    return _theorem2_checks([(rho, sigma, basis)], tol)[0]
 
+
+def _theorem2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, DensityOperator]]:
+    """:func:`theorem2_check` of each ``(rho, sigma, basis)`` case.
+
+    Each case in turn has its support check (``d_total``) and its frame
+    checked; then one pinching pass builds every middle state.
+    """
+    totals, frames = [], []
+    for rho, sigma, basis in cases:
+        d_total = quantum_relative_entropy(rho, sigma, tol)
+        if not d_total.is_finite:
+            raise SupportViolationError("state support leaks outside the reference support")
+        totals.append(d_total)
+        frames.append(_pinching_frame(sigma, basis, tol))
+
+    # Rank-1 blocks are read off the diagonal of rho in v; only a kernel of rank >= 2 is solved.
+    middles = _pinched_states([(rho.matrix, *frame) for (rho, _, _), frame in zip(cases, frames)], tol)
+    return [
+        (
+            LineReport(
+                d_total=d_total,
+                d_first=quantum_relative_entropy(rho, middle, tol),
+                d_second=quantum_relative_entropy(middle, sigma, tol),
+            ),
+            middle,
+        )
+        for (rho, sigma, _), d_total, middle in zip(cases, totals, middles)
+    ]
+
+
+def _pinching_frame(sigma: DensityOperator, basis: np.ndarray | None, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The frame :func:`theorem2_check` pinches in: ``sigma``'s kept eigenvectors,
+    one block each, and its kernel as one block; or the checked columns of ``basis``."""
     if basis is None:
         v = sigma.spectrum.eigenvectors
         # Completing the kernel keeps rho's mass there; as one block, no choice of its basis moves M.
         labels = np.minimum(np.arange(sigma.dim), v.shape[1])
         if v.shape[1] < sigma.dim:
             v = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]], axis=1)
-    else:
-        labels = np.arange(sigma.dim)
-        v = Projector.from_basis(basis, tol).basis
-        if v.shape != (sigma.dim, sigma.dim):
-            raise NotOrthonormalError(f"need a full square basis, got shape {v.shape}")
-        rotated = v.conj().T @ sigma.matrix @ v
-        off = frobenius(rotated - np.diag(np.diag(rotated)))
-        if not (off <= tol.identity):
-            raise NotDiagonalizingError(f"basis does not diagonalize the reference state: off-diagonal {off:.3e}")
-
-    # Rank-1 blocks are read off the diagonal of rho in v; only a kernel of rank >= 2 is solved.
-    middle = _pinched_state(rho.matrix, v, labels, tol)
-
-    report = LineReport(
-        d_total=d_total,
-        d_first=quantum_relative_entropy(rho, middle, tol),
-        d_second=quantum_relative_entropy(middle, sigma, tol),
-    )
-    return report, middle
+        return v, labels
+    v = Projector.from_basis(basis, tol).basis
+    if v.shape != (sigma.dim, sigma.dim):
+        raise NotOrthonormalError(f"need a full square basis, got shape {v.shape}")
+    rotated = v.conj().T @ sigma.matrix @ v
+    off = frobenius(rotated - np.diag(np.diag(rotated)))
+    if not (off <= tol.identity):
+        raise NotDiagonalizingError(f"basis does not diagonalize the reference state: off-diagonal {off:.3e}")
+    return v, np.arange(sigma.dim)

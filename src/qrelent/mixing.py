@@ -29,10 +29,10 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
-    _block_states,
     _check_mutually_orthogonal,
     _density,
     _stack,
+    _stacked_block_states,
     _validated,
 )
 from .entropy import (
@@ -122,16 +122,32 @@ def decompose_by_projectors(
         If ``sigma`` has coherences between (or outside) the blocks
         beyond ``tol.identity``.
     """
-    v, labels = _check_mutually_orthogonal(blocks, sigma.dim, tol)
-    weights, parts, (w, vectors) = _block_states(sigma.matrix, v, labels, len(blocks), tol)
-    leak = 1.0 - math.fsum(weights.tolist())
-    if not (leak <= tol.supp):
-        raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
-    # V B V^dag, the pinching of sigma, rebuilt from B's uncut block spectra.
-    coherence = frobenius(sigma.matrix - (vectors * w) @ vectors.conj().T)
-    if not (coherence <= tol.identity):
-        raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
-    return OrthogonalDecomposition(weights=ProbabilityVector.validated(weights, tol), parts=parts, sigma=sigma)
+    return _decompositions([(sigma, blocks)], tol)[0]
+
+
+def _decompositions(cases, tol: Tolerances) -> list[OrthogonalDecomposition]:
+    """:func:`decompose_by_projectors` of each ``(sigma, blocks)`` case.
+
+    Every family passes its orthogonality check first; then one
+    :func:`~qrelent.linop._stacked_block_states` pass splits every
+    ``sigma``, and each case in turn has its leak and block-diagonal
+    checks.
+    """
+    frames = [_check_mutually_orthogonal(blocks, sigma.dim, tol) for sigma, blocks in cases]
+    split = _stacked_block_states(
+        [(sigma.matrix, v, labels, len(blocks)) for (sigma, blocks), (v, labels) in zip(cases, frames)], tol
+    )
+    out = []
+    for (sigma, _), (weights, parts, (w, vectors)) in zip(cases, split):
+        leak = 1.0 - math.fsum(weights.tolist())
+        if not (leak <= tol.supp):
+            raise LeakedSupportError(f"state has trace mass {leak:.3e} outside the given blocks")
+        # V B V^dag, the pinching of sigma, rebuilt from B's uncut block spectra.
+        coherence = frobenius(sigma.matrix - (vectors * w) @ vectors.conj().T)
+        if not (coherence <= tol.identity):
+            raise NotBlockDiagonalError(f"state not block diagonal in the blocks: off-block norm {coherence:.3e}")
+        out.append(OrthogonalDecomposition(weights=ProbabilityVector.validated(weights, tol), parts=parts, sigma=sigma))
+    return out
 
 
 def lemma1_log_decomposition(d: OrthogonalDecomposition) -> np.ndarray:
@@ -221,11 +237,28 @@ def theorem1_breakdown(
     agreement of the two routes, finite or infinite, is exactly what
     callers verify.
     """
-    if rho.dim != d.dim:
-        raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
+    return _breakdowns([(rho, d)], tol)[0]
 
-    v, labels = _stack(d.supports, d.dim)
-    p, states, (w, vectors) = _block_states(rho.matrix, v, labels, d.n_parts, tol)
+
+def _breakdowns(cases, tol: Tolerances) -> list[MixingBreakdown]:
+    """:func:`theorem1_breakdown` of each ``(rho, d)`` case: every
+    dimension is checked first, then one
+    :func:`~qrelent.linop._stacked_block_states` pass splits every ``rho``
+    over its supports."""
+    items = []
+    for rho, d in cases:
+        if rho.dim != d.dim:
+            raise DimensionMismatchError(f"state on dim {rho.dim}, decomposition on dim {d.dim}")
+        items.append((rho.matrix, *_stack(d.supports, d.dim), d.n_parts))
+    return [
+        _breakdown(rho, d, labels, split, tol)
+        for (rho, d), (_, _, labels, _), split in zip(cases, items, _stacked_block_states(items, tol))
+    ]
+
+
+def _breakdown(rho: DensityOperator, d: OrthogonalDecomposition, labels: np.ndarray, split, tol: Tolerances):
+    """:func:`theorem1_breakdown` from the split of ``rho`` over ``d``'s supports, stacked by ``labels``."""
+    p, states, (w, vectors) = split
     positive = w > 0.0
 
     s_pinched = _spectral_entropy(w[positive])

@@ -278,6 +278,24 @@ def test_mixture_campaigns_solve_each_chunk_once(monkeypatch, identity):
         run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=3, include_infinite=True))
         assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks + rho_stacks
         assert calls.count((dim, dim)) == (trials if dim == 64 else 0) + rho_alone
+        if dim == 8:
+            # One decomposition pass, and theorem1's breakdown pass after
+            # its rho: each solves the blocks of one size, across the
+            # chunk, in one call, sizes ascending.
+            assert calls == _MIXTURE_CALLS_AT_8[identity == "theorem1"]
+        else:
+            # At d = 32 a pass holds two trials; at d = 64 one, whose
+            # blocks are solved as before, one call per size of its own.
+            assert len(calls) == _MIXTURE_CALL_COUNTS[identity == "theorem1"][dim]
+
+
+_MIXTURE_CALLS_AT_8 = {
+    False: [(12, 8, 8), (13, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 6)],
+    True: [(12, 8, 8), (11, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (1, 6, 6)]
+    + [(2, 2, 2), (3, 5, 5), (4, 8, 8), (1, 1), (2, 3, 3)]
+    + [(7, 2, 2), (3, 3, 3), (1, 5, 5)],
+}
+_MIXTURE_CALL_COUNTS = {False: {2: 1, 32: 34, 64: 12}, True: {2: 3, 32: 64, 64: 20}}
 
 
 def test_mixture_chunk_draws_each_frame_in_one_qr(monkeypatch):
@@ -352,6 +370,25 @@ def test_corollary_campaigns_solve_each_chunk_once(monkeypatch, identity):
         assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
         assert calls.count((dim, dim)) == (trials if dim == 64 else 0)
         assert all(shape[-1] < dim for shape in calls if shape[-2:] != (dim, dim))
+        # The Lüders states of a chunk are built in passes (corollary1's
+        # one; corollary2's rho_A, rho_B and composed states), and each
+        # pass solves the blocks of one size, across the chunk, in one
+        # call, sizes ascending.  At d = 32 a pass holds two trials; at
+        # d = 64 one, whose blocks are solved as before, one call per size
+        # of its own.
+        blocks = [shape for shape in calls if shape[-1] < dim]
+        assert (blocks if dim <= 8 else len(blocks)) == _LUEDERS_BLOCK_CALLS[identity][dim]
+
+
+_LUEDERS_BLOCK_CALLS = {
+    "corollary1": {2: [], 8: [(13, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 6)], 32: 28, 64: 9},
+    "corollary2": {
+        2: [],
+        8: [(13, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 6)] + [(12, 2, 2), (4, 3, 3)] * 2,
+        32: 82,
+        64: 33,
+    },
+}
 
 
 @pytest.mark.parametrize("identity", ["corollary1", "corollary2"])
@@ -456,6 +493,11 @@ def test_theorem2_campaigns_solve_each_chunk_once(monkeypatch):
         shapes.clear()
         run_campaign(VerifyConfig(identity="theorem2", dims=(dim,), trials=trials, seed=3))
         assert calls[: len(first)] == first
+        # Then one middle-state pass: the kernel blocks of one size, across
+        # the chunk, in one call, sizes ascending.  At d = 32 a pass holds
+        # two trials; at d = 64 one, solved as before.
+        middle = {2: [], 8: [(1, 2, 2), (3, 3, 3)], 32: 27, 64: 8}[dim]
+        assert (calls[len(first) :] if dim <= 8 else len(calls)) == middle
         assert [shape for shape in calls if len(shape) == 3 and shape[1:] == (dim, dim)] == stacks
         if dim == 64:
             assert calls.count((dim, dim)) >= trials

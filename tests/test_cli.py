@@ -149,6 +149,21 @@ def test_verify_small_run(tmp_path, capsys, monkeypatch):
     assert "failures          0" in text
 
 
+def test_verify_lemma1_seed_530_fails_only_its_known_trial(tmp_path, capsys, monkeypatch):
+    # The standing lemma1 defect: the residual is round-off of about
+    # 1e-15 / lambda_min, gated at the absolute tol.identity.  This
+    # campaign fails at (32, 2) alone, through the stacked decomposition
+    # of route B; it must keep failing there, and nowhere else.
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "lemma1", "--dims", "32,64", "--trials", "12", "--seed", "530", "--out", "s530.json"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    failed = [r for r in json.loads((tmp_path / "s530.json").read_text())["records"] if not r["passed"]]
+    assert [(r["dim"], r["trial"]) for r in failed] == [(32, 2)]
+    assert f"{failed[0]['residual']:.3e}" == "3.249e-07"
+    assert f"{failed[0]['min_nonzero_eig']:.2e}" == "1.91e-09"
+
+
 def test_verify_default_report_name(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "eq3a", "--dims", "2", "--trials", "2"]) == 0

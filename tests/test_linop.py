@@ -41,7 +41,18 @@ from qrelent import (
     symmetrize,
     validate_density,
 )
-from qrelent.linop import _STACK_ENTRIES, _by_shape, _overlaps, _pinched, _pinched_state, _stack, _validated
+from qrelent.linop import (
+    _STACK_ENTRIES,
+    _block_states,
+    _by_shape,
+    _overlaps,
+    _pinched,
+    _pinched_state,
+    _pinched_states,
+    _stack,
+    _stacked_block_states,
+    _validated,
+)
 from qrelent.stategen import _raw_density
 from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, exp_hermitian, pure
 
@@ -767,7 +778,40 @@ def test_pinched_state_rejects_like_full_validation(fixture, kind):
             validate_density(_pinched(bad, v, labels), tol)
         with pytest.raises(QrelentError) as blocks:
             _pinched_state(bad, v, labels, tol)
+        # The bad operator between good ones in one stacked pass.
+        good = (rho.matrix, v, labels)
+        with pytest.raises(QrelentError) as stacked:
+            _pinched_states([good, (bad, v, labels), good], tol)
     assert type(blocks.value) is type(full.value)
+    assert type(stacked.value) is type(full.value)
+
+
+@given(fixtures=st.lists(_pinched_fixtures(), min_size=1, max_size=6), data=st.data())
+@settings(deadline=None, max_examples=120)
+def test_stacked_block_states_match_one_at_a_time(fixtures, data):
+    # Mixed dims, block compositions and ranks, lone operators among
+    # them (a list of one, a dim met once): each state of a stacked pass
+    # is bit for bit the one its operator gives alone.  The block states
+    # split over a prefix of the family, which may leave mass outside.
+    tol = DEFAULT_TOL
+    pinched, split = [], []
+    for rho, family in fixtures:
+        pinched.append((rho.matrix, *_stack(family, rho.dim)))
+        blocks = family[: data.draw(st.integers(1, len(family)))]
+        split.append((rho.matrix, *_stack(blocks, rho.dim), len(blocks)))
+    for item, state in zip(pinched, _pinched_states(pinched, tol)):
+        alone = _pinched_state(*item, tol)
+        assert np.array_equal(state.spectrum.eigenvalues, alone.spectrum.eigenvalues)
+        assert np.array_equal(state.spectrum.eigenvectors, alone.spectrum.eigenvectors)
+    for item, (weights, states, (w, vectors)) in zip(split, _stacked_block_states(split, tol)):
+        alone_weights, alone_states, (alone_w, alone_vectors) = _block_states(*item, tol)
+        assert np.array_equal(weights, alone_weights)
+        assert np.array_equal(w, alone_w) and np.array_equal(vectors, alone_vectors)
+        assert [part is None for part in states] == [part is None for part in alone_states]
+        for part, alone in zip(states, alone_states):
+            if part is not None:
+                assert np.array_equal(part.spectrum.eigenvalues, alone.spectrum.eigenvalues)
+                assert np.array_equal(part.spectrum.eigenvectors, alone.spectrum.eigenvectors)
 
 
 def test_pinch_dimension_mismatch():

@@ -183,18 +183,21 @@ def test_corollary1_random_with_support_inclusion(seed, tol):
 
 
 def test_corollary1_reads_the_lueders_state_only_through_its_spectrum(monkeypatch):
+    # corollary1_check is the one-case call of the chunk form, which
+    # builds its Lüders states in one pass.
     made = []
+    real = qrelent.lueders._lueders_states
 
     def spy(*args, **kwargs):
-        made.append(lueders_state(*args, **kwargs))
+        made.append(real(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(qrelent.lueders, "lueders_state", spy)
+    monkeypatch.setattr(qrelent.lueders, "_lueders_states", spy)
     rho = random_density(6, rank=4, seed=21)
     direct, gap = corollary1_check(rho, block_observable(6, [0, 1, 2], [3, 4, 5]))
     assert direct.is_finite
-    assert len(made) == 1
-    assert "matrix" not in vars(made[0])
+    assert len(made) == 1 and len(made[0]) == 1
+    assert "matrix" not in vars(made[0][0])
 
 
 def test_corollary1_pinched_blocks_match_measurement_blocks(tol):
