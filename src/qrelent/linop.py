@@ -32,17 +32,16 @@ Conventions
   :data:`_STACK_ENTRIES` entries, one call each; :func:`_validated`, the
   stack form of :func:`validate_density`, gates each state on its own.
 * Every state built from blocks ends in :func:`_block_spectra`, which
-  takes the compressions ``B = V^dag M V`` of several operators and
-  solves the blocks of one size, across all of them, with one batched
+  takes the compressions ``B = V^dag M V`` of several operators on one
+  dimension and solves the blocks of one size, across all of them, with one batched
   eigensolve, rank-1 blocks read off the diagonal, and no ``d x d``
   solve; each operator passes every gate on its own, and its result
   does not depend on the others.  Its stack forms build Lüders states
   and Theorem 2's middle states (:func:`_pinched_states`), and the
   weighted block states of decompositions and breakdowns
-  (:func:`_stacked_block_states`); :func:`_pinched_state` and
-  :func:`_block_states` are their one-operator calls, and a lone
-  operator is compressed and solved alone.  Hermiticity and positivity
-  are judged on ``B``, never after division by a block's weight.
+  (:func:`_stacked_block_states`); a lone operator is compressed and
+  solved alone.  Hermiticity and positivity are judged on ``B``, never
+  after division by a block's weight.
   :func:`validate_density` and :func:`pinch` keep their ``d x d`` solve.
 """
 
@@ -440,8 +439,6 @@ def _by_shape(fn, items, *args) -> list:
     ``fn(stack, *args)`` gets a slice of several items stacked and returns
     one result per item; ``fn(item, *args)`` gets a lone item unstacked.
     """
-    if len(items) == 1:
-        return [fn(items[0], *args)]
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(np.shape(item), []).append(i)
@@ -595,6 +592,7 @@ def _compressions(items, tol: Tolerances, at_scale_of_m: bool = False) -> list:
         groups.setdefault((m.shape, v.shape), []).append(i)
     out = [None] * len(items)
     for part in groups.values():
+        # Kept: a group of one sent through the batched products costs about 20 us more per call.
         if len(part) == 1:
             m, v, labels = items[part[0]]
             b = _block_diagonal(m, v, labels)
@@ -618,11 +616,10 @@ def _block_spectra(items, tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]
     Each item is ``(B, V, labels)``: ``B`` is :func:`_block_diagonal` in
     the stacked frame of :func:`_stack` (each block a run of consecutive
     columns), made exactly Hermitian by the caller after its Hermiticity
-    gate.  The items' columns are laid end to end, so every block is a
-    run of consecutive columns of one frame.  Rank-1 blocks are read off
-    the diagonal.  The larger blocks of one size, across all items, share
-    one :func:`_solve`, cut in input order into slices of at most
-    :data:`_STACK_ENTRIES` entries as :func:`_by_shape` cuts them.  Then
+    gate.  The items share one dimension, and their columns are laid end
+    to end in one frame, so every block is a run of consecutive columns
+    of it.  Rank-1 blocks are read off the diagonal.  The larger blocks
+    of one size, across all items, share one :func:`_solve`.  Then
     each item in turn passes :func:`_check_solve` on its own blocks: the
     largest Gram defect of its ``U_k`` and its reconstruction defect
     summed over its blocks, at the scale ``||B||_F``.  Returns per item
@@ -631,6 +628,7 @@ def _block_spectra(items, tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]
     :func:`_block_spectrum`, as a lone matrix goes to
     :func:`validate_density` in :func:`_validated`.
     """
+    # Kept: a lone item sent through the stacked code costs 50-75 us more per call (breakdowns at d = 2 to 8).
     if len(items) == 1:
         return [_block_spectrum(*items[0], tol)]
     counts = [len(labels) for _, _, labels in items]
@@ -649,39 +647,21 @@ def _block_spectra(items, tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]
     row = np.cumsum([0, *squares])[owner] + local * np.asarray(counts, dtype=int)[owner]  # entry of B[c, 0]
     # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
     w = entries[row + local].real.copy()
-    # The columns of each dimension laid end to end in one frame, column c at place[c].
-    dims = [v.shape[0] for _, v, _ in items]
-    bases, start, filled = {}, [], {}
-    for d, (_, v, _), n in zip(dims, items, counts):
-        start.append(filled.get(d, 0))
-        filled[d] = start[-1] + n
-        bases.setdefault(d, []).append(v)
-    frames = {d: np.concatenate(vs, axis=1) for d, vs in bases.items()}
-    vectors = {d: v.copy() for d, v in frames.items()}
-    place = local + np.asarray(start, dtype=int)[owner]
-    column_dims = np.asarray(dims, dtype=int)[owner]
+    frame = np.concatenate([v for _, v, _ in items], axis=1)
+    vectors = frame.copy()
     gram_defects, recon_sqs = np.zeros(len(items)), np.zeros(len(items))
     for s in sorted(set(column_sizes.tolist()) - {1}):
         # Blocks are runs of consecutive columns: one row per block.
         cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
-        stack = entries[row[cols][:, :, None] + local[cols][:, None, :]]
-        per_slice = max(1, _STACK_ENTRIES // (s * s))
-        solved = [_solve(stack[a : a + per_slice]) for a in range(0, len(stack), per_slice)]
-        bw, bu, gram, recon = solved[0] if len(solved) == 1 else map(np.concatenate, zip(*solved))
+        bw, bu, gram, recon = _solve(entries[row[cols][:, :, None] + local[cols][:, None, :]])
         w[cols] = bw
         block_owner = owner[cols[:, 0]]
         np.maximum.at(gram_defects, block_owner, gram)  # keeps a NaN
         np.add.at(recon_sqs, block_owner, recon)
-        for d, v in frames.items():
-            mine = column_dims[cols[:, 0]] == d
-            c = place[cols[mine]]
-            vectors[d][:, c] = (v[:, c].transpose(1, 0, 2) @ bu[mine]).transpose(1, 0, 2)
+        vectors[:, cols] = (frame[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
     for gram_defect, recon_sq, scale in zip(gram_defects.tolist(), recon_sqs.tolist(), scales.tolist()):
         _check_solve(gram_defect, recon_sq, scale, tol)
-    return [
-        (_readonly(w[e : e + n]), _readonly(vectors[d][:, a : a + n]))
-        for d, e, a, n in zip(dims, edges.tolist(), start, counts)
-    ]
+    return [(_readonly(w[e : e + n]), _readonly(vectors[:, e : e + n])) for e, n in zip(edges.tolist(), counts)]
 
 
 def _block_spectrum(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -728,11 +708,6 @@ def _pinched_states(items, tol: Tolerances) -> list[DensityOperator]:
         ascending = np.argsort(w, kind="stable")
         states.append(_state(w[ascending], vectors[:, ascending], tol))
     return states
-
-
-def _pinched_state(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> DensityOperator:
-    """:func:`_pinched_states` of one item."""
-    return _pinched_states([(matrix, v, labels)], tol)[0]
 
 
 def pinch(
@@ -801,13 +776,6 @@ def _stacked_block_states(
         )
         out.append((_readonly(weights), states, (w, vectors)))
     return out
-
-
-def _block_states(
-    matrix: np.ndarray, v: np.ndarray, labels: np.ndarray, n: int, tol: Tolerances
-) -> tuple[np.ndarray, tuple[DensityOperator | None, ...], tuple[np.ndarray, np.ndarray]]:
-    """:func:`_stacked_block_states` of one item."""
-    return _stacked_block_states([(matrix, v, labels, n)], tol)[0]
 
 
 def _populations(rho: DensityOperator, v: np.ndarray) -> np.ndarray:

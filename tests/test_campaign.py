@@ -46,7 +46,7 @@ from qrelent.campaign import (
     _mixture_chunk,
     _raw_state_in,
 )
-from qrelent.linop import _spectral_log
+from qrelent.linop import _STACK_ENTRIES, _spectral_log
 
 
 def small(identity, **kw):
@@ -502,6 +502,23 @@ def test_theorem2_campaigns_solve_each_chunk_once(monkeypatch):
         if dim == 64:
             assert calls.count((dim, dim)) >= trials
         assert [shape for shape in shapes if shape[-2:] == (dim, dim)] == haar
+
+
+def test_block_stacks_of_a_pass_fit_one_slice(monkeypatch):
+    # A pass's blocks are one chunk's at one d, and linop._block_spectra
+    # solves each block size in one call, without slicing: a chunk's
+    # d x d operators fit one slice, or the chunk is one trial whose
+    # blocks (at most d^2 entries per size) go to _block_spectrum.
+    for dim in range(2, 129):
+        assert _chunk_trials(dim) == 1 or _chunk_trials(dim) * dim * dim <= _STACK_ENTRIES
+    calls = count_solver_calls(monkeypatch)
+    for identity in ("theorem1", "corollary2", "theorem2"):
+        for dim in (16, 32):
+            calls.clear()
+            run_campaign(VerifyConfig(identity=identity, dims=(dim,), trials=24, seed=5, include_infinite=True))
+            blocks = [shape for shape in calls if len(shape) == 3 and shape[-1] < dim]
+            assert blocks
+            assert max(math.prod(shape) for shape in blocks) <= _STACK_ENTRIES
 
 
 def test_chunk_error_names_the_chunk():

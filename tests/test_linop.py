@@ -43,11 +43,9 @@ from qrelent import (
 )
 from qrelent.linop import (
     _STACK_ENTRIES,
-    _block_states,
     _by_shape,
     _overlaps,
     _pinched,
-    _pinched_state,
     _pinched_states,
     _stack,
     _stacked_block_states,
@@ -710,13 +708,14 @@ def test_pinch_over_rank_one_family_makes_one_eigensolve(monkeypatch, tol):
 
 
 @st.composite
-def _pinched_fixtures(draw):
-    """A Haar family of mixed block sizes (or rank-1 blocks) and a state.
+def _pinched_fixtures(draw, dim=None):
+    """A Haar family of mixed block sizes (or rank-1 blocks) and a state,
+    on ``dim`` or a drawn dimension.
 
     The state lives in the first ``populated`` blocks, so the remaining
     blocks are outcomes of zero probability.
     """
-    dim = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 8)) if dim is None else dim
     if draw(st.booleans()):
         sizes = [1] * dim
     else:
@@ -736,7 +735,7 @@ def _pinched_fixtures(draw):
 @given(fixture=_pinched_fixtures())
 @settings(deadline=None, max_examples=120)
 def test_pinched_state_matches_full_validation(fixture):
-    # lueders_state validates through _pinched_state; the reference
+    # lueders_state validates through _pinched_states; the reference
     # validates the dense pinched matrix with one d x d solve.
     tol = DEFAULT_TOL
     rho, family = fixture
@@ -777,7 +776,7 @@ def test_pinched_state_rejects_like_full_validation(fixture, kind):
         with pytest.raises(QrelentError) as full:
             validate_density(_pinched(bad, v, labels), tol)
         with pytest.raises(QrelentError) as blocks:
-            _pinched_state(bad, v, labels, tol)
+            _pinched_states([(bad, v, labels)], tol)
         # The bad operator between good ones in one stacked pass.
         good = (rho.matrix, v, labels)
         with pytest.raises(QrelentError) as stacked:
@@ -786,11 +785,14 @@ def test_pinched_state_rejects_like_full_validation(fixture, kind):
     assert type(stacked.value) is type(full.value)
 
 
-@given(fixtures=st.lists(_pinched_fixtures(), min_size=1, max_size=6), data=st.data())
+@given(
+    fixtures=st.integers(1, 8).flatmap(lambda dim: st.lists(_pinched_fixtures(dim), min_size=1, max_size=6)),
+    data=st.data(),
+)
 @settings(deadline=None, max_examples=120)
 def test_stacked_block_states_match_one_at_a_time(fixtures, data):
-    # Mixed dims, block compositions and ranks, lone operators among
-    # them (a list of one, a dim met once): each state of a stacked pass
+    # Mixed block compositions and ranks on one dim, lone operators among
+    # them (a list of one): each state of a stacked pass
     # is bit for bit the one its operator gives alone.  The block states
     # split over a prefix of the family, which may leave mass outside.
     tol = DEFAULT_TOL
@@ -800,11 +802,11 @@ def test_stacked_block_states_match_one_at_a_time(fixtures, data):
         blocks = family[: data.draw(st.integers(1, len(family)))]
         split.append((rho.matrix, *_stack(blocks, rho.dim), len(blocks)))
     for item, state in zip(pinched, _pinched_states(pinched, tol)):
-        alone = _pinched_state(*item, tol)
+        (alone,) = _pinched_states([item], tol)
         assert np.array_equal(state.spectrum.eigenvalues, alone.spectrum.eigenvalues)
         assert np.array_equal(state.spectrum.eigenvectors, alone.spectrum.eigenvectors)
     for item, (weights, states, (w, vectors)) in zip(split, _stacked_block_states(split, tol)):
-        alone_weights, alone_states, (alone_w, alone_vectors) = _block_states(*item, tol)
+        ((alone_weights, alone_states, (alone_w, alone_vectors)),) = _stacked_block_states([item], tol)
         assert np.array_equal(weights, alone_weights)
         assert np.array_equal(w, alone_w) and np.array_equal(vectors, alone_vectors)
         assert [part is None for part in states] == [part is None for part in alone_states]

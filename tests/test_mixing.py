@@ -36,7 +36,7 @@ from qrelent import (
     validate_density,
 )
 from qrelent.entropy import _spectral_entropy
-from qrelent.linop import _block_states, _pinched, _spectral_log, _stack, _stacked_block_states
+from qrelent.linop import _pinched, _spectral_log, _stack, _stacked_block_states
 from qrelent.mixing import _classical_embedding_checks
 from helpers import basis_projector, count_solver_calls, diag_state, pure
 
@@ -568,7 +568,7 @@ def test_block_states_reject_bad_matrix(kind, error, tol):
     else:
         bad -= 1e-3 * np.outer(first[:, 0], first[:, 0].conj())
     with pytest.raises(error):
-        _block_states(bad, v, labels, len(blocks), tol)
+        _stacked_block_states([(bad, v, labels, len(blocks))], tol)
     # The bad matrix between good ones in one stacked pass.
     good = (sigma.matrix, v, labels, len(blocks))
     with pytest.raises(error):
