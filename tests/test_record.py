@@ -98,12 +98,12 @@ def test_summarize_counts_wins_in_each_metric_direction_and_ties_apart():
 def test_summarize_counts_a_pair_with_a_failed_run_as_lost(failure):
     pairs = _spread(lemma1_trials_per_s=[2.0] * 5, compute_calls_per_s=[1.0] * 5)
     pairs[0]["head"] = run(failed_ops=3, lemma1_trials_per_s=4.0, compute_calls_per_s=1.0, **failure)
-    lemma1 = record.summarize(pairs, SPEC)["lemma1_trials_per_s"]
+    out = record.summarize(pairs, SPEC)
+    lemma1 = out["lemma1_trials_per_s"]
     assert lemma1["head_wins"] == 4
     assert lemma1["pairs"] == 5
     assert lemma1["pairs_lost_to_a_failed_run"] == 1
     assert lemma1["head"]["median"] == 2.0
-    out = record.summarize(pairs, SPEC)
     assert out["failed_runs"] == {"base": 0, "head": 1}
     assert out["operations"]["head"] == {"attempted": 50, "failed": 3}
     assert out["setup_s"] is None
