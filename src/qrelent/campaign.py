@@ -16,21 +16,25 @@ a pass draws is then solved together, grouped by shape as
 frames, corollary2's refinement rotations by block rank, the
 eigenbases of corollary3 and of theorem2's degenerate sigma) and every
 validation (mixtures, probes, corollary3's embedded states, theorem2's
-sigma, and the rho of theorem1 and theorem2, by size).  The checks run
-in passes too, each pass one stacked call that solves the blocks of one
-size, across the chunk, together: the decompositions of
-:func:`_mixture_chunk`, theorem1's breakdowns, corollary1's Lüders
-states, corollary2's rho_A, then its rho_B, then its composed states,
+sigma, and the rho of theorem1 and theorem2, by size).  The projector
+families of a chunk are gated in passes, one Gram per frame shape: its
+block frames, corollary2's rotated blocks, the observables of
+corollary1 and corollary2, corollary2's refinements, and the bases of
+corollary3.  The checks run in passes too, each pass one stacked call
+that solves the blocks of one size, across the chunk, together: the
+decompositions of :func:`_mixture_chunk`, theorem1's breakdowns,
+corollary1's Lüders states, corollary2's rho_A, then its rho_B, then its composed states,
 and theorem2's middle states.  Stacking joins trials, never routes: the
 operands of two routes never share a pass.  A stacked call gates and
 solves each matrix as it would be alone, so grouping changes no record.
 
 Passing trials give the records of one trial at a time.  A chunk gates
 what it draws first before what is built on it: its frames,
-probability vectors and sigma before their states, every rotation's
-draw before any refinement's Gram gate, every rho before any trial's
-check, every refinement before any Lüders state, every rho_A before any
-rho_B, every support check of theorem2 (``d_total``) before any middle
+probability vectors and sigma before their states, every coarse
+observable and every rotation's draw before any rotated block's Gram
+gate, every frame and family of a chunk before any refinement or
+Lüders state, every rho before any trial's check, every refinement
+before any Lüders state, every rho_A before any rho_B, every support check of theorem2 (``d_total``) before any middle
 state, every family's orthogonality before any block state, and each
 matrix's Hermiticity before its slice's solve.  So when several trials
 of a chunk fail (under a tight ``--tol``), the error raised may be a
@@ -73,7 +77,7 @@ from .mixing import (
     _classical_embedding_checks,
     _decompositions,
 )
-from .lueders import ProjectiveObservable, _corollary1_checks, _corollary2_checks, _theorem2_checks
+from .lueders import _corollary1_checks, _corollary2_checks, _theorem2_checks, _validated_observables
 from .stategen import (
     derive_seed,
     _composition,
@@ -314,7 +318,7 @@ def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
     tol = cfg.tol
     frames = _frames(cfg, dim, rngs)
     rhos = _probes(cfg, dim, rngs)
-    observables = [ProjectiveObservable.validated(range(len(blocks)), tuple(blocks), tol) for blocks in frames]
+    observables = _validated_observables([(range(len(blocks)), blocks) for blocks in frames], tol)
     out = []
     for rho, (direct, gap, rho_l) in zip(rhos, _corollary1_checks(list(zip(rhos, observables)), tol)):
         residual = abs(direct.value - gap) if direct.is_finite else None

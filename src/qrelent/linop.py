@@ -24,7 +24,10 @@ Conventions
   the maps on projector families work in that frame: ``V^dag M V``
   rather than ``P M P``.
 * Every projector family passes through :func:`_stack`, which owns the
-  one dimension check on families.
+  one dimension check on families.  A pass of families on frames of one
+  shape takes one stacked Gram (:func:`_frame_grams`), from which each
+  block's orthonormality (:func:`_check_orthonormal_blocks`) or each
+  family's overlaps (:func:`_overlaps`) are gated family by family.
 * Every eigensolve is one call of the kernel :func:`_solve`, on a
   matrix, a batch of blocks or a stack of states, gated by
   :func:`_check_solve` on each matrix's own defects.
@@ -431,6 +434,14 @@ def validate_density(raw: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DensityO
 _STACK_ENTRIES = 2**12
 
 
+def _groups(keys) -> list[list[int]]:
+    """The indices of equal keys, keys in the order first met."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def _by_shape(fn, items, *args) -> list:
     """``fn`` of ``items``, a slice of one shape at a time; the results in input order.
 
@@ -439,12 +450,9 @@ def _by_shape(fn, items, *args) -> list:
     ``fn(stack, *args)`` gets a slice of several items stacked and returns
     one result per item; ``fn(item, *args)`` gets a lone item unstacked.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(np.shape(item), []).append(i)
     out = {}
-    for shape, indices in groups.items():
-        per_slice = max(1, _STACK_ENTRIES // math.prod(shape))
+    for indices in _groups(np.shape(item) for item in items):
+        per_slice = max(1, _STACK_ENTRIES // math.prod(np.shape(items[indices[0]])))
         for a in range(0, len(indices), per_slice):
             part = indices[a : a + per_slice]
             results = fn(np.stack([items[i] for i in part]), *args) if len(part) > 1 else [fn(items[part[0]], *args)]
@@ -544,24 +552,59 @@ def _stack(projectors, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return v, labels
 
 
-def _overlaps(v: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """``||V_i^dag V_j||_F`` for every pair of ``n`` stacked isometries.
+def _overlaps(gram: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """``||V_i^dag V_j||_F`` for every pair of ``n`` stacked isometries,
+    from the Gram matrix ``V^dag V`` of their stacked bases, or per frame
+    of a stack of Grams with one row of labels each (a label below ``n``
+    that no column carries reads zero).
 
-    For isometries this equals ``||P_i P_j||_F``; all pairs come from
-    one Gram matrix of the stacked bases.
+    For isometries this equals ``||P_i P_j||_F``.
     """
-    onehot = (labels[:, None] == np.arange(n)).astype(float)
-    return np.sqrt(onehot.T @ np.abs(v.conj().T @ v) ** 2 @ onehot)
+    onehot = (labels[..., None] == np.arange(n)).astype(float)
+    return np.sqrt(onehot.swapaxes(-1, -2) @ np.abs(gram) ** 2 @ onehot)
+
+
+def _check_overlaps(overlaps: np.ndarray, tol: Tolerances) -> None:
+    """Gate one family's upper-triangular pairwise overlaps at ``tol.identity``."""
+    if not (overlaps.max(initial=0.0) <= tol.identity):
+        i, j = np.argwhere(~(overlaps <= tol.identity))[0]
+        raise NotOrthogonalError(f"projectors {i} and {j} overlap: ||P_i P_j||_F = {overlaps[i, j]:.3e}")
 
 
 def _check_mutually_orthogonal(projectors, dim: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Check that no pair has ``||P_i P_j||_F > tol.identity``; return :func:`_stack`."""
     v, labels = _stack(projectors, dim)
-    overlaps = np.triu(_overlaps(v, labels, len(projectors)), 1)
-    if not (overlaps.max(initial=0.0) <= tol.identity):
-        i, j = np.argwhere(~(overlaps <= tol.identity))[0]
-        raise NotOrthogonalError(f"projectors {i} and {j} overlap: ||P_i P_j||_F = {overlaps[i, j]:.3e}")
+    _check_overlaps(np.triu(_overlaps(v.conj().T @ v, labels, len(projectors)), 1), tol)
     return v, labels
+
+
+def _frame_grams(frames):
+    """The frames ``(V, labels)`` grouped by the shape of ``V``, shapes in
+    the order first met: per group, the indices of its frames, the stack
+    of their Grams ``V^dag V`` from one matmul, and their labels as rows."""
+    for indices in _groups(v.shape for v, _ in frames):
+        v = np.array([frames[i][0] for i in indices])
+        yield indices, v.conj().swapaxes(-1, -2) @ v, np.array([frames[i][1] for i in indices])
+
+
+def _check_orthonormal_blocks(frames, tol: Tolerances) -> None:
+    """Gate the columns of each labelled block of each frame ``(V, labels)``
+    as :meth:`Projector.from_basis` gates a basis: the largest entrywise
+    ``|V_k^dag V_k - 1|`` within ``tol.orth``, NaN failing.
+
+    A block's Gram matrix is a principal submatrix of its frame's, so
+    one Gram per frame shape (:func:`_frame_grams`) gates every block.
+    Frames of a shape fail in input order, and a frame's blocks in label
+    order.
+    """
+    for _, gram, labels in _frame_grams(frames):
+        gram -= np.eye(gram.shape[-1])
+        within = np.where(labels[:, :, None] == labels[:, None, :], np.abs(gram), 0.0)
+        if within.max(initial=0.0) <= tol.orth:
+            continue
+        blocks = labels[:, :, None] == np.arange(labels.max() + 1)
+        defects = np.where(blocks, within.max(axis=-2)[:, :, None], 0.0).max(axis=-2)
+        raise NotOrthonormalError(f"basis columns not orthonormal: defect {defects[~(defects <= tol.orth)][0]:.3e}")
 
 
 def _block_diagonal(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -32,6 +32,10 @@ from .linop import (
     Tolerances,
     frobenius,
     _check_mutually_orthogonal,
+    _check_overlaps,
+    _frame_grams,
+    _groups,
+    _overlaps,
     _pinched_states,
     _stack,
 )
@@ -84,20 +88,48 @@ class ProjectiveObservable:
         projectors,
         tol: Tolerances = DEFAULT_TOL,
     ) -> "ProjectiveObservable":
+        return _validated_observables([(eigenvalues, projectors)], tol)[0]
+
+
+def _validated_observables(cases, tol: Tolerances, frames=None) -> list[ProjectiveObservable]:
+    """:meth:`ProjectiveObservable.validated` of each ``(eigenvalues, projectors)`` case.
+
+    Each case in turn has its eigenvalues checked and its frame built
+    (:func:`~qrelent.linop._stack`, which checks every projector's
+    dimension), or taken from ``frames``, which holds that very frame
+    when given.  Then one Gram ``V^dag V`` per frame shape gives each
+    case's pairwise overlaps ``||P_i P_j||_F`` and, for ``n`` columns on
+    dimension ``d``, its completeness defect
+    ``||V V^dag - 1||_F = sqrt(||V^dag V - 1||_F^2 + d - n)``, and each
+    case is gated on its own at ``tol.identity``, overlaps first; cases
+    of a frame shape fail in input order.
+    """
+    observables = []
+    for i, (eigenvalues, projectors) in enumerate(cases):
         eigs = tuple(float(a) for a in eigenvalues)
         projs = tuple(projectors)
         if len(eigs) != len(projs) or not projs:
             raise BadObservableError("need one eigenvalue per projector (and at least one)")
         if len(set(eigs)) != len(eigs):
             raise BadObservableError(f"eigenvalues must be distinct, got {eigs}")
-        d = projs[0].dim
-        v, labels = _check_mutually_orthogonal(projs, d, tol)
-        defect = frobenius(v @ v.conj().T - np.eye(d))
-        if not (defect <= tol.identity):
-            raise BadObservableError(f"projectors do not resolve the identity: defect {defect:.3e}")
-        obs = cls(eigenvalues=eigs, projectors=projs)
-        obs.__dict__["_frame"] = v, labels  # the checked frame is the one _frame would build
-        return obs
+        obs = ProjectiveObservable(eigenvalues=eigs, projectors=projs)
+        if frames is not None:
+            obs.__dict__["_frame"] = frames[i]
+        observables.append(obs)
+    stacked = [obs._frame for obs in observables]
+    for indices, gram, labels in _frame_grams(stacked):
+        d, n = stacked[indices[0]][0].shape
+        k = np.arange(max(len(observables[i].projectors) for i in indices))
+        overlaps = _overlaps(gram, labels, len(k))
+        gram -= np.eye(n)
+        defects = np.sqrt(np.maximum((np.abs(gram) ** 2).sum(axis=(-2, -1)) + (d - n), 0.0))
+        crossed = ~(overlaps <= tol.identity) & (k[:, None] < k)
+        failed = crossed.any(axis=(-2, -1)) | ~(defects <= tol.identity)
+        if failed.any():
+            c = int(np.argmax(failed))
+            _check_overlaps(np.triu(overlaps[c], 1), tol)
+            raise BadObservableError(f"projectors do not resolve the identity: defect {defects[c]:.3e}")
+    return observables
 
 
 def lueders_state(
@@ -176,29 +208,49 @@ def is_refinement(
     DimensionMismatchError
         If a fine projector is not on the coarse observable's dimension.
     """
-    vc, coarse_labels = coarse._frame
-    vf, fine_labels = fine._framed(coarse.dim)
-    overlap = vc.conj().T @ vf
-    n_fine = len(fine.projectors)
-    absorbed = np.empty((len(coarse.projectors), n_fine), dtype=bool)
-    for k in range(len(coarse.projectors)):
-        rows = coarse_labels == k
-        column_sq = (np.abs(vc[:, rows] @ overlap[rows] - vf) ** 2).sum(axis=0)
-        defects = np.sqrt(np.bincount(fine_labels, weights=column_sq, minlength=n_fine))
-        absorbed[k] = defects <= tol.identity
-    grouping: list[int] = []
-    for j in range(n_fine):
-        matches = np.flatnonzero(absorbed[:, j])
-        if len(matches) != 1:
-            raise NotARefinementError(
-                f"fine projector {j} is absorbed by {len(matches)} coarse projectors, need exactly 1"
-            )
-        grouping.append(int(matches[0]))
-    group_ranks = np.bincount(np.array(grouping, dtype=int)[fine_labels], minlength=len(coarse.projectors))
-    for k, pc in enumerate(coarse.projectors):
-        if group_ranks[k] != pc.rank:
-            raise NotARefinementError(f"coarse projector {k} is not the sum of its fine group")
-    return tuple(grouping)
+    return _refinements([(fine, coarse)], tol)[0]
+
+
+def _refinements(cases, tol: Tolerances) -> list[tuple[int, ...]]:
+    """:func:`is_refinement` of each ``(fine, coarse)`` case.
+
+    Each case in turn has its fine frame checked on the coarse one's
+    dimension.  Then, per shape of the two frames, one stacked overlap
+    ``V_c^dag V_f`` and one stacked product give every case's absorption
+    defects ``||V_c,k (V_c,k^dag V_f,j) - V_f,j||_F``, one for each coarse
+    ``k`` and fine ``j``, and each case is gated on its own, absorption
+    before ranks; cases of a frame shape fail in input order.
+    """
+    frames = [(coarse._frame, fine._framed(coarse.dim)) for fine, coarse in cases]
+    groupings = {}
+    for indices in _groups((vc.shape, vf.shape) for (vc, _), (vf, _) in frames):
+        (vc, lc), (vf, lf) = ([np.array(part) for part in zip(*(frames[i][side] for i in indices))] for side in (0, 1))
+        n_coarse = np.array([len(cases[i][1].projectors) for i in indices])
+        n_fine = np.array([len(cases[i][0].projectors) for i in indices])
+        coarse_k, fine_k = np.arange(n_coarse.max()), np.arange(n_fine.max())
+        # rows[c, k, a]: column a of case c's coarse frame belongs to coarse projector k.
+        rows = lc[:, None, :] == coarse_k[:, None]
+        overlap = vc.conj().swapaxes(-1, -2) @ vf
+        residual = vc[:, None] @ np.where(rows[..., None], overlap[:, None], 0.0) - vf[:, None]
+        fine_onehot = (lf[:, :, None] == fine_k).astype(float)
+        absorbed = np.sqrt((np.abs(residual) ** 2).sum(axis=-2) @ fine_onehot) <= tol.identity
+        absorbed &= (coarse_k < n_coarse[:, None])[:, :, None]
+        matches = absorbed.sum(axis=1)
+        unmatched = (matches != 1) & (fine_k < n_fine[:, None])
+        # As both observables resolve the identity, a group sums to its coarse projector iff the ranks agree.
+        short = (absorbed * fine_onehot.sum(axis=1)[:, None, :]).sum(axis=-1) != rows.sum(axis=-1)
+        failed = unmatched.any(axis=1) | short.any(axis=1)
+        if failed.any():
+            c = int(np.argmax(failed))
+            if unmatched[c].any():
+                j = int(np.argmax(unmatched[c]))
+                raise NotARefinementError(
+                    f"fine projector {j} is absorbed by {matches[c, j]} coarse projectors, need exactly 1"
+                )
+            raise NotARefinementError(f"coarse projector {int(np.argmax(short[c]))} is not the sum of its fine group")
+        for i, grouping, n in zip(indices, absorbed.argmax(axis=1).tolist(), n_fine):
+            groupings[i] = tuple(grouping[:n])
+    return [groupings[i] for i in range(len(cases))]
 
 
 @dataclass(frozen=True)
@@ -256,8 +308,7 @@ def _corollary2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, float]]
     ``(rho_A)_L(fine)``, so the routes to ``rho_A`` and ``rho_B`` never
     share a call.
     """
-    for _, coarse, fine in cases:
-        is_refinement(fine, coarse, tol)
+    _refinements([(fine, coarse) for _, coarse, fine in cases], tol)
     rho_a = _lueders_states([(rho, coarse) for rho, coarse, _ in cases], tol)
     rho_b = _lueders_states([(rho, fine) for rho, _, fine in cases], tol)
     composed = _lueders_states([(a, fine) for a, (_, _, fine) in zip(rho_a, cases)], tol)

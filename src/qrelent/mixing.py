@@ -22,6 +22,7 @@ from .errors import (
     LeakedSupportError,
     LengthMismatchError,
     NotBlockDiagonalError,
+    NotOrthonormalError,
 )
 from .linop import (
     DEFAULT_TOL,
@@ -30,6 +31,7 @@ from .linop import (
     Tolerances,
     frobenius,
     _check_mutually_orthogonal,
+    _check_orthonormal_blocks,
     _density,
     _stack,
     _stacked_block_states,
@@ -335,12 +337,14 @@ def _classical_embedding_checks(
 ) -> list[tuple[ExtendedReal, ExtendedReal]]:
     """:func:`classical_embedding_check` of each ``(p, w, basis)`` case, the bases on one dimension.
 
-    Every case passes its length and orthonormality checks first; then
-    the ``2n`` embedded states go to one stacked validation, each on its
-    own gates, so each case's result is the one it has alone.  When
-    several cases fail, the error raised may be a later case's.
+    Every case passes its length and shape checks first, then every
+    basis the Gram gate of :meth:`~qrelent.linop.Projector.from_basis`,
+    one stacked Gram per basis shape; then the ``2n`` embedded states go
+    to one stacked validation, each on its own gates, so each case's
+    result is the one it has alone.  When several cases fail, the error
+    raised may be a later case's.
     """
-    embedded = []
+    bases = []
     for p, w, basis in cases:
         b = np.asarray(basis, dtype=complex)
         if b.ndim != 2 or len(p) != len(w) or b.shape[1] != len(p):
@@ -348,10 +352,12 @@ def _classical_embedding_checks(
                 f"need matching lengths: |p|={len(p)}, |w|={len(w)}, "
                 f"basis columns={b.shape[1] if b.ndim == 2 else '?'}"
             )
-        Projector.from_basis(b, tol)
-        embedded += [(b * p.probs) @ b.conj().T, (b * w.probs) @ b.conj().T]
+        if b.shape[1] > b.shape[0]:
+            raise NotOrthonormalError(f"expected at most dim orthonormal columns, got shape {b.shape}")
+        bases.append((b, np.zeros(b.shape[1], dtype=int)))
+    _check_orthonormal_blocks(bases, tol)
 
-    states = _validated(embedded, tol)
+    states = _validated([(b * q.probs) @ b.conj().T for (p, w, _), (b, _) in zip(cases, bases) for q in (p, w)], tol)
     return [
         (classical_relative_entropy(p, w, tol), quantum_relative_entropy(rho_p, rho_w, tol))
         for (p, w, _), rho_p, rho_w in zip(cases, states[::2], states[1::2])

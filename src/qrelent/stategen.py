@@ -16,8 +16,18 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from .errors import BadSpecError
-from .linop import DEFAULT_TOL, DensityOperator, Projector, Tolerances, _by_shape, _density, _readonly, _validated
-from .lueders import ProjectiveObservable
+from .linop import (
+    DEFAULT_TOL,
+    DensityOperator,
+    Projector,
+    Tolerances,
+    _by_shape,
+    _check_orthonormal_blocks,
+    _density,
+    _readonly,
+    _validated,
+)
+from .lueders import ProjectiveObservable, _validated_observables
 
 __all__ = [
     "derive_seed",
@@ -109,8 +119,10 @@ def _random_block_families(
 ) -> list[list[Projector]]:
     """``random_block_projectors(dim, sizes, seed=seed, tol=tol)`` for each
     pair of ``block_sizes`` and ``seeds``, the frames drawn by Haar QRs
-    grouped as :func:`~qrelent.linop._by_shape` groups them.  Each family
-    depends only on its own sizes and seed."""
+    grouped as :func:`~qrelent.linop._by_shape` groups them, and every
+    block gated as :meth:`~qrelent.linop.Projector.from_basis` gates it,
+    from one stacked Gram of the frames.  Each family depends only on its
+    own sizes and seed."""
     _check_dim(dim)
     for sizes in block_sizes:
         if not len(sizes) or any(s < 1 for s in sizes):
@@ -118,10 +130,12 @@ def _random_block_families(
         if sum(sizes) > dim:
             raise BadSpecError(f"block sizes {tuple(sizes)} sum to {sum(sizes)} > dim {dim}")
     frames = _by_shape(_haar, [_ginibre(_rng(seed), dim, dim) for seed in seeds])
-    return [
-        [Projector.from_basis(u[:, a:z], tol) for a, z in pairwise([0, *accumulate(sizes), dim]) if z > a]
-        for sizes, u in zip(block_sizes, frames, strict=True)
-    ]
+    spans = [[(a, z) for a, z in pairwise([0, *accumulate(sizes), dim]) if z > a] for sizes in block_sizes]
+    _check_orthonormal_blocks(
+        [(u, np.repeat(np.arange(len(s)), [z - a for a, z in s])) for u, s in zip(frames, spans, strict=True)], tol
+    )
+    # A C-contiguous copy per block, the array from_basis would store.
+    return [[Projector(basis=_readonly(u[:, a:z].copy())) for a, z in s] for u, s in zip(frames, spans)]
 
 
 def random_state_in_support(
@@ -171,34 +185,44 @@ def random_refinement(
     into consecutive groups (all singletons when ``rank_one=True``).
     Returns the validated ``(coarse, fine)`` observables; the refinement
     itself is checked by :func:`~qrelent.lueders.corollary2_check`.  The
-    rotated basis is checked orthonormal once: a group's Gram matrix is
-    a principal submatrix of the whole basis's, so its defect is no larger.
+    rotated bases are checked orthonormal once, block by block, from the
+    Gram of their joined frame: a group's Gram matrix is a principal
+    submatrix of its block's, so its defect is no larger.
     """
     return _random_refinements([coarse], [seed], [rank_one], tol)[0]
 
 
 def _random_refinements(families, seeds: Sequence[int], rank_ones: Sequence[bool], tol: Tolerances):
     """``random_refinement(coarse, seed, tol, rank_one=rank_one)`` for each of
-    ``families``, ``seeds`` and ``rank_ones``.  Each family's stream gives,
-    block by block, its rotation's Ginibre draw and then its group sizes;
-    then :func:`~qrelent.linop._by_shape` draws every rotation, one QR per
-    block rank, before any Gram gate.  Each refinement depends only on its
-    own family, seed and mode."""
-    coarse_obs, draws, sizes = [], [], []
+    ``families``, ``seeds`` and ``rank_ones``.  Every coarse family is
+    validated first; then each family's stream gives, block by block, its
+    rotation's Ginibre draw and then its group sizes, and
+    :func:`~qrelent.linop._by_shape` draws every rotation, one QR per
+    block rank.  Each family's rotated blocks are joined into one frame,
+    its coarse labels marking the blocks; one stacked Gram of these frames
+    gates every block, and the frame, with labels per group, is the fine
+    observable's.  Each refinement depends only on its own family, seed
+    and mode."""
+    coarse_obs = _validated_observables([(range(len(coarse)), coarse) for coarse in families], tol)
+    draws, sizes = [], []
     for coarse, seed, rank_one in zip(families, seeds, rank_ones, strict=True):
         rng = _rng(seed)
-        coarse_obs.append(ProjectiveObservable.validated(range(len(coarse)), tuple(coarse), tol))
         for p in coarse:
             draws.append(_ginibre(rng, p.rank, p.rank))
             one = rank_one or p.rank == 1
             sizes.append([1] * p.rank if one else _composition(rng, p.rank, int(rng.integers(1, p.rank + 1))))
-    rotations = zip(_by_shape(_haar, draws), sizes)
-    out = []
-    for coarse, obs in zip(families, coarse_obs):
-        fine: list[Projector] = []
-        for p, (u, groups) in zip(coarse, rotations):
-            rotated = Projector.from_basis(p.basis @ u, tol).basis
-            # A C-contiguous copy per group, the array from_basis would store.
-            fine += [Projector(basis=_readonly(rotated[:, a:z].copy())) for a, z in pairwise([0, *accumulate(groups)])]
-        out.append((obs, ProjectiveObservable.validated(range(len(fine)), tuple(fine), tol)))
-    return out
+    rotations = iter(_by_shape(_haar, draws))
+    frames = [
+        (np.concatenate([p.basis @ u for p, u in zip(coarse.projectors, rotations)], axis=1), coarse._frame[1])
+        for coarse in coarse_obs
+    ]
+    _check_orthonormal_blocks(frames, tol)
+    groups = iter(sizes)
+    fine, fine_frames = [], []
+    for coarse, (v, _) in zip(families, frames):
+        edges = [0, *accumulate(g for _ in coarse for g in next(groups))]
+        # A C-contiguous copy per group, the array from_basis would store.
+        projectors = [Projector(basis=_readonly(v[:, a:z].copy())) for a, z in pairwise(edges)]
+        fine.append((range(len(projectors)), projectors))
+        fine_frames.append((v, np.repeat(np.arange(len(projectors)), np.diff(edges))))
+    return list(zip(coarse_obs, _validated_observables(fine, tol, fine_frames)))

@@ -549,7 +549,8 @@ def test_gram_overlaps_equal_pairwise_products(seed):
         Projector.from_basis(haar_unitary(dim, 10 * seed + k)[:, : int(rng.integers(0, dim + 1))])
         for k in range(4)
     ]
-    overlaps = _overlaps(*_stack(family, dim), len(family))
+    v, labels = _stack(family, dim)
+    overlaps = _overlaps(v.conj().T @ v, labels, len(family))
     for i, pi in enumerate(family):
         for j, pj in enumerate(family):
             assert abs(overlaps[i, j] - frobenius(pi.matrix @ pj.matrix)) <= 1e-12

@@ -1,6 +1,7 @@
 """Lüders states, refinements, and the straight-line identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import qrelent.linop
 import qrelent.lueders
 from qrelent import (
     INFINITY,
+    DEFAULT_TOL,
     BadObservableError,
     DimensionMismatchError,
     ExtendedReal,
@@ -40,6 +42,8 @@ from qrelent import (
     theorem2_check,
     validate_density,
 )
+from qrelent.linop import _check_orthonormal_blocks
+from qrelent.lueders import _refinements, _validated_observables
 from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -349,6 +353,133 @@ def test_corollary2_rejects_non_refinement_before_any_lueders_state(monkeypatch,
     with pytest.raises(NotARefinementError):
         corollary2_check(rho, coarse, fine)
     assert calls == []
+
+
+# -- chunk forms of the family gates ---------------------------------------
+
+
+def _refinement_draws(draws):
+    """A ``(coarse, fine)`` refinement of a random block frame per ``(sizes, seed, rank_one)``."""
+    return [
+        random_refinement(random_block_projectors(sum(sizes), sizes, seed=seed), seed + 1, rank_one=rank_one)
+        for sizes, seed, rank_one in draws
+    ]
+
+
+_DRAWS = st.lists(
+    st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(draws=_DRAWS)
+@settings(deadline=None, max_examples=30)
+def test_chunk_family_gates_match_the_one_case_calls(draws):
+    # Frames of several shapes in one list: each observable keeps its
+    # projectors and the frame its one-case call builds, and each
+    # grouping is is_refinement's.
+    pairs = _refinement_draws(draws)
+    families = [obs.projectors for pair in pairs for obs in pair]
+    stacked = _validated_observables([(range(len(f)), f) for f in families], DEFAULT_TOL)
+    for family, obs in zip(families, stacked):
+        alone = ProjectiveObservable.validated(range(len(family)), family)
+        assert obs.projectors == alone.projectors == family
+        assert obs.eigenvalues == alone.eigenvalues
+        for a, b in zip(obs._frame, alone._frame):
+            assert a.shape == b.shape and np.array_equal(a, b)
+    groupings = _refinements([(fine, coarse) for coarse, fine in pairs], DEFAULT_TOL)
+    assert groupings == [is_refinement(fine, coarse) for coarse, fine in pairs]
+    for (coarse, fine), grouping in zip(pairs, groupings):
+        assert list(grouping) == sorted(grouping) and set(grouping) == set(range(len(coarse.projectors)))
+
+
+def _tilted_toward(eps: float, dim: int, j: int, k: int) -> Projector:
+    """The rank-1 projector on ``e_j`` rotated toward ``e_k`` by ``eps``."""
+    v = np.zeros((dim, 1))
+    v[j, 0], v[k, 0] = math.sqrt(1.0 - eps**2), eps
+    return Projector.from_basis(v)
+
+
+def _spoiled_frame(dim: int, seed: int, factor: float) -> np.ndarray:
+    """A Haar frame with its column 1 scaled so that its Gram defect is ``factor``."""
+    u = haar_unitary(dim, seed)
+    u[:, 1] *= math.sqrt(1.0 + factor)
+    return u
+
+
+def _raised(fn):
+    with pytest.raises(QrelentError) as info:
+        fn()
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(
+            lambda: [basis_projector(3, [0]), _tilted_toward(1e-6, 3, 1, 0), basis_projector(3, [2])], id="overlap"
+        ),
+        pytest.param(lambda: [basis_projector(3, [0]), basis_projector(3, [1])], id="incomplete"),
+    ],
+)
+def test_chunk_observables_raise_a_bad_family_as_it_raises_alone(family):
+    # The bad family sits in the middle of good ones of two shapes, one
+    # of them its own.
+    bad = family()
+    alone = _raised(lambda: ProjectiveObservable.validated(range(len(bad)), bad))
+    good = [random_block_projectors(d, (1, d - 2), seed=d) for d in (3, 5, 3)]
+    cases = [(range(len(f)), f) for f in [*good[:2], bad, good[2]]]
+    with pytest.raises(type(alone), match=f"^{re.escape(str(alone))}$"):
+        _validated_observables(cases, DEFAULT_TOL)
+
+
+def test_chunk_gates_a_block_tilted_past_orth_as_from_basis_does_alone(tol):
+    # A block whose Gram defect, 1e-9, lies past tol.orth but within
+    # tol.identity: from_basis and the stacked block gate refuse it with
+    # one message, while the observables, gated at tol.identity, accept it.
+    assert tol.orth < 1e-9 < tol.identity
+    spoiled = _spoiled_frame(4, 7, 1e-9)
+    alone = _raised(lambda: Projector.from_basis(spoiled[:, :2]))
+    assert isinstance(alone, NotOrthonormalError)
+    frames = [
+        (haar_unitary(3, 1), np.array([0, 1, 1])),
+        (spoiled, np.array([0, 0, 1, 1])),
+        (haar_unitary(4, 2), np.zeros(4, int)),
+    ]
+    with pytest.raises(NotOrthonormalError, match=f"^{re.escape(str(alone))}$"):
+        _check_orthonormal_blocks(frames, tol)
+    _check_orthonormal_blocks(frames[::2], tol)
+    family = (Projector(basis=spoiled[:, :2]), Projector(basis=spoiled[:, 2:]))
+    good = random_block_projectors(3, (1,), seed=3)
+    accepted = _validated_observables([(range(2), good), (range(2), family), (range(2), good)], tol)
+    assert accepted[1].projectors == family
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        pytest.param(
+            lambda: block_observable(3, [0, 1], [2]),
+            lambda: ProjectiveObservable.validated(
+                range(4), [basis_projector(3, [0]), basis_projector(3, [1]), Projector.zero(3), basis_projector(3, [2])]
+            ),
+            id="absorbed-by-two",
+        ),
+        pytest.param(
+            lambda: ProjectiveObservable((0.0, 1.0), (basis_projector(3, [0, 1]), basis_projector(3, [2]))),
+            lambda: ProjectiveObservable((0.0, 1.0), (basis_projector(3, [0]), basis_projector(3, [2]))),
+            id="group-rank",
+        ),
+    ],
+)
+def test_chunk_refinements_raise_a_bad_pair_as_it_raises_alone(coarse, fine):
+    bad = (fine(), coarse())
+    alone = _raised(lambda: is_refinement(*bad))
+    assert isinstance(alone, NotARefinementError)
+    good = [(f, c) for c, f in _refinement_draws([((1, 2), 1, False), ((2, 2), 2, True), ((1, 1, 1), 3, False)])]
+    with pytest.raises(NotARefinementError, match=f"^{re.escape(str(alone))}$"):
+        _refinements([*good[:2], bad, good[2]], DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("leg", ["d_total", "d_first", "d_second"])

@@ -25,6 +25,7 @@ from qrelent import (
     validate_density,
 )
 import qrelent.stategen
+from qrelent.campaign import VerifyConfig, run_campaign
 from qrelent.linop import _by_shape, _validated
 from qrelent.stategen import _ginibre, _haar, _random_block_families, _random_refinements, _raw_density, _rng
 from helpers import count_solver_calls
@@ -301,20 +302,39 @@ def test_random_refinement_is_refinement_and_deterministic():
 
 @pytest.mark.parametrize("rank_one", [False, True])
 def test_random_refinement_checks_each_rotated_block_once(monkeypatch, rank_one):
-    # The rotated coarse basis is Gram-checked once and then sliced;
-    # the coarse and fine observables check pairwise overlaps instead.
+    # Each rotated coarse block is Gram-checked at tol.orth: a rotation
+    # spoiled to a Gram defect of 1e-9, within the tol.identity that the
+    # fine observable's overlaps and completeness are held to, raises
+    # NotOrthonormalError, whichever block it rotates, from
+    # random_refinement and from a corollary2 chunk alike.
+    tol = DEFAULT_TOL
     blocks = random_block_projectors(9, (2, 3, 4), seed=4)
-    checked = []
-    real = qrelent.linop._gram_defect
+    real = qrelent.stategen._haar
 
-    def spy(v):
-        checked.append(v.shape)
-        return real(v)
+    def spoiling(rank):
+        def spoiled(g):
+            u = real(g)
+            if g.shape[-1] == rank:
+                (u[len(u) // 2] if u.ndim == 3 else u)[:, 0] *= math.sqrt(1.0 + 1e-9)
+            return u
 
-    monkeypatch.setattr(qrelent.linop, "_gram_defect", spy)
+        return spoiled
+
+    assert tol.orth < 1e-9 < tol.identity
     _, fine = random_refinement(blocks, seed=12, rank_one=rank_one)
-    assert checked == [b.basis.shape for b in blocks]
     assert sum(p.rank for p in fine.projectors) == 9
+    for b in blocks:
+        monkeypatch.setattr(qrelent.stategen, "_haar", spoiling(b.rank))
+        with pytest.raises(NotOrthonormalError, match=r"^basis columns not orthonormal: defect 1\.000e-09$"):
+            random_refinement(blocks, seed=12, rank_one=rank_one)
+    # The chunk's frames are 5 x 5; its rotations, of ranks 1 to 4, are spoiled
+    # at rank 2, which the six trials stack.
+    monkeypatch.setattr(qrelent.stategen, "_haar", spoiling(2))
+    cfg = VerifyConfig(identity="corollary2", dims=(5,), trials=6, seed=3)
+    with pytest.raises(NotOrthonormalError, match=r"corollary2 d=5 trials 0-5 .*defect 1\.000e-09$"):
+        run_campaign(cfg)
+    monkeypatch.setattr(qrelent.stategen, "_haar", real)
+    assert run_campaign(cfg).failures == 0
 
 
 @given(
