@@ -19,6 +19,7 @@ from qrelent import (
     LineReport,
     NotARefinementError,
     NotDiagonalizingError,
+    NotOrthogonalError,
     NotOrthonormalError,
     Projector,
     ProjectiveObservable,
@@ -102,6 +103,22 @@ def test_observable_completeness_gate_at_its_bound(tol, factor, accepted):
         assert ProjectiveObservable.validated([0.0, 1.0], family, tol).eigenvalues == (0.0, 1.0)
     else:
         with pytest.raises(BadObservableError, match="do not resolve the identity"):
+            ProjectiveObservable.validated([0.0, 1.0], family, tol)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+def test_observable_overlap_gate_at_its_bound(tol, factor, accepted):
+    # Bases that are not isometries, [a] and [b] with a^2 + b^2 = 1 on
+    # dim 1, resolve the identity exactly, so only the overlap gate can
+    # refuse them: an overlap ab of 0.99x tol.identity is accepted, and
+    # one of 1.01x raises NotOrthogonalError.  (For isometries the
+    # completeness defect is at least sqrt(2) x the largest overlap.)
+    b = factor * tol.identity
+    family = tuple(Projector(basis=np.array([[x]], dtype=complex)) for x in (math.sqrt(1.0 - b**2), b))
+    if accepted:
+        assert ProjectiveObservable.validated([0.0, 1.0], family, tol).eigenvalues == (0.0, 1.0)
+    else:
+        with pytest.raises(NotOrthogonalError, match=r"^projectors 0 and 1 overlap: \|\|P_i P_j\|\|_F = 1\.010e-08$"):
             ProjectiveObservable.validated([0.0, 1.0], family, tol)
 
 
@@ -261,6 +278,21 @@ def test_is_refinement_rejects_fine_projector_tilted_out_of_range():
                 is_refinement(fine, coarse)
 
 
+@pytest.mark.parametrize("factor, refines", [(0.99, True), (1.01, False)])
+def test_is_refinement_absorption_gate_at_its_bound(tol, factor, refines):
+    # Fine projector 0 leaves coarse block {0, 1} by exactly factor x
+    # tol.identity: 0.99x is absorbed, and 1.01x is absorbed by no
+    # coarse projector.
+    coarse = block_observable(4, [0, 1], [2, 3])
+    a, b = _tilted_pair(factor * tol.identity)
+    fine = ProjectiveObservable.validated(range(4), [a, basis_projector(4, [1]), b, basis_projector(4, [3])])
+    if refines:
+        assert is_refinement(fine, coarse, tol) == (0, 0, 1, 1)
+    else:
+        with pytest.raises(NotARefinementError, match="^fine projector 0 is absorbed by 0 coarse projectors"):
+            is_refinement(fine, coarse, tol)
+
+
 def test_is_refinement_rejects_group_short_of_its_coarse_projector():
     # Built without ``validated``, the fine family misses e1: each fine
     # projector is absorbed by exactly one coarse projector, but coarse
@@ -415,22 +447,25 @@ def _raised(fn):
 
 
 @pytest.mark.parametrize(
-    "family",
+    "eps, error, message",
     [
-        pytest.param(
-            lambda: [basis_projector(3, [0]), _tilted_toward(1e-6, 3, 1, 0), basis_projector(3, [2])], id="overlap"
-        ),
-        pytest.param(lambda: [basis_projector(3, [0]), basis_projector(3, [1])], id="incomplete"),
+        (1e-6, NotOrthogonalError, "projectors 0 and 1 overlap: ||P_i P_j||_F = 1.000e-06"),
+        # Just past the overlap bound; the completeness defect, about sqrt(2) x eps, is past its bound too.
+        (1.01e-8, NotOrthogonalError, "projectors 0 and 1 overlap: ||P_i P_j||_F = 1.010e-08"),
+        (None, BadObservableError, "projectors do not resolve the identity: defect 1.000e+00"),
     ],
+    ids=["overlap", "overlap-at-bound", "incomplete"],
 )
-def test_chunk_observables_raise_a_bad_family_as_it_raises_alone(family):
+def test_chunk_observables_raise_a_bad_family_as_it_raises_alone(eps, error, message):
     # The bad family sits in the middle of good ones of two shapes, one
-    # of them its own.
-    bad = family()
-    alone = _raised(lambda: ProjectiveObservable.validated(range(len(bad)), bad))
+    # of them its own: a pair that overlaps, or a family short of e2.
+    bad = [basis_projector(3, [0]), basis_projector(3, [1]) if eps is None else _tilted_toward(eps, 3, 1, 0)]
+    bad += [] if eps is None else [basis_projector(3, [2])]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ProjectiveObservable.validated(range(len(bad)), bad)
     good = [random_block_projectors(d, (1, d - 2), seed=d) for d in (3, 5, 3)]
     cases = [(range(len(f)), f) for f in [*good[:2], bad, good[2]]]
-    with pytest.raises(type(alone), match=f"^{re.escape(str(alone))}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _validated_observables(cases, DEFAULT_TOL)
 
 

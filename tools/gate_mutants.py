@@ -3,7 +3,7 @@
     python3 tools/gate_mutants.py [--only NAME ...]
 
 Each mutant of ``MUTANTS`` rewrites one line of a gate in a copy of
-``src/`` and ``tests/`` in a temporary directory: either the gate is
+``src/``, ``tests/`` and ``bench/`` in a temporary directory: either the gate is
 disabled, or its tolerance is multiplied by 10.  Tier-1 then runs on
 the copy, stopping at the first failure.  A mutant is killed when some
 test fails, and survives when all pass; each survivor names a gate (or
@@ -84,7 +84,7 @@ def tier1(tree: Path) -> tuple[bool, str]:
 
 
 def copy_tree(dest: Path) -> None:
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "bench"):
         shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
