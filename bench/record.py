@@ -111,6 +111,8 @@ STAGES = (
     "_lueders_states",
     "_decompositions",
     "_breakdowns",
+    "_pinched_states",
+    "_stacked_block_states",
 )
 STAGE_RUNS = 3
 

@@ -34,17 +34,18 @@ Conventions
 * :func:`_by_shape` groups items by shape into slices of
   :data:`_STACK_ENTRIES` entries, one call each; :func:`_validated`, the
   stack form of :func:`validate_density`, gates each state on its own.
-* Every state built from blocks ends in :func:`_block_spectra`, which
-  takes the compressions ``B = V^dag M V`` of several operators on one
-  dimension and solves the blocks of one size, across all of them, with one batched
-  eigensolve, rank-1 blocks read off the diagonal, and no ``d x d``
-  solve; each operator passes every gate on its own, and its result
-  does not depend on the others.  Its stack forms build Lüders states
-  and Theorem 2's middle states (:func:`_pinched_states`), and the
-  weighted block states of decompositions and breakdowns
-  (:func:`_stacked_block_states`); a lone operator is compressed and
-  solved alone.  Hermiticity and positivity are judged on ``B``, never
-  after division by a block's weight.
+* Every state built from blocks ends in :func:`_block_spectra`, the one
+  block pass over several operators on one dimension: one batched
+  compression ``B = V^dag M V`` per frame shape, each ``B`` gated for
+  Hermiticity, then the blocks of one size, across all of them, solved
+  by one batched eigensolve, rank-1 blocks read off the diagonal, and no
+  ``d x d`` solve; each operator passes every gate on its own, and its
+  result does not depend on the others.  Its callers build Lüders
+  states and Theorem 2's middle states (:func:`_pinched_states`), and
+  the weighted block states of decompositions and breakdowns
+  (:func:`_stacked_block_states`); a lone operator is compressed with
+  2-D products and solved alone.  Hermiticity and positivity are judged
+  on ``B``, never after division by a block's weight.
   :func:`validate_density` and :func:`pinch` keep their ``d x d`` solve.
 """
 
@@ -455,7 +456,7 @@ def _by_shape(fn, items, *args) -> list:
         per_slice = max(1, _STACK_ENTRIES // math.prod(np.shape(items[indices[0]])))
         for a in range(0, len(indices), per_slice):
             part = indices[a : a + per_slice]
-            results = fn(np.stack([items[i] for i in part]), *args) if len(part) > 1 else [fn(items[part[0]], *args)]
+            results = fn(np.array([items[i] for i in part]), *args) if len(part) > 1 else [fn(items[part[0]], *args)]
             out.update(zip(part, results, strict=True))
     return [out[i] for i in range(len(items))]
 
@@ -619,112 +620,89 @@ def _pinched(matrix: np.ndarray, v: np.ndarray, labels: np.ndarray) -> np.ndarra
     return v @ _block_diagonal(matrix, v, labels) @ v.conj().T
 
 
-def _compressions(items, tol: Tolerances, at_scale_of_m: bool = False) -> list:
-    """``(B, V, labels)`` for each ``(M, V, labels)`` item: ``B`` is its
-    :func:`_block_diagonal`, gated and made exactly Hermitian by
-    :func:`_hermitian_part` at the scale ``||B||_F``, as :func:`symmetrize`
-    gates it, or ``||M||_F`` with ``at_scale_of_m``.
+def _block_spectra(items, tol: Tolerances, at_scale_of_m: bool = False) -> list[tuple[np.ndarray, ...]]:
+    """The block pass: compress, gate and solve the blocks of each ``(M, V, labels)`` item.
 
-    Items with one shape of ``M`` and of ``V`` are compressed together,
-    shapes in the order first met, by batched products that give each
-    ``B`` as its own product does; then every item of the stack is gated
-    on its own defect.  A lone item of its shape is compressed alone.
+    ``V`` and ``labels`` come from :func:`_stack`, so each block is a run
+    of consecutive columns, and the items share one dimension.  ``B`` is
+    :func:`_block_diagonal`, gated and made exactly Hermitian as
+    :func:`symmetrize` gates it, at the scale ``||B||_F``, or ``||M||_F``
+    with ``at_scale_of_m``.  Items with one shape of ``V`` are compressed
+    by one batched product, shapes in the order first met, and every
+    item's Hermiticity is gated before any solve.  Their columns are laid
+    end to end in one frame; rank-1 blocks are read off the diagonal, and
+    the larger blocks of one size, across all items, share one
+    :func:`_solve`.  Then each item in turn passes :func:`_check_solve`
+    on its own blocks: the largest Gram defect of its ``U_k`` and its
+    reconstruction defect summed over its blocks, at the scale
+    ``||B||_F``.  Returns per item the diagonal of ``B``, each column's
+    eigenvalue (ascending within its block) and the eigenvectors
+    ``V_k U_k``, read-only; an item's result does not depend on the others.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (m, v, _) in enumerate(items):
-        groups.setdefault((m.shape, v.shape), []).append(i)
-    out = [None] * len(items)
-    for part in groups.values():
-        # Kept: a group of one sent through the batched products costs about 20 us more per call.
-        if len(part) == 1:
-            m, v, labels = items[part[0]]
-            b = _block_diagonal(m, v, labels)
-            out[part[0]] = (_hermitian_part(b, frobenius(m if at_scale_of_m else b), tol), v, labels)
-            continue
-        m, v, labels = map(np.stack, zip(*(items[i] for i in part)))
-        b = v.conj().swapaxes(-1, -2) @ m @ v
-        b[labels[:, :, None] != labels[:, None, :]] = 0.0
-        adj = b.conj().swapaxes(-1, -2)
-        scales = np.linalg.norm(m if at_scale_of_m else b, axis=(-2, -1))
-        for defect, scale in zip(np.linalg.norm(b - adj, axis=(-2, -1)).tolist(), scales.tolist()):
-            _check_hermitian(defect, scale, tol)
-        for i, h in zip(part, (b + adj) / 2.0):
-            out[i] = (h, items[i][1], items[i][2])
-    return out
-
-
-def _block_spectra(items, tol: Tolerances) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The checked spectra of the blocks ``B_k`` of each of several ``B = V^dag M V``.
-
-    Each item is ``(B, V, labels)``: ``B`` is :func:`_block_diagonal` in
-    the stacked frame of :func:`_stack` (each block a run of consecutive
-    columns), made exactly Hermitian by the caller after its Hermiticity
-    gate.  The items share one dimension, and their columns are laid end
-    to end in one frame, so every block is a run of consecutive columns
-    of it.  Rank-1 blocks are read off the diagonal.  The larger blocks
-    of one size, across all items, share one :func:`_solve`.  Then
-    each item in turn passes :func:`_check_solve` on its own blocks: the
-    largest Gram defect of its ``U_k`` and its reconstruction defect
-    summed over its blocks, at the scale ``||B||_F``.  Returns per item
-    each column's eigenvalue, ascending within its block, and the
-    eigenvectors ``V_k U_k``.  A lone item goes to
-    :func:`_block_spectrum`, as a lone matrix goes to
-    :func:`validate_density` in :func:`_validated`.
-    """
-    # Kept: a lone item sent through the stacked code costs 50-75 us more per call (breakdowns at d = 2 to 8).
+    # Kept: a lone item sent through the group code costs 30-40 us more per call (d = 4, 8), 80-120 us at d = 64.
     if len(items) == 1:
-        return [_block_spectrum(*items[0], tol)]
-    counts = [len(labels) for _, _, labels in items]
-    edges = np.cumsum([0, *counts])
-    owner = np.repeat(np.arange(len(items)), counts)  # the item of each column
-    local = np.arange(edges[-1]) - edges[owner]  # its column within its item
-    labels = np.concatenate([labels for _, _, labels in items])
-    # A block starts where the label changes or an item starts.
-    block = np.cumsum((np.diff(labels, prepend=-1) != 0) | (local == 0)) - 1
-    column_sizes = np.bincount(block)[block]
-    entries = np.concatenate([b.ravel() for b, _, _ in items])
-    squares = [n * n for n in counts]
-    # ||B||_F of each item, the scale of its reconstruction gate.
-    entry_owner = np.repeat(np.arange(len(items)), squares)
-    scales = np.sqrt(np.bincount(entry_owner, weights=entries.real**2 + entries.imag**2, minlength=len(items)))
-    row = np.cumsum([0, *squares])[owner] + local * np.asarray(counts, dtype=int)[owner]  # entry of B[c, 0]
+        m, v, labels = items[0]
+        b = _block_diagonal(m, v, labels)
+        b = _hermitian_part(b, frobenius(m if at_scale_of_m else b), tol)
+        diag = b.diagonal().real
+        w, vectors = diag.copy(), v.copy()
+        sizes = np.bincount(labels)[labels]
+        recon_sq = gram_defect = 0.0
+        for s in sorted(set(sizes.tolist()) - {1}):
+            # Blocks are runs of consecutive columns: one row per block.
+            cols = np.flatnonzero(sizes == s).reshape(-1, s)
+            bw, bu, gram, recon = _solve(b[cols[:, :, None], cols[:, None, :]])
+            gram_defect = float(np.maximum(gram_defect, gram.max()))  # keeps a NaN, unlike max()
+            recon_sq += float(recon.sum())
+            w[cols] = bw
+            vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
+        _check_solve(gram_defect, recon_sq, frobenius(b), tol)
+        return [(diag, _readonly(w), _readonly(vectors))]
+    parts = _groups(v.shape for _, v, _ in items)
+    groups, frames, diags, owners = [], [], [], []
+    scales, starts = np.zeros(len(items)), np.zeros(len(items), dtype=int)
+    offset = 0
+    for part in parts:
+        m, v, labels = (np.array([items[i][k] for i in part]) for k in range(3))
+        b = v.conj().swapaxes(-1, -2) @ m @ v
+        same = labels[:, :, None] == labels[:, None, :]
+        b[~same] = 0.0
+        adj = b.conj().swapaxes(-1, -2)
+        defects = np.linalg.norm(b - adj, axis=(-2, -1)).tolist()
+        for defect, scale in zip(defects, np.linalg.norm(m if at_scale_of_m else b, axis=(-2, -1)).tolist()):
+            _check_hermitian(defect, scale, tol)
+        b = (b + adj) / 2.0
+        n, r = labels.shape
+        scales[part] = np.linalg.norm(b, axis=(-2, -1))
+        starts[part] = offset + r * np.arange(n)
+        # Rows of the stack end to end; a label is one run of columns, so its columns are its block.
+        groups.append((b.reshape(n * r, r), offset, same.sum(-1).ravel()))
+        frames.append(v.transpose(1, 0, 2).reshape(v.shape[1], n * r))
+        diags.append(b.diagonal(axis1=-2, axis2=-1).real.ravel())
+        owners.append(np.repeat(part, r))
+        offset += n * r
+    frame, owner = np.concatenate(frames, axis=1), np.concatenate(owners)
+    diag = np.concatenate(diags)
     # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
-    w = entries[row + local].real.copy()
-    frame = np.concatenate([v for _, v, _ in items], axis=1)
-    vectors = frame.copy()
+    w, vectors = diag.copy(), frame.copy()
     gram_defects, recon_sqs = np.zeros(len(items)), np.zeros(len(items))
-    for s in sorted(set(column_sizes.tolist()) - {1}):
-        # Blocks are runs of consecutive columns: one row per block.
-        cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
-        bw, bu, gram, recon = _solve(entries[row[cols][:, :, None] + local[cols][:, None, :]])
+    for s in sorted(set(np.concatenate([column_sizes for _, _, column_sizes in groups]).tolist()) - {1}):
+        # Blocks are runs of consecutive columns: one row per block, gathered from its group's stack.
+        blocks, cols = [], []
+        for rows, first, column_sizes in groups:
+            q = np.flatnonzero(column_sizes == s).reshape(-1, s)
+            blocks.append(rows[q[:, :, None], q[:, None, :] % rows.shape[1]])
+            cols.append(first + q)
+        cols = np.concatenate(cols)
+        bw, bu, gram, recon = _solve(np.concatenate(blocks))
         w[cols] = bw
-        block_owner = owner[cols[:, 0]]
-        np.maximum.at(gram_defects, block_owner, gram)  # keeps a NaN
-        np.add.at(recon_sqs, block_owner, recon)
+        np.maximum.at(gram_defects, owner[cols[:, 0]], gram)  # keeps a NaN
+        np.add.at(recon_sqs, owner[cols[:, 0]], recon)
         vectors[:, cols] = (frame[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
     for gram_defect, recon_sq, scale in zip(gram_defects.tolist(), recon_sqs.tolist(), scales.tolist()):
         _check_solve(gram_defect, recon_sq, scale, tol)
-    return [(_readonly(w[e : e + n]), _readonly(vectors[:, e : e + n])) for e, n in zip(edges.tolist(), counts)]
-
-
-def _block_spectrum(b: np.ndarray, v: np.ndarray, labels: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_block_spectra` of one item: one :func:`_solve` per block size of its own ``B``."""
-    # Rank-1 blocks keep their diagonal entry; larger blocks overwrite theirs.
-    w = b.diagonal().real.copy()
-    vectors = v.copy()
-    sizes = np.bincount(labels)
-    column_sizes = sizes[labels]
-    recon_sq = gram_defect = 0.0
-    for s in sorted(set(sizes.tolist()) - {0, 1}):
-        # Blocks are runs of consecutive columns: one row per block.
-        cols = np.flatnonzero(column_sizes == s).reshape(-1, s)
-        bw, bu, gram, recon = _solve(b[cols[:, :, None], cols[:, None, :]])
-        gram_defect = float(np.maximum(gram_defect, gram.max()))  # keeps a NaN, unlike max()
-        recon_sq += float(recon.sum())
-        w[cols] = bw
-        vectors[:, cols] = (v[:, cols].transpose(1, 0, 2) @ bu).transpose(1, 0, 2)
-    _check_solve(gram_defect, recon_sq, frobenius(b), tol)
-    return _readonly(w), _readonly(vectors)
+    spans = [slice(a, a + len(labels)) for a, (_, _, labels) in zip(starts.tolist(), items)]
+    return [(_readonly(diag[c]), _readonly(w[c]), _readonly(vectors[:, c])) for c in spans]
 
 
 def _pinched_states(items, tol: Tolerances) -> list[DensityOperator]:
@@ -732,20 +710,20 @@ def _pinched_states(items, tol: Tolerances) -> list[DensityOperator]:
 
     ``V`` and ``labels`` come from :func:`_stack`.  The spectrum of a
     pinching is the union of its block spectra, so no ``d x d`` matrix
-    is solved: every ``B`` passes the Hermiticity gate of
-    :func:`symmetrize`, :func:`_block_spectra` solves them all, then each
-    item's assembled eigenvectors pass one Gram check at ``tol.orth``
-    and its state the positivity and trace gates of
-    :func:`validate_density`.  Each result equals
+    is solved: one :func:`_block_spectra` pass compresses every ``M``,
+    gates each ``B``'s Hermiticity as :func:`symmetrize` does and solves
+    them all, then each item's assembled eigenvectors pass one Gram
+    check at ``tol.orth`` and its state the positivity and trace gates
+    of :func:`validate_density`.  Each result equals
     ``validate_density(_pinched(M, V, labels))`` up to round-off and does
     not depend on the other items; its spectrum is thin when ``V`` does
     not span the space.  Raises as :func:`validate_density`, and
     :class:`NotOrthonormalError` if a family is no eigenbasis to within
     ``tol.orth``; when several items fail, the error may be a later one's.
     """
-    spectra = _block_spectra(_compressions(items, tol), tol)
+    spectra = _block_spectra(items, tol)
     states = []
-    for (w, vectors), gram_defect in zip(spectra, _by_shape(_gram_defects, [vectors for _, vectors in spectra])):
+    for (_, w, vectors), gram_defect in zip(spectra, _by_shape(_gram_defects, [vectors for _, _, vectors in spectra])):
         if not (gram_defect <= tol.orth):
             raise NotOrthonormalError(f"pinched eigenvectors not orthonormal: defect {gram_defect:.3e}")
         ascending = np.argsort(w, kind="stable")
@@ -788,10 +766,10 @@ def _stacked_block_states(
     """Split each ``M`` of ``(M, V, labels, n)`` items into block weights and normalized block states.
 
     ``V`` and ``labels`` stack ``n`` range bases ``V_k`` (:func:`_stack`).
-    Every compression ``B`` passes its Hermiticity gate, then one
-    :func:`_block_spectra` call solves them all, and each item in turn
-    has its positivity gate and is split; ``p_k``, the trace of block
-    ``B_k`` clamped at 0, is its weight.  Hermiticity and positivity are
+    One :func:`_block_spectra` pass compresses, gates and solves them
+    all, then each item in turn has its positivity gate and is split;
+    ``p_k``, the trace of block ``B_k`` read off the pass's diagonal and
+    clamped at 0, is its weight.  Hermiticity and positivity are
     judged on ``B`` at the scale of ``M`` (``||B - B^dag||_F <= tol.herm *
     ||M||_F``, no eigenvalue below ``-tol.psd``) before any division by
     ``p_k``, so round-off is not magnified into a rejection of a light
@@ -806,11 +784,11 @@ def _stacked_block_states(
     :class:`NotPositiveError` or :class:`SolverFailureError`; when
     several items fail, the error may be a later one's.
     """
-    compressed = _compressions([(m, v, labels) for m, v, labels, _ in items], tol, at_scale_of_m=True)
+    spectra = _block_spectra([(m, v, labels) for m, v, labels, _ in items], tol, at_scale_of_m=True)
     out = []
-    for (b, _, labels), (_, _, _, n), (w, vectors) in zip(compressed, items, _block_spectra(compressed, tol)):
+    for (_, _, labels, n), (diag, w, vectors) in zip(items, spectra):
         _check_positive(w, tol)
-        weights = np.clip(np.bincount(labels, weights=b.diagonal().real, minlength=n), 0.0, None)
+        weights = np.clip(np.bincount(labels, weights=diag, minlength=n), 0.0, None)
         kept, kept_vectors, kept_labels = _cut(float(w.max(initial=0.0)), tol, w, vectors, labels)
         edges = np.cumsum([0, *np.bincount(kept_labels, minlength=n).tolist()]).tolist()
         states = tuple(

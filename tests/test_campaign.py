@@ -508,7 +508,7 @@ def test_block_stacks_of_a_pass_fit_one_slice(monkeypatch):
     # A pass's blocks are one chunk's at one d, and linop._block_spectra
     # solves each block size in one call, without slicing: a chunk's
     # d x d operators fit one slice, or the chunk is one trial whose
-    # blocks (at most d^2 entries per size) go to _block_spectrum.
+    # blocks (at most d^2 entries per size) take the pass's lone-item path.
     for dim in range(2, 129):
         assert _chunk_trials(dim) == 1 or _chunk_trials(dim) * dim * dim <= _STACK_ENTRIES
     calls = count_solver_calls(monkeypatch)

@@ -356,6 +356,54 @@ def test_validate_density_gate_at_its_bound(monkeypatch, tol, gate, stacked):
         validate(matrices[1.01])
 
 
+def _block_gate_matrix(gate: str, factor: float, tol: Tolerances) -> np.ndarray:
+    """A 6 x 6 ``M`` of two 3 x 3 blocks whose second block's defect at
+    ``gate`` is ``factor`` times its bound, for the block pass with
+    ``V = 1``, where ``B`` is ``M`` itself.
+
+    As in :func:`_gate_matrix`, the solver gates are reached through a
+    spoiled eigensolver instead, on the clean ``M`` returned here.
+    """
+    m = np.zeros((6, 6), dtype=complex)
+    m[:3, :3] = random_density(3, seed=22, tol=tol).matrix / 2.0
+    m[3:, 3:] = random_density(3, seed=21, tol=tol).matrix / 2.0
+    if gate == "psd":
+        m[3:, 3:] = np.diag([0.3 + factor * tol.psd, 0.2, -factor * tol.psd])
+    elif gate == "herm":
+        # As in _gate_matrix, at the scale ||M||_F = ||B||_F of the whole M.
+        k = np.zeros((6, 6), dtype=complex)
+        k[3, 4], k[4, 3] = 1.0, -1.0
+        h = factor * tol.herm
+        m += h * frobenius(m) / (frobenius(k) * math.sqrt(4.0 - h**2)) * k
+    return m
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "after-rank-1-blocks"])
+@pytest.mark.parametrize("gate", ["herm", "orth", "recon", "psd"])
+def test_block_pass_gate_at_its_bound(monkeypatch, tol, gate, stacked):
+    # The block pass gates each B's Hermiticity and its block solves, and
+    # _stacked_block_states its block eigenvalues' positivity: a defect
+    # at 0.99x the bound is accepted and one at 1.01x raises the gate's
+    # own error, for a lone item and behind an item whose blocks are all
+    # rank 1 (never solved), so the spoiled solve is the second block.
+    error, message = _GATE_ERRORS[gate]
+    matrices = {factor: _block_gate_matrix(gate, factor, tol) for factor in (0.99, 1.01)}
+    frame = np.eye(6, dtype=complex)
+    rank_1 = (frame / 6.0, frame, np.arange(6), 6)
+    spoil = _spoil_solver(monkeypatch, gate, tol)
+
+    def split(m):
+        item = (m, frame, np.repeat([0, 1], 3), 2)
+        return _stacked_block_states([rank_1, item] if stacked else [item], tol)[-1]
+
+    spoil["factor"] = 0.99
+    weights, _, _ = split(matrices[0.99])
+    assert len(weights) == 2
+    spoil["factor"] = 1.01
+    with pytest.raises(error, match=message):
+        split(matrices[1.01])
+
+
 @st.composite
 def _stacks(draw):
     """A stack of raw trace-1 Ginibre matrices of one size, and a position in it."""

@@ -557,22 +557,36 @@ def test_block_states_match_dense_validation(fixture):
             _assert_same_state(rho_k, _dense_block_state(rho.matrix, q.basis))
 
 
-@pytest.mark.parametrize("kind, error", [("non-hermitian", NotHermitianError), ("negative", NotPositiveError)])
-def test_block_states_reject_bad_matrix(kind, error, tol):
+@pytest.mark.parametrize(
+    "kind, error, bad_blocks",
+    [
+        pytest.param("non-hermitian", NotHermitianError, 3, id="non-hermitian-NotHermitianError"),
+        pytest.param("negative", NotPositiveError, 3, id="negative-NotPositiveError"),
+        pytest.param("nan", NotHermitianError, 3, id="nan-NotHermitianError"),
+        # On the frame of blocks 0 and 1 alone (8 columns, not 16), the
+        # bad matrix is a frame-shape group of its own in the pass.
+        pytest.param("non-hermitian", NotHermitianError, 2, id="non-hermitian-own-frame-shape"),
+        pytest.param("negative", NotPositiveError, 2, id="negative-own-frame-shape"),
+        pytest.param("nan", NotHermitianError, 2, id="nan-own-frame-shape"),
+    ],
+)
+def test_block_states_reject_bad_matrix(kind, error, bad_blocks, tol):
     sigma, _, blocks, _, _ = _light_block_fixture(1e-7, 4)
-    v, labels = _stack(blocks, 16)
     first = blocks[0].basis
     bad = sigma.matrix.copy()
     if kind == "non-hermitian":
         bad += 0.3j * np.outer(first[:, -1], first[:, 0].conj())
-    else:
+    elif kind == "negative":
         bad -= 1e-3 * np.outer(first[:, 0], first[:, 0].conj())
+    else:
+        bad[0, 0] = np.nan
+    bad_item = (bad, *_stack(blocks[:bad_blocks], 16), bad_blocks)
     with pytest.raises(error):
-        _stacked_block_states([(bad, v, labels, len(blocks))], tol)
+        _stacked_block_states([bad_item], tol)
     # The bad matrix between good ones in one stacked pass.
-    good = (sigma.matrix, v, labels, len(blocks))
+    good = (sigma.matrix, *_stack(blocks, 16), len(blocks))
     with pytest.raises(error):
-        _stacked_block_states([good, (bad, v, labels, len(blocks)), good], tol)
+        _stacked_block_states([good, bad_item, good], tol)
 
 
 def test_rho_outside_every_support_is_infinite():

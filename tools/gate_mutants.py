@@ -46,6 +46,14 @@ _ABSORBED = "        absorbed = np.sqrt((np.abs(residual) ** 2).sum(axis=-2) @ f
 _UNMATCHED = "        unmatched = (matches != 1) & (fine_k < n_fine[:, None])"
 _RANKS = "        short = (absorbed * fine_onehot.sum(axis=1)[:, None, :]).sum(axis=-1) != rows.sum(axis=-1)"
 _HERMITIAN = "        _check_hermitian(float(defect), float(scale), tol)"
+_BLOCK_HERMITIAN = "            _check_hermitian(defect, scale, tol)"
+_LONE_HERMITIAN = "        b = _hermitian_part(b, frobenius(m if at_scale_of_m else b), tol)"
+_BLOCK_SOLVE = "        _check_solve(gram_defect, recon_sq, scale, tol)"
+_LONE_SOLVE = "        _check_solve(gram_defect, recon_sq, frobenius(b), tol)"
+_PINCHED_GRAM = "        if not (gram_defect <= tol.orth):"
+_BLOCK_POSITIVE = "        _check_positive(w, tol)"
+_HERM_X10 = "tol.replace(herm=10 * tol.herm))"
+_SOLVE_X10 = "tol.replace(orth=10 * tol.orth, recon=10 * tol.recon))"
 
 _LINOP, _LUEDERS = "src/qrelent/linop.py", "src/qrelent/lueders.py"
 
@@ -67,8 +75,24 @@ MUTANTS = (
     # _validated's Hermiticity gate on a stack of states.
     Mutant("stacked-hermiticity-off", _LINOP, _HERMITIAN, "        pass"),
     Mutant(
-        "stacked-hermiticity-x10", _LINOP, _HERMITIAN, _HERMITIAN.replace("tol)", "tol.replace(herm=10 * tol.herm))")
+        "stacked-hermiticity-x10", _LINOP, _HERMITIAN, _HERMITIAN.replace("tol)", _HERM_X10)
     ),
+    # The block pass: each B's Hermiticity, in a group of its frame shape and alone.
+    Mutant("block-hermiticity-off", _LINOP, _BLOCK_HERMITIAN, "            pass"),
+    Mutant("block-hermiticity-x10", _LINOP, _BLOCK_HERMITIAN, _BLOCK_HERMITIAN.replace("tol)", _HERM_X10)),
+    Mutant("lone-block-hermiticity-off", _LINOP, _LONE_HERMITIAN, "        b = (b + b.conj().T) / 2.0"),
+    Mutant("lone-block-hermiticity-x10", _LINOP, _LONE_HERMITIAN, _LONE_HERMITIAN.replace(" tol)", " " + _HERM_X10)),
+    # The block pass's solver gates (Gram at tol.orth, reconstruction at tol.recon), per item and alone.
+    Mutant("block-solve-off", _LINOP, _BLOCK_SOLVE, "        pass"),
+    Mutant("block-solve-x10", _LINOP, _BLOCK_SOLVE, _BLOCK_SOLVE.replace(" tol)", " " + _SOLVE_X10)),
+    Mutant("lone-block-solve-off", _LINOP, _LONE_SOLVE, "        pass"),
+    Mutant("lone-block-solve-x10", _LINOP, _LONE_SOLVE, _LONE_SOLVE.replace(" tol)", " " + _SOLVE_X10)),
+    # _pinched_states' Gram gate on each item's assembled eigenvectors.
+    Mutant("pinched-gram-off", _LINOP, _PINCHED_GRAM, "        if False:"),
+    Mutant("pinched-gram-x10", _LINOP, _PINCHED_GRAM, _PINCHED_GRAM.replace("tol.orth", "10 * tol.orth")),
+    # _stacked_block_states' positivity gate on each item's block eigenvalues.
+    Mutant("block-positivity-off", _LINOP, _BLOCK_POSITIVE, "        pass"),
+    Mutant("block-positivity-x10", _LINOP, _BLOCK_POSITIVE, _BLOCK_POSITIVE.replace(" tol)", " tol.replace(psd=10 * tol.psd))")),
 )
 
 
