@@ -1,6 +1,6 @@
 """Record a paired benchmark trajectory: a base revision against a change.
 
-    python3 bench/record.py --label NAME --base REV [--head REV] [--note TEXT ...]
+    python3 bench/record.py --label NAME --base REV [--head REV] [--reference METRIC] [--note TEXT ...]
 
 Both revisions are exported with ``git archive`` into a temporary
 directory, and ``perfbench/run.py`` runs there as a subprocess, each
@@ -30,13 +30,16 @@ form the revision does not have is left out, and a form called inside
 another is timed in both.
 
 Each end-to-end metric's head/base ratio per pair is reported raw and
-divided by the same pair's ``compute_calls_per_s`` ratio (``REFERENCE``),
-next to each other; the medians, quartiles and wins stay those of the
-raw runs.  Within a pair the rates of untouched code move together, so
-the divided ratio reads a change apart from the drift of its run, as
-long as the change leaves the reference's path alone: ``compute`` runs
+divided by the same pair's ratio of a reference rate, next to each
+other; the medians, quartiles and wins stay those of the raw runs.
+Within a pair the rates of untouched code move together, so the divided
+ratio reads a change apart from the drift of its run, as long as the
+change leaves the reference's path alone.  The reference is
+``--reference``, an end-to-end rate of ``BENCHMARK.json``, by default
+``compute_calls_per_s`` (``REFERENCE``): ``compute`` runs
 ``load_matrix``, ``validate_density`` and ``quantum_relative_entropy``,
-and a change that touches them cannot read the divided ratios.
+so a change that touches them names a rate whose path it leaves alone,
+such as ``corollary3_trials_per_s``.
 
 The result is ``BENCH_<label>.json`` in the repository root: every
 run, each side's failed runs and failed operations, the median,
@@ -153,8 +156,17 @@ for identity in IDENTITIES:
 print(json.dumps(out))
 """
 
-# The end-to-end metric whose per-pair ratio each pair's ratios are divided by.
+# The default end-to-end rate whose per-pair ratio each pair's ratios are divided by.
 REFERENCE = "compute_calls_per_s"
+
+
+def reference_setting(reference: str) -> str:
+    """What the record's ``settings.reference`` says of the divided ratios."""
+    return (
+        f"summary pair_ratios divide each pair's head/base ratio by the same pair's {reference} ratio"
+        " (rates divided, times multiplied, other units left raw); a change that touches the path of"
+        f" {reference} cannot read the divided ratios"
+    )
 
 
 def git(*args: str) -> str:
@@ -199,9 +211,9 @@ def metric(run: dict, name: str) -> float | None:
     return run["result"]["metrics"][name]["value"]
 
 
-def pair_ratios(pairs: list[dict], name: str, unit: str) -> dict | None:
+def pair_ratios(pairs: list[dict], name: str, unit: str, reference: str = REFERENCE) -> dict | None:
     """The head/base ratio of a metric in each pair, raw and divided by
-    the same pair's ``REFERENCE`` ratio.
+    the same pair's ratio of the ``reference`` rate.
 
     A rate (a unit per second) is divided by the reference ratio and a
     time (in seconds) multiplied by it; other units are not normalised.
@@ -213,7 +225,7 @@ def pair_ratios(pairs: list[dict], name: str, unit: str) -> dict | None:
         if base is None or head is None or not base:
             continue
         raw.append(head / base)
-        ref_base, ref_head = metric(p["base"], REFERENCE), metric(p["head"], REFERENCE)
+        ref_base, ref_head = metric(p["base"], reference), metric(p["head"], reference)
         if ref_base and ref_head:
             drift = ref_head / ref_base
             if unit.endswith("/s"):
@@ -229,10 +241,11 @@ def pair_ratios(pairs: list[dict], name: str, unit: str) -> dict | None:
     return {"raw": spread(raw), "drift_normalised": spread(normalised)}
 
 
-def summarize(pairs: list[dict], spec: dict) -> dict:
+def summarize(pairs: list[dict], spec: dict, reference: str = REFERENCE) -> dict:
     """Each side's failed runs and its attempted and failed operations;
     per end-to-end metric, each side's median and quartiles, the
-    change's wins, and the per-pair ratios of :func:`pair_ratios`."""
+    change's wins, and the per-pair ratios of :func:`pair_ratios`
+    against ``reference``."""
     out = {
         "failed_runs": {side: sum(run_failed(p[side]) for p in pairs) for side in ("base", "head")},
         "operations": {
@@ -264,7 +277,7 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             "head_wins": sum(1 for b, h in measured if (h > b if higher else h < b)),
             "ties": sum(1 for b, h in measured if h == b),
             "gain_beyond_base_iqr": gain > base_q["iqr"],
-            "pair_ratios": pair_ratios(pairs, name, m["unit"]),
+            "pair_ratios": pair_ratios(pairs, name, m["unit"], reference),
         }
     return out
 
@@ -338,10 +351,19 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="written to BENCH_<label>.json")
     parser.add_argument("--base", required=True, help="base revision")
     parser.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
+    parser.add_argument(
+        "--reference",
+        default=REFERENCE,
+        help=f"the end-to-end rate that each pair's ratios are divided by; name one whose path the change"
+        f" leaves alone (default {REFERENCE})",
+    )
     parser.add_argument("--note", action="append", default=[], help="a note to keep in the file")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rates = [m["name"] for m in spec["end_to_end"] if m["unit"].endswith("/s")]
+    if args.reference not in rates:
+        parser.error(f"--reference must be an end-to-end rate of BENCHMARK.json, one of {', '.join(rates)}")
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
         revisions = {side: export(getattr(args, side), path) for side, path in sides.items()}
@@ -389,13 +411,10 @@ def main(argv=None) -> int:
             "stage_times": f"the same campaigns, {STAGE_RUNS} runs each, with {', '.join(STAGES)} wrapped;"
             " per trial, calls and the process seconds of the fastest run; nested stages are timed in both",
             "order": "pair i runs base first when i is even, head first when i is odd",
-            "reference": f"summary pair_ratios divide each pair's head/base ratio by the same pair's {REFERENCE}"
-            " ratio (rates divided, times multiplied, other units left raw); compute runs load_matrix,"
-            " validate_density and quantum_relative_entropy, so a change that touches them cannot read"
-            " the divided ratios",
+            "reference": reference_setting(args.reference),
         },
         "notes": args.note,
-        "summary": {w: summarize(pairs[w], spec) for w in WORKLOADS},
+        "summary": {w: summarize(pairs[w], spec, args.reference) for w in WORKLOADS},
         "solve_counts": {w: solve_counts(traced[w]) for w in WORKLOADS},
         "solve_shapes": shapes,
         "stage_times": stages,

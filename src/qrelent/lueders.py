@@ -31,6 +31,7 @@ from .linop import (
     Projector,
     Tolerances,
     frobenius,
+    _by_shape,
     _check_mutually_orthogonal,
     _check_overlaps,
     _frame_grams,
@@ -216,10 +217,10 @@ def _refinements(cases, tol: Tolerances) -> list[tuple[int, ...]]:
 
     Each case in turn has its fine frame checked on the coarse one's
     dimension.  Then, per shape of the two frames, one stacked overlap
-    ``V_c^dag V_f`` and one stacked product give every case's absorption
-    defects ``||V_c,k (V_c,k^dag V_f,j) - V_f,j||_F``, one for each coarse
-    ``k`` and fine ``j``, and each case is gated on its own, absorption
-    before ranks; cases of a frame shape fail in input order.
+    ``V_c^dag V_f`` and one stacked product per coarse index ``k`` give
+    every case's absorption defects ``||V_c,k (V_c,k^dag V_f,j) - V_f,j||_F``,
+    one for each coarse ``k`` and fine ``j``, and each case is gated on its
+    own, absorption before ranks; cases of a frame shape fail in input order.
     """
     frames = [(coarse._frame, fine._framed(coarse.dim)) for fine, coarse in cases]
     groupings = {}
@@ -230,15 +231,22 @@ def _refinements(cases, tol: Tolerances) -> list[tuple[int, ...]]:
         coarse_k, fine_k = np.arange(n_coarse.max()), np.arange(n_fine.max())
         # rows[c, k, a]: column a of case c's coarse frame belongs to coarse projector k.
         rows = lc[:, None, :] == coarse_k[:, None]
+        ranks = rows.sum(axis=-1)
+        ends = ranks.cumsum(axis=-1)
         overlap = vc.conj().swapaxes(-1, -2) @ vf
-        residual = vc[:, None] @ np.where(rows[..., None], overlap[:, None], 0.0) - vf[:, None]
+        # One product per coarse projector k, over the columns that hold it in some case
+        # (each projector is one run of columns), other rows of the overlap zeroed.
+        leaks = np.empty((len(indices), len(coarse_k), vf.shape[-1]))
+        for k, (a, b) in enumerate(zip((ends - ranks).min(axis=0).tolist(), ends.max(axis=0).tolist())):
+            residual = vc[..., a:b] @ np.where(rows[:, k, a:b, None], overlap[:, a:b], 0.0) - vf
+            leaks[:, k] = (np.abs(residual) ** 2).sum(axis=-2)
         fine_onehot = (lf[:, :, None] == fine_k).astype(float)
-        absorbed = np.sqrt((np.abs(residual) ** 2).sum(axis=-2) @ fine_onehot) <= tol.identity
+        absorbed = np.sqrt(leaks @ fine_onehot) <= tol.identity
         absorbed &= (coarse_k < n_coarse[:, None])[:, :, None]
         matches = absorbed.sum(axis=1)
         unmatched = (matches != 1) & (fine_k < n_fine[:, None])
         # As both observables resolve the identity, a group sums to its coarse projector iff the ranks agree.
-        short = (absorbed * fine_onehot.sum(axis=1)[:, None, :]).sum(axis=-1) != rows.sum(axis=-1)
+        short = (absorbed * fine_onehot.sum(axis=1)[:, None, :]).sum(axis=-1) != ranks
         failed = unmatched.any(axis=1) | short.any(axis=1)
         if failed.any():
             c = int(np.argmax(failed))
@@ -361,7 +369,8 @@ def _theorem2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, DensityOp
     """:func:`theorem2_check` of each ``(rho, sigma, basis)`` case.
 
     Each case in turn has its support check (``d_total``) and its frame
-    checked; then one pinching pass builds every middle state.
+    checked; then one QR per frame shape completes the kernel of every
+    thin ``sigma``, and one pinching pass builds every middle state.
     """
     totals, frames = [], []
     for rho, sigma, basis in cases:
@@ -370,6 +379,12 @@ def _theorem2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, DensityOp
             raise SupportViolationError("state support leaks outside the reference support")
         totals.append(d_total)
         frames.append(_pinching_frame(sigma, basis, tol))
+
+    # Completing the kernel keeps rho's mass there; as one block, no choice of its basis moves M.
+    thin = [i for i, (v, _) in enumerate(frames) if v.shape[1] < v.shape[0]]
+    for i, q in zip(thin, _by_shape(lambda v: np.linalg.qr(v, mode="complete")[0], [frames[i][0] for i in thin])):
+        v, labels = frames[i]
+        frames[i] = (np.concatenate([v, q[:, v.shape[1] :]], axis=1), labels)
 
     # Rank-1 blocks are read off the diagonal of rho in v; only a kernel of rank >= 2 is solved.
     middles = _pinched_states([(rho.matrix, *frame) for (rho, _, _), frame in zip(cases, frames)], tol)
@@ -388,14 +403,11 @@ def _theorem2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, DensityOp
 
 def _pinching_frame(sigma: DensityOperator, basis: np.ndarray | None, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The frame :func:`theorem2_check` pinches in: ``sigma``'s kept eigenvectors,
-    one block each, and its kernel as one block; or the checked columns of ``basis``."""
+    one block each, and the label of its kernel as one block, whose columns
+    :func:`_theorem2_checks` completes; or the checked columns of ``basis``."""
     if basis is None:
         v = sigma.spectrum.eigenvectors
-        # Completing the kernel keeps rho's mass there; as one block, no choice of its basis moves M.
-        labels = np.minimum(np.arange(sigma.dim), v.shape[1])
-        if v.shape[1] < sigma.dim:
-            v = np.concatenate([v, np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]], axis=1)
-        return v, labels
+        return v, np.minimum(np.arange(sigma.dim), v.shape[1])
     v = Projector.from_basis(basis, tol).basis
     if v.shape != (sigma.dim, sigma.dim):
         raise NotOrthonormalError(f"need a full square basis, got shape {v.shape}")

@@ -24,11 +24,26 @@ standard ``json`` module.  Writing refuses what the loaders would
 reject (a non-finite entry, a matrix that is not square, an empty
 family, matrices of different dimensions) with a file error, and
 writes nothing; a path that cannot be written is a file error too.
+
+A file's numbers go from orjson's lists to a ``complex128`` array in one
+flat pass: the row count and row lengths are checked, then that every
+entry is a pair (one set of lengths), and one ``np.fromiter`` over the
+chained entries, read as complex, converts them all.  ``fromiter`` would
+also take a boolean, ``null`` or a numeric string as a number, which
+``complex()`` refuses, so a byte guard (:func:`_guarded`) flags a file
+that may hold one, and only a flagged file has every number's type
+scanned before the conversion.  The cyclic garbage collector is paused
+for the whole decode of a file, which allocates thousands of lists
+that hold no cycles, and the caller's collector state is restored
+afterwards, on error too.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,21 +67,51 @@ def _square(matrix, path: str | Path, what: str) -> np.ndarray:
     return m
 
 
-def _rows_to_matrix(rows, dim: int, what: str, may_hold_bools: bool) -> np.ndarray:
+def _rows_to_matrix(rows, dim: int, what: str, guarded: bool) -> np.ndarray:
+    """The ``dim x dim`` matrix of ``rows`` of ``[real, imag]`` pairs, converted in one flat pass.
+
+    In a ``guarded`` file every number's type is scanned before the
+    conversion; elsewhere the pair check and ``np.fromiter`` alone see
+    every entry.
+    """
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        if len(rows) != dim or set(map(len, rows)) != {dim}:
+            raise FileFormatError(f"{what}: expected {dim} rows of {dim} entries")
+        entries = list(chain.from_iterable(rows))
+        if set(map(len, entries)) != {2}:
+            raise FileFormatError(f"{what}: entries must be [real, imag] pairs of numbers")
+    except TypeError as exc:  # a row or an entry that is a number
         raise FileFormatError(f"{what}: entries must be [real, imag] pairs of numbers ({exc})") from exc
-    if m.shape != (dim, dim):
-        raise FileFormatError(f"{what}: expected shape ({dim}, {dim}), got {m.shape}")
-    if may_hold_bools and any(type(x) is bool for row in rows for entry in row for x in entry):
-        raise FileFormatError(f"{what}: entries must be numbers, not booleans")
-    return m
+    if guarded:
+        kinds = set(map(type, chain.from_iterable(entries)))
+        if not kinds <= {float, int}:
+            detail = "numbers, not booleans" if kinds <= {float, int, bool} else "[real, imag] pairs of numbers"
+            raise FileFormatError(f"{what}: entries must be {detail}")
+    try:
+        flat = np.fromiter(chain.from_iterable(entries), float, 2 * dim * dim)
+    except (TypeError, ValueError) as exc:  # an entry one level deeper, or an empty object
+        raise FileFormatError(f"{what}: entries must be [real, imag] pairs of numbers ({exc})") from exc
+    return flat.view(complex).reshape(dim, dim)
 
 
-def _load_json(path: str | Path, what: str) -> tuple[dict, bool]:
-    """The document, and whether it may hold a boolean, which complex() would take as 0 or 1:
-    ``true`` has a ``u`` byte and ``false`` an ``l``, a search far cheaper than a type scan."""
+def _guarded(raw: bytes, keys: int) -> bool:
+    """Whether a file may hold a value that ``np.fromiter`` takes as a number
+    and ``complex()`` does not: ``true`` has a ``u`` byte, ``false`` and
+    ``null`` an ``l``, and a string (``"1.5"`` among them) puts ``"`` bytes
+    beyond the two of each of the ``keys`` top-level keys.  Each search is
+    a ``memchr``, far cheaper than a type scan."""
+    if b"u" in raw or b"l" in raw:
+        return True
+    at = -1
+    for _ in range(2 * keys + 1):
+        at = raw.find(b'"', at + 1)
+        if at < 0:
+            return False
+    return True
+
+
+def _load_json(path: str | Path, what: str) -> tuple[dict, int, bool]:
+    """The document, its ``dim``, and whether the file is :func:`_guarded`."""
     try:
         raw = Path(path).read_bytes()
         doc = orjson.loads(raw)
@@ -76,14 +121,28 @@ def _load_json(path: str | Path, what: str) -> tuple[dict, bool]:
         raise FileFormatError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{what} file {path}: top level must be an object")
-    return doc, b"u" in raw or b"l" in raw
-
-
-def _get_dim(doc: dict, path: str | Path, what: str) -> int:
     dim = doc.get("dim")
     if type(dim) is not int or dim < 1:
         raise FileFormatError(f"{what} file {path}: 'dim' must be a positive integer")
-    return dim
+    return doc, dim, _guarded(raw, len(doc))
+
+
+def _gc_paused(load):
+    """``load`` with the cyclic garbage collector paused while it runs, so
+    that the decoded lists trigger no collection; the caller's collector
+    state comes back on return and on error."""
+
+    @functools.wraps(load)
+    def paused(path):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(path)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _write_json(path: str | Path, doc: dict, what: str) -> None:
@@ -97,14 +156,14 @@ def _write_json(path: str | Path, doc: dict, what: str) -> None:
         raise FileFormatError(f"cannot write {what} file {path}: {exc}") from exc
 
 
+@_gc_paused
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a complex square matrix from a matrix file."""
-    doc, may_hold_bools = _load_json(path, "matrix")
-    dim = _get_dim(doc, path, "matrix")
+    doc, dim, guarded = _load_json(path, "matrix")
     rows = doc.get("matrix")
     if not isinstance(rows, list):
         raise FileFormatError(f"matrix file {path}: missing 'matrix' rows")
-    return _rows_to_matrix(rows, dim, f"matrix file {path}", may_hold_bools)
+    return _rows_to_matrix(rows, dim, f"matrix file {path}", guarded)
 
 
 def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
@@ -113,15 +172,15 @@ def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
     _write_json(path, {"dim": m.shape[0], "matrix": _matrix_to_rows(m)}, "matrix")
 
 
+@_gc_paused
 def load_projectors(path: str | Path) -> list[np.ndarray]:
     """Read a list of same-dimension complex matrices from a projector file."""
-    doc, may_hold_bools = _load_json(path, "projector")
-    dim = _get_dim(doc, path, "projector")
+    doc, dim, guarded = _load_json(path, "projector")
     entries = doc.get("projectors")
     if not isinstance(entries, list) or not entries:
         raise FileFormatError(f"projector file {path}: missing non-empty 'projectors' list")
     return [
-        _rows_to_matrix(rows, dim, f"projector file {path} (entry {k})", may_hold_bools)
+        _rows_to_matrix(rows, dim, f"projector file {path} (entry {k})", guarded)
         for k, rows in enumerate(entries)
     ]
 

@@ -44,7 +44,7 @@ from qrelent import (
     validate_density,
 )
 from qrelent.linop import _check_orthonormal_blocks
-from qrelent.lueders import _refinements, _validated_observables
+from qrelent.lueders import _refinements, _theorem2_checks, _validated_observables
 from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -694,6 +694,30 @@ def test_theorem2_middle_state_solves_only_the_kernel_block(monkeypatch, rank):
     # rho lives in supp(sigma): the middle state keeps one pair per
     # eigenvector of sigma's support.
     assert middle.spectrum.eigenvectors.shape == (6, rank)
+
+
+def test_theorem2_completes_each_kernel_shape_in_one_qr(monkeypatch, tol):
+    # The kernels of a pass's thin sigma are completed by one QR per frame
+    # shape, in the order the shapes first appear: a stack for the three
+    # sigma of rank 3, one matrix for the lone sigma of rank 2, none for a
+    # full-rank sigma.  Each case reads as it does checked alone.
+    sigmas = [random_density(6, rank=r, seed=90 + i) for i, r in enumerate((3, 2, 3, 6, 3))]
+    cases = [(random_state_in_support(support_projector(s), 2, 100 + i), s, None) for i, s in enumerate(sigmas)]
+    alone = [theorem2_check(rho, sigma, tol) for rho, sigma, _ in cases]
+    shapes = []
+    real = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    together = _theorem2_checks(cases, tol)
+    assert shapes == [(3, 6, 3), (6, 2)]
+    for (report, middle), (ref, ref_middle) in zip(together, alone, strict=True):
+        assert frobenius(middle.matrix - ref_middle.matrix) <= 1e-12
+        for leg in ("d_total", "d_first", "d_second"):
+            assert abs(getattr(report, leg).value - getattr(ref, leg).value) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,13 +1,15 @@
 """Matrix and projector file round-trips and format errors."""
 
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
+import qrelent.matio
 from qrelent import FileFormatError
-from qrelent.matio import load_matrix, load_projectors, save_matrix, save_projectors
+from qrelent.matio import _guarded, load_matrix, load_projectors, save_matrix, save_projectors
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -217,4 +219,133 @@ def test_load_projectors_bit_exact_against_stdlib(tmp_path, rng):
         loaded = load_projectors(path)
         assert len(loaded) == len(refs)
         for got, ref in zip(loaded, refs):
+            _assert_bits_equal(got, ref)
+
+
+def _identity_rows(dim: int) -> list:
+    return [[[float(r == c), 0.0] for c in range(dim)] for r in range(dim)]
+
+
+def _bad_rows(kind: str) -> list:
+    """2 x 2 identity rows with one defect that a flat conversion alone would miss or mistake."""
+    rows = _identity_rows(2)
+    if kind == "string-real":
+        rows[0][1] = ["1.5", 0.0]
+    elif kind == "string-imag":
+        rows[0][1] = [0.0, "1.5"]
+    elif kind == "null":
+        rows[0][1] = [None, 0.0]
+    elif kind == "nested":
+        rows[0][1] = [[1.0], 0.0]
+    elif kind == "three-and-one":  # four numbers in the row, as two pairs would hold
+        rows[0] = [[1.0, 0.0, 0.0], [0.0]]
+    elif kind == "short-row":
+        rows[0] = rows[0][:1]
+    elif kind == "long-row":
+        rows[0].append([0.0, 0.0])
+    return rows
+
+
+_BAD_KINDS = ["string-real", "string-imag", "null", "nested", "three-and-one", "short-row", "long-row"]
+# "origin" and "hand" hold no "u" or "l" byte: only their quotes flag the file.
+_EXTRA_KEYS = {"bare": {}, "extra-string-key": {"origin": "hand"}}
+
+
+def _write_bad(path, kind: str, extra: dict, projectors: bool) -> None:
+    body = {"projectors": [_identity_rows(2), _bad_rows(kind)]} if projectors else {"matrix": _bad_rows(kind)}
+    path.write_text(json.dumps({"dim": 2, **body, **extra}))
+
+
+@pytest.mark.parametrize("extra", _EXTRA_KEYS.values(), ids=_EXTRA_KEYS.keys())
+@pytest.mark.parametrize("projectors", [False, True], ids=["matrix", "projectors"])
+@pytest.mark.parametrize("kind", _BAD_KINDS)
+def test_decoder_rejects_what_a_flat_conversion_would_take(tmp_path, kind, projectors, extra):
+    # np.fromiter takes "1.5" and null as numbers, and counts numbers, not
+    # pairs; each is a file error through both loaders, whether the byte
+    # guard flags the file (a string or a null always does) or not.
+    path = tmp_path / "bad.json"
+    _write_bad(path, kind, extra, projectors)
+    raw = path.read_bytes()
+    assert _guarded(raw, len(json.loads(raw))) == (bool(extra) or kind in ("string-real", "string-imag", "null"))
+    with pytest.raises(FileFormatError, match="bad.json"):
+        (load_projectors if projectors else load_matrix)(path)
+
+
+@pytest.mark.parametrize(
+    "text, guarded",
+    [
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]]}', False),
+        ('{"matrix": [[[1.0, 0.0]]], "dim": 1}', False),
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]], "rank": 1}', False),
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]], "tag": "x"}', True),
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]], "ok": true}', True),
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]], "ok": false}', True),
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]], "ok": null}', True),
+        ('{"dim": 1, "matrix": [[[1.0, 0.0]]], "a\\"b": 1}', True),
+        ('{"dim": 1, "dim": 1, "matrix": [[[1.0, 0.0]]]}', True),
+    ],
+    ids=[
+        "bare", "keys-reordered", "extra-number-key", "string-value", "true", "false", "null", "quote-in-key",
+        "repeated-key",
+    ],
+)
+def test_byte_guard_flags_every_string_beyond_the_top_level_keys(text, guarded):
+    raw = text.encode()
+    assert _guarded(raw, len(json.loads(raw))) == guarded
+
+
+def _good_file(path, projectors: bool) -> None:
+    body = {"projectors": [_identity_rows(2)]} if projectors else {"matrix": _identity_rows(2)}
+    path.write_text(json.dumps({"dim": 2, **body}))
+
+
+@pytest.mark.parametrize("projectors", [False, True], ids=["matrix", "projectors"])
+def test_decoder_pauses_the_collector_and_restores_the_callers_state(tmp_path, monkeypatch, projectors):
+    load = load_projectors if projectors else load_matrix
+    good = tmp_path / "good.json"
+    _good_file(good, projectors)
+    bad = []
+    for kind in _BAD_KINDS:
+        bad.append(tmp_path / f"{kind}.json")
+        _write_bad(bad[-1], kind, {}, projectors)
+    (tmp_path / "invalid.json").write_text("{not json")
+    bad += [tmp_path / "invalid.json", tmp_path / "missing.json"]
+
+    seen = []
+    real = qrelent.matio._rows_to_matrix
+
+    def converting(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(qrelent.matio, "_rows_to_matrix", converting)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            load(good)
+            assert seen and not any(seen)
+            assert gc.isenabled() == enabled
+            for path in bad:
+                with pytest.raises(FileFormatError):
+                    load(path)
+                assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_load_bit_exact_against_stdlib_at_small_dims(tmp_path, rng, dim):
+    numbers = _edge_numbers() + _random_numbers(rng, dim * dim)
+    for extra in ("", ', "origin": "hand"'):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dim": {dim}, "matrix": {_rows_text(numbers, dim)}{extra}}}')
+        assert _guarded(path.read_bytes(), 2 + bool(extra)) == bool(extra)
+        _assert_bits_equal(load_matrix(path), _reference_matrix(json.loads(path.read_text())["matrix"]))
+        path.write_text(
+            f'{{"dim": {dim}, "projectors": [{_rows_text(numbers, dim)}, {_rows_text(numbers[::-1], dim)}]{extra}}}'
+        )
+        refs = [_reference_matrix(rows) for rows in json.loads(path.read_text())["projectors"]]
+        for got, ref in zip(load_projectors(path), refs, strict=True):
             _assert_bits_equal(got, ref)

@@ -1,6 +1,7 @@
 """The summarizers of ``bench/record.py``, on synthetic pairs of runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -128,3 +129,31 @@ def test_fastest_stages_keep_calls_and_the_least_time_per_trial():
         "_refinements": {"calls": 0.5, "seconds": 0.025},
     }
     assert out["lemma1"]["64"] == {}
+
+
+def test_pair_ratios_and_summary_divide_by_the_named_reference():
+    # compute reads 2x on the head (the change touched it) while the
+    # untouched corollary3 reads 1.25x, the drift of the run.
+    corollary3 = {"name": "corollary3_trials_per_s", "unit": "trials/s", "better": "higher", "bound": 0.25}
+    spec = {"end_to_end": [*SPEC["end_to_end"], corollary3]}
+    base = run(compute_calls_per_s=100.0, corollary3_trials_per_s=40.0, lemma1_trials_per_s=50.0, setup_s=0.2)
+    head = run(compute_calls_per_s=200.0, corollary3_trials_per_s=50.0, lemma1_trials_per_s=75.0, setup_s=0.1)
+    pairs = [pair(base, head)]
+    rate = record.pair_ratios(pairs, "lemma1_trials_per_s", "trials/s", "corollary3_trials_per_s")
+    assert rate["drift_normalised"]["ratios"] == [1.2]
+    assert record.pair_ratios(pairs, "lemma1_trials_per_s", "trials/s")["drift_normalised"]["ratios"] == [0.75]
+    out = record.summarize(pairs, spec, "corollary3_trials_per_s")
+    assert out["compute_calls_per_s"]["pair_ratios"]["drift_normalised"]["ratios"] == [1.6]
+    assert out["setup_s"]["pair_ratios"]["drift_normalised"]["ratios"] == [0.625]
+    assert "corollary3_trials_per_s ratio" in record.reference_setting("corollary3_trials_per_s")
+
+
+@pytest.mark.parametrize("name", ["setup_s", "peak_rss_mb", "no_such_metric"])
+def test_reference_must_be_an_end_to_end_rate(name, capsys, monkeypatch, tmp_path):
+    # Refused before any revision is exported or any run starts.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        record.main(["--label", "never", "--base", "HEAD", "--reference", name])
+    assert exc.value.code == 2
+    assert "--reference must be an end-to-end rate" in capsys.readouterr().err

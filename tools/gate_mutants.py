@@ -42,9 +42,9 @@ class Mutant:
 _BLOCKS = "        if within.max(initial=0.0) <= tol.orth:"
 _OVERLAPS = "        crossed = ~(overlaps <= tol.identity) & (k[:, None] < k)"
 _COMPLETE = "        failed = crossed.any(axis=(-2, -1)) | ~(defects <= tol.identity)"
-_ABSORBED = "        absorbed = np.sqrt((np.abs(residual) ** 2).sum(axis=-2) @ fine_onehot) <= tol.identity"
+_ABSORBED = "        absorbed = np.sqrt(leaks @ fine_onehot) <= tol.identity"
 _UNMATCHED = "        unmatched = (matches != 1) & (fine_k < n_fine[:, None])"
-_RANKS = "        short = (absorbed * fine_onehot.sum(axis=1)[:, None, :]).sum(axis=-1) != rows.sum(axis=-1)"
+_RANKS = "        short = (absorbed * fine_onehot.sum(axis=1)[:, None, :]).sum(axis=-1) != ranks"
 _HERMITIAN = "        _check_hermitian(float(defect), float(scale), tol)"
 _BLOCK_HERMITIAN = "            _check_hermitian(defect, scale, tol)"
 _LONE_HERMITIAN = "        b = _hermitian_part(b, frobenius(m if at_scale_of_m else b), tol)"
@@ -52,10 +52,13 @@ _BLOCK_SOLVE = "        _check_solve(gram_defect, recon_sq, scale, tol)"
 _LONE_SOLVE = "        _check_solve(gram_defect, recon_sq, frobenius(b), tol)"
 _PINCHED_GRAM = "        if not (gram_defect <= tol.orth):"
 _BLOCK_POSITIVE = "        _check_positive(w, tol)"
+_PAIRS = "        if set(map(len, entries)) != {2}:"
+_NUMBER_SCAN = "    if guarded:"
+_GUARD = "    return doc, dim, _guarded(raw, len(doc))"
 _HERM_X10 = "tol.replace(herm=10 * tol.herm))"
 _SOLVE_X10 = "tol.replace(orth=10 * tol.orth, recon=10 * tol.recon))"
 
-_LINOP, _LUEDERS = "src/qrelent/linop.py", "src/qrelent/lueders.py"
+_LINOP, _LUEDERS, _MATIO = "src/qrelent/linop.py", "src/qrelent/lueders.py", "src/qrelent/matio.py"
 
 
 MUTANTS = (
@@ -93,6 +96,10 @@ MUTANTS = (
     # _stacked_block_states' positivity gate on each item's block eigenvalues.
     Mutant("block-positivity-off", _LINOP, _BLOCK_POSITIVE, "        pass"),
     Mutant("block-positivity-x10", _LINOP, _BLOCK_POSITIVE, _BLOCK_POSITIVE.replace(" tol)", " tol.replace(psd=10 * tol.psd))")),
+    # The file decoder: every entry a pair, a guarded file's number types scanned, and the byte guard itself.
+    Mutant("decode-pairs-off", _MATIO, _PAIRS, "        if False:"),
+    Mutant("decode-number-scan-off", _MATIO, _NUMBER_SCAN, "    if False:"),
+    Mutant("decode-guard-off", _MATIO, _GUARD, "    return doc, dim, False"),
 )
 
 
