@@ -22,13 +22,6 @@ smaller solves, each matrix of a stack counted once, and the solver
 calls; stacking shows as fewer calls for the same solves.  QRs are
 counted alike, as matrices factored and calls.
 
-Next to them, each side's stage times: at each of ``SHAPE_DIMS``, every
-identity's campaign runs ``STAGE_RUNS`` times with the private chunk
-forms of ``STAGES`` wrapped from outside, and per trial each form's
-calls and its process time in the fastest of the runs are kept.  A
-form the revision does not have is left out, and a form called inside
-another is timed in both.
-
 Each end-to-end metric's head/base ratio per pair is reported raw and
 divided by the same pair's ratio of a reference rate, next to each
 other; the medians, quartiles and wins stay those of the raw runs.
@@ -102,57 +95,6 @@ for identity in IDENTITIES:
             "dxd_solves": full / trials, "smaller_solves": smaller / trials, "solver_calls": len(shapes) / trials,
             "qr_matrices": sum(math.prod(s[:-2]) for s in calls["qr"]) / trials, "qr_calls": len(calls["qr"]) / trials,
         }
-print(json.dumps(out))
-"""
-
-# The private chunk forms whose calls and process time STAGE_CODE records.
-STAGES = (
-    "_frames",
-    "_random_refinements",
-    "_validated_observables",
-    "_refinements",
-    "_lueders_states",
-    "_decompositions",
-    "_breakdowns",
-    "_pinched_states",
-    "_stacked_block_states",
-)
-STAGE_RUNS = 3
-
-# Run in an exported tree: every module's binding of each stage wrapped
-# to count its calls and their process time; per identity and dim, one
-# dict of {stage: [calls, seconds]} per run.
-STAGE_CODE = """
-import json, sys, time
-sys.path.insert(0, "src")
-import qrelent.campaign, qrelent.lueders, qrelent.mixing, qrelent.stategen
-from qrelent.campaign import IDENTITIES, VerifyConfig, run_campaign
-
-dims, trials, seed, stages, runs = json.loads(sys.argv[1])
-tally = {}
-for module in (qrelent.campaign, qrelent.lueders, qrelent.mixing, qrelent.stategen):
-    for name in stages:
-        real = module.__dict__.get(name)
-        if real is None:
-            continue
-        def timed(*args, _real=real, _name=name, **kwargs):
-            start = time.process_time()
-            try:
-                return _real(*args, **kwargs)
-            finally:
-                entry = tally.setdefault(_name, [0, 0.0])
-                entry[0] += 1
-                entry[1] += time.process_time() - start
-        setattr(module, name, timed)
-out = {}
-for identity in IDENTITIES:
-    for dim in dims:
-        cfg = VerifyConfig(identity=identity, dims=(dim,), trials=trials, seed=seed, include_infinite=True)
-        out.setdefault(identity, {})[str(dim)] = []
-        for _ in range(runs):
-            tally.clear()
-            run_campaign(cfg)
-            out[identity][str(dim)].append(dict(tally))
 print(json.dumps(out))
 """
 
@@ -299,29 +241,6 @@ def solve_shapes(checkout: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def fastest_stages(runs: dict, trials: int) -> dict:
-    """Per identity, dimension and stage, from ``STAGE_CODE``'s runs: calls
-    per trial, and process seconds per trial in the run where the stage
-    took least.  A stage's calls repeat from run to run."""
-    out = {}
-    for identity, by_dim in runs.items():
-        for dim, tallies in by_dim.items():
-            stages = {name: [tally[name] for tally in tallies if name in tally] for name in tallies[0]}
-            out.setdefault(identity, {})[dim] = {
-                name: {"calls": entries[0][0] / trials, "seconds": min(t for _, t in entries) / trials}
-                for name, entries in stages.items()
-            }
-    return out
-
-
-def stage_times(checkout: Path) -> dict:
-    """:func:`fastest_stages` of ``STAGE_CODE`` run in ``checkout``."""
-    argv = [sys.executable, "-c", STAGE_CODE, json.dumps([SHAPE_DIMS, SHAPE_TRIALS, SHAPE_SEED, STAGES, STAGE_RUNS])]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env, check=True)
-    return fastest_stages(json.loads(proc.stdout.splitlines()[-1]), SHAPE_TRIALS)
-
-
 def blas_facts() -> dict:
     """NumPy's build and BLAS facts, from a fresh interpreter pinned as the benchmark pins it."""
     code = (
@@ -384,7 +303,6 @@ def main(argv=None) -> int:
                 for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
                     traced[workload][side].append(run_bench(sides[side], workload, TRACE_SEED, trace=True))
         shapes = {side: solve_shapes(path) for side, path in sides.items()}
-        stages = {side: stage_times(path) for side, path in sides.items()}
 
     document = {
         "label": args.label,
@@ -408,8 +326,6 @@ def main(argv=None) -> int:
             "trace_seed": TRACE_SEED,
             "solve_shapes": f"run_campaign(identity, dims=(d,), trials={SHAPE_TRIALS}, seed={SHAPE_SEED},"
             f" include_infinite=True) for d in {SHAPE_DIMS}; counts per trial, each matrix of a stack once",
-            "stage_times": f"the same campaigns, {STAGE_RUNS} runs each, with {', '.join(STAGES)} wrapped;"
-            " per trial, calls and the process seconds of the fastest run; nested stages are timed in both",
             "order": "pair i runs base first when i is even, head first when i is odd",
             "reference": reference_setting(args.reference),
         },
@@ -417,7 +333,6 @@ def main(argv=None) -> int:
         "summary": {w: summarize(pairs[w], spec, args.reference) for w in WORKLOADS},
         "solve_counts": {w: solve_counts(traced[w]) for w in WORKLOADS},
         "solve_shapes": shapes,
-        "stage_times": stages,
         "traced": traced,
         "pairs": pairs,
     }

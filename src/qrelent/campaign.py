@@ -23,7 +23,7 @@ corollary1 and corollary2, corollary2's refinements, and the bases of
 corollary3.  The checks run in passes too, each pass one stacked call
 that solves the blocks of one size, across the chunk, together: the
 decompositions of :func:`_mixture_chunk`, theorem1's breakdowns,
-corollary1's Lüders states, corollary2's rho_A, then its rho_B, then its composed states,
+corollary1's Lüders states, corollary2's rho_B, then its rho_A, then its composed states,
 and theorem2's middle states.  Stacking joins trials, never routes: the
 operands of two routes never share a pass.  A stacked call gates and
 solves each matrix as it would be alone, so grouping changes no record.
@@ -34,8 +34,8 @@ probability vectors and sigma before their states, every coarse
 observable and every rotation's draw before any rotated block's Gram
 gate, every frame and family of a chunk before any refinement or
 Lüders state, every rho before any trial's check, every refinement
-before any Lüders state, every rho_A before any rho_B, every support check of theorem2 (``d_total``) before any middle
-state, every family's orthogonality before any block state, and each
+before any Lüders state, every rho_B before any rho_A, every middle state of theorem2 before any support check
+(``d_total``), every family's orthogonality before any block state, and each
 matrix's Hermiticity before its slice's solve.  So when several trials
 of a chunk fail (under a tight ``--tol``), the error raised may be a
 later trial's rather than the one the first failing trial raises alone.

@@ -1,11 +1,13 @@
 """Projective measurements, Lüders states, and straight-line identities.
 
 The non-selective Lüders state of ``rho`` under a projective observable
-is the pinching ``sum_i P_i rho P_i``.  Its distance from ``rho`` in
-relative entropy is an entropy *gap*, refining a measurement decomposes
-that distance additively, and pinching in an eigenbasis of a reference
-state ``sigma`` places the pinched state on the straight line between
-``rho`` and ``sigma``.  Each check here computes every distance
+is the pinching ``E(rho) = sum_i P_i rho P_i``; its distance from ``rho``
+in relative entropy is an entropy *gap*.  Each straight line is one
+identity: for a pinching with ``E(sigma) = sigma``,
+``S(rho || sigma) = S(rho || E rho) + S(E rho || sigma)``, both sides
+infinite together.  Refining a measurement takes ``E`` the coarse one
+and ``sigma`` the fine Lüders state; Theorem 2 takes ``sigma``'s spectral
+pinching, its kernel one block.  Each check computes every distance
 independently and reports the pieces, so the caller compares rather
 than trusts.
 """
@@ -286,6 +288,25 @@ class LineReport:
         return self.d_total.is_finite and self.d_first.is_finite and self.d_second.is_finite
 
 
+def _line_checks(cases, tol: Tolerances) -> list[tuple[LineReport, DensityOperator]]:
+    """``(LineReport, E(rho))`` of the line ``rho -> E(rho) -> sigma`` for each ``(rho, (V, labels), sigma)``
+    case, ``E`` the pinching in the :func:`~qrelent.linop._stack` frame: one
+    :func:`~qrelent.linop._pinched_states` pass, then one relative entropy per
+    leg.  An infinite leg raises nothing; each caller judges its hypothesis."""
+    middles = _pinched_states([(rho.matrix, *frame) for rho, frame, _ in cases], tol)
+    return [
+        (
+            LineReport(
+                d_total=quantum_relative_entropy(rho, sigma, tol),
+                d_first=quantum_relative_entropy(rho, middle, tol),
+                d_second=quantum_relative_entropy(middle, sigma, tol),
+            ),
+            middle,
+        )
+        for (rho, _, sigma), middle in zip(cases, middles)
+    ]
+
+
 def corollary2_check(
     rho: DensityOperator, coarse: ProjectiveObservable, fine: ProjectiveObservable, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[LineReport, float]:
@@ -312,25 +333,16 @@ def _corollary2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, float]]
     """:func:`corollary2_check` of each ``(rho, coarse, fine)`` case.
 
     Every refinement is checked first; then one Lüders pass builds every
-    ``rho_A``, one every ``rho_B``, and one every composed state
+    ``rho_B``, :func:`_line_checks` every ``rho_A`` (the coarse pinching)
+    and line to ``rho_B``, and one pass every composed state
     ``(rho_A)_L(fine)``, so the routes to ``rho_A`` and ``rho_B`` never
     share a call.
     """
     _refinements([(fine, coarse) for _, coarse, fine in cases], tol)
-    rho_a = _lueders_states([(rho, coarse) for rho, coarse, _ in cases], tol)
     rho_b = _lueders_states([(rho, fine) for rho, _, fine in cases], tol)
-    composed = _lueders_states([(a, fine) for a, (_, _, fine) in zip(rho_a, cases)], tol)
-    return [
-        (
-            LineReport(
-                d_total=quantum_relative_entropy(rho, b, tol),
-                d_first=quantum_relative_entropy(rho, a, tol),
-                d_second=quantum_relative_entropy(a, b, tol),
-            ),
-            frobenius(c.matrix - b.matrix),
-        )
-        for (rho, _, _), a, b, c in zip(cases, rho_a, rho_b, composed)
-    ]
+    lines = _line_checks([(rho, coarse._framed(rho.dim), b) for (rho, coarse, _), b in zip(cases, rho_b)], tol)
+    composed = _lueders_states([(a, fine) for (_, a), (_, _, fine) in zip(lines, cases)], tol)
+    return [(report, frobenius(c.matrix - b.matrix)) for (report, _), b, c in zip(lines, rho_b, composed)]
 
 
 def theorem2_check(
@@ -368,37 +380,21 @@ def theorem2_check(
 def _theorem2_checks(cases, tol: Tolerances) -> list[tuple[LineReport, DensityOperator]]:
     """:func:`theorem2_check` of each ``(rho, sigma, basis)`` case.
 
-    Each case in turn has its support check (``d_total``) and its frame
-    checked; then one QR per frame shape completes the kernel of every
-    thin ``sigma``, and one pinching pass builds every middle state.
+    Each case in turn has its frame checked; then one QR per frame shape
+    completes the kernel of every thin ``sigma``, :func:`_line_checks`
+    runs every line, and any case whose ``d_total`` is infinite raises.
     """
-    totals, frames = [], []
-    for rho, sigma, basis in cases:
-        d_total = quantum_relative_entropy(rho, sigma, tol)
-        if not d_total.is_finite:
-            raise SupportViolationError("state support leaks outside the reference support")
-        totals.append(d_total)
-        frames.append(_pinching_frame(sigma, basis, tol))
-
+    frames = [_pinching_frame(sigma, basis, tol) for _, sigma, basis in cases]
     # Completing the kernel keeps rho's mass there; as one block, no choice of its basis moves M.
     thin = [i for i, (v, _) in enumerate(frames) if v.shape[1] < v.shape[0]]
     for i, q in zip(thin, _by_shape(lambda v: np.linalg.qr(v, mode="complete")[0], [frames[i][0] for i in thin])):
         v, labels = frames[i]
         frames[i] = (np.concatenate([v, q[:, v.shape[1] :]], axis=1), labels)
-
     # Rank-1 blocks are read off the diagonal of rho in v; only a kernel of rank >= 2 is solved.
-    middles = _pinched_states([(rho.matrix, *frame) for (rho, _, _), frame in zip(cases, frames)], tol)
-    return [
-        (
-            LineReport(
-                d_total=d_total,
-                d_first=quantum_relative_entropy(rho, middle, tol),
-                d_second=quantum_relative_entropy(middle, sigma, tol),
-            ),
-            middle,
-        )
-        for (rho, sigma, _), d_total, middle in zip(cases, totals, middles)
-    ]
+    lines = _line_checks([(rho, frame, sigma) for (rho, sigma, _), frame in zip(cases, frames)], tol)
+    if not all(report.d_total.is_finite for report, _ in lines):
+        raise SupportViolationError("state support leaks outside the reference support")
+    return lines
 
 
 def _pinching_frame(sigma: DensityOperator, basis: np.ndarray | None, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -371,7 +371,7 @@ def test_corollary_campaigns_solve_each_chunk_once(monkeypatch, identity):
         assert calls.count((dim, dim)) == (trials if dim == 64 else 0)
         assert all(shape[-1] < dim for shape in calls if shape[-2:] != (dim, dim))
         # The Lüders states of a chunk are built in passes (corollary1's
-        # one; corollary2's rho_A, rho_B and composed states), and each
+        # one; corollary2's rho_B, rho_A and composed states), and each
         # pass solves the blocks of one size, across the chunk, in one
         # call, sizes ascending.  At d = 32 a pass holds two trials; at
         # d = 64 one, whose blocks are solved as before, one call per size
@@ -384,7 +384,7 @@ _LUEDERS_BLOCK_CALLS = {
     "corollary1": {2: [], 8: [(13, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 6)], 32: 28, 64: 9},
     "corollary2": {
         2: [],
-        8: [(13, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 6)] + [(12, 2, 2), (4, 3, 3)] * 2,
+        8: [(12, 2, 2), (4, 3, 3)] + [(13, 2, 2), (8, 3, 3), (2, 4, 4), (3, 5, 5), (2, 6, 6)] + [(12, 2, 2), (4, 3, 3)],
         32: 82,
         64: 33,
     },

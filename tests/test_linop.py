@@ -914,6 +914,16 @@ def test_support_containment_boundary_sensitivity(tol):
     assert not support_contained(above, sigma)
 
 
+@pytest.mark.parametrize("factor, contained", [(0.99, True), (1.01, False)])
+def test_support_contained_gate_at_its_bound(tol, factor, contained):
+    # rho = diag(1 - eps, eps) leaks eps out of supp diag(1, 0): contained
+    # at 0.99x tol.supp, not at 1.01x.
+    eps = factor * tol.supp
+    rho, sigma = diag_state(1.0 - eps, eps), diag_state(1.0, 0.0)
+    assert support_leakage(rho, sigma) == pytest.approx(eps, rel=1e-6)
+    assert support_contained(rho, sigma, tol) is contained
+
+
 def test_relative_entropy_decides_support_like_support_contained(tol):
     sigma = pure([1.0, 0.0])
     for leak in (tol.supp / 10, 10 * tol.supp):

@@ -43,8 +43,8 @@ from qrelent import (
     theorem2_check,
     validate_density,
 )
-from qrelent.linop import _check_orthonormal_blocks
-from qrelent.lueders import _refinements, _theorem2_checks, _validated_observables
+from qrelent.linop import _check_orthonormal_blocks, _stack
+from qrelent.lueders import _line_checks, _refinements, _theorem2_checks, _validated_observables
 from helpers import basis_projector, count_kernel_calls, count_solver_calls, diag_state, pure
 
 LN2 = math.log(2.0)
@@ -519,6 +519,57 @@ def test_line_report_with_an_infinite_leg_has_no_residual(leg):
     assert report.all_finite is False
 
 
+# -- the straight line ------------------------------------------------------
+
+
+@given(seed=st.integers(0, 2**31), leak=st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_line_checks_hold_the_parent_identity(seed, leak):
+    # sigma = sum_k w_k V_k S_k V_k^dag over a Haar frame cut into 1 to d
+    # blocks, rank-deficient S_k and zero weights allowed, is fixed by the
+    # pinching E in that frame.  Then S(rho || sigma) = S(rho || E rho) +
+    # S(E rho || sigma): d_first is finite, d_total and d_second are infinite
+    # together (rho and E rho leak the same mass out of the E-invariant
+    # supp sigma), and a finite line closes to round-off.  rho is drawn
+    # inside supp sigma or, when sigma has a kernel and ``leak``, with an
+    # O(1) part in it, far from tol.supp.  The same pinching towards 1/d is
+    # corollary1: d_first is the distance to the Lüders state and
+    # d_total - d_second = S(E rho) - S(rho), the entropy gap.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 12))
+    n = int(rng.integers(1, dim + 1))
+    cuts = np.sort(rng.choice(np.arange(1, dim), n - 1, replace=False))
+    u = haar_unitary(dim, int(rng.integers(2**31)))
+    blocks = [Projector.from_basis(b) for b in np.split(u, cuts, axis=1)]
+    weights = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.1, 1.0, n))
+    weights[0] = weights[0] or 1.0
+    parts = [
+        random_density(b.rank, rank=int(rng.integers(1, b.rank + 1)), seed=int(rng.integers(2**31))) for b in blocks
+    ]
+    sigma = validate_density(
+        sum(w * b.basis @ s.matrix @ b.basis.conj().T for w, b, s in zip(weights / weights.sum(), blocks, parts))
+    )
+    supp = support_projector(sigma)
+    rho = random_state_in_support(supp, int(rng.integers(1, supp.rank + 1)), int(rng.integers(2**31)))
+    leaks = leak and supp.rank < dim
+    if leaks:
+        kernel = Projector.from_basis(np.linalg.qr(supp.basis, mode="complete")[0][:, supp.rank :])
+        outside = random_state_in_support(kernel, int(rng.integers(1, kernel.rank + 1)), int(rng.integers(2**31)))
+        t = rng.uniform(0.1, 0.9)
+        rho = validate_density((1.0 - t) * rho.matrix + t * outside.matrix)
+    frame = _stack(blocks, dim)
+    flat_sigma = validate_density(np.eye(dim) / dim)
+    (line, middle), (flat, _) = _line_checks([(rho, frame, sigma), (rho, frame, flat_sigma)], DEFAULT_TOL)
+    assert line.d_first.is_finite
+    assert line.d_total.is_finite == line.d_second.is_finite == (not leaks)
+    if not leaks:
+        assert line.residual <= 1e-12
+    assert frobenius(middle.matrix - pinch(rho, blocks).matrix) <= 1e-12
+    direct, gap = corollary1_check(rho, ProjectiveObservable.validated(range(n), blocks))
+    assert abs(flat.d_first.value - direct.value) <= 1e-12
+    assert abs(flat.d_total.value - flat.d_second.value - gap) <= 1e-12
+
+
 # -- theorem2_check --------------------------------------------------------
 
 
@@ -538,6 +589,13 @@ def test_theorem2_closed_form_qubit():
 def test_theorem2_raises_on_support_violation():
     with pytest.raises(SupportViolationError):
         theorem2_check(diag_state(0.5, 0.5), pure([1.0, 0.0]))
+
+
+def test_theorem2_checks_its_basis_before_its_support():
+    # The hypothesis is judged on the line's d_total, after every frame:
+    # a leaking rho with a bad basis raises the basis error.
+    with pytest.raises(NotOrthonormalError):
+        theorem2_check(diag_state(0.5, 0.5), pure([1.0, 0.0]), basis=np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 def test_theorem2_degenerate_sigma_multiple_bases(tol):

@@ -110,27 +110,6 @@ def test_summarize_counts_a_pair_with_a_failed_run_as_lost(failure):
     assert out["setup_s"] is None
 
 
-def test_fastest_stages_keep_calls_and_the_least_time_per_trial():
-    # Three runs of one campaign of 4 trials: a stage's calls repeat, and
-    # its time is that of the run where it took least, whichever run that is.
-    runs = {
-        "corollary2": {
-            "4": [
-                {"_frames": [1, 0.4], "_refinements": [2, 0.2]},
-                {"_frames": [1, 0.8], "_refinements": [2, 0.1]},
-                {"_frames": [1, 0.6], "_refinements": [2, 0.3]},
-            ]
-        },
-        "lemma1": {"64": [{}, {}, {}]},
-    }
-    out = record.fastest_stages(runs, trials=4)
-    assert out["corollary2"]["4"] == {
-        "_frames": {"calls": 0.25, "seconds": 0.1},
-        "_refinements": {"calls": 0.5, "seconds": 0.025},
-    }
-    assert out["lemma1"]["64"] == {}
-
-
 def test_pair_ratios_and_summary_divide_by_the_named_reference():
     # compute reads 2x on the head (the change touched it) while the
     # untouched corollary3 reads 1.25x, the drift of the run.

@@ -55,10 +55,25 @@ _BLOCK_POSITIVE = "        _check_positive(w, tol)"
 _PAIRS = "        if set(map(len, entries)) != {2}:"
 _NUMBER_SCAN = "    if guarded:"
 _GUARD = "    return doc, dim, _guarded(raw, len(doc))"
+_SYMMETRIZE = "    return _hermitian_part(m, frobenius(m), tol)"
+_EIGH_SOLVE = "    _check_solve(float(gram_defect), float(recon_sq), frobenius(m), tol)"
+_STATE_POSITIVE = "    _check_positive(w, tol)\n    trace = math.fsum(w.tolist())"
+_STATE_TRACE = "    if not (abs(trace - 1.0) <= tol.trace):"
+_PINCH_MASS = "    if not (1.0 - tol.supp <= kept):"
+_CONTAINED = "    return support_leakage(rho, sigma) <= tol.supp"
+_DECOMPOSE_LEAK = "        if not (leak <= tol.supp):"
+_DECOMPOSE_COHERENCE = "        if not (coherence <= tol.identity):"
+_MISSED_MASS = "    if not (missed_mass <= tol.supp) or not (h_rel.is_finite and avg_rel.is_finite):"
+_PROBS_PSD = "        if not (lowest >= -tol.psd):"
+_PROBS_TRACE = "        if not (abs(total - 1.0) <= tol.trace):"
+_KEPT_LEAK = "    if not (leaked <= tol.supp):"
+_QRE_LEAK = "    if not (leakage <= tol.supp):"
+_LINE_SUPPORT = "    if not all(report.d_total.is_finite for report, _ in lines):"
 _HERM_X10 = "tol.replace(herm=10 * tol.herm))"
 _SOLVE_X10 = "tol.replace(orth=10 * tol.orth, recon=10 * tol.recon))"
 
 _LINOP, _LUEDERS, _MATIO = "src/qrelent/linop.py", "src/qrelent/lueders.py", "src/qrelent/matio.py"
+_MIXING, _ENTROPY = "src/qrelent/mixing.py", "src/qrelent/entropy.py"
 
 
 MUTANTS = (
@@ -100,6 +115,67 @@ MUTANTS = (
     Mutant("decode-pairs-off", _MATIO, _PAIRS, "        if False:"),
     Mutant("decode-number-scan-off", _MATIO, _NUMBER_SCAN, "    if False:"),
     Mutant("decode-guard-off", _MATIO, _GUARD, "    return doc, dim, False"),
+    # validate_density: Hermiticity (symmetrize), the checked eigh's Gram and reconstruction, positivity and trace.
+    Mutant("density-hermiticity-off", _LINOP, _SYMMETRIZE, "    return (m + m.conj().T) / 2.0"),
+    Mutant("density-hermiticity-x10", _LINOP, _SYMMETRIZE, _SYMMETRIZE.replace(" tol)", " " + _HERM_X10)),
+    Mutant("density-gram-off", _LINOP, _EIGH_SOLVE, _EIGH_SOLVE.replace("float(gram_defect)", "0.0")),
+    Mutant("density-gram-x10", _LINOP, _EIGH_SOLVE, _EIGH_SOLVE.replace(" tol)", " tol.replace(orth=10 * tol.orth))")),
+    Mutant("density-recon-off", _LINOP, _EIGH_SOLVE, _EIGH_SOLVE.replace("float(recon_sq)", "0.0")),
+    Mutant(
+        "density-recon-x10",
+        _LINOP,
+        _EIGH_SOLVE,
+        _EIGH_SOLVE.replace(" tol)", " tol.replace(recon=10 * tol.recon))"),
+    ),
+    Mutant(
+        "density-positivity-off",
+        _LINOP,
+        _STATE_POSITIVE,
+        _STATE_POSITIVE.replace("_check_positive(w, tol)", "pass"),
+    ),
+    Mutant(
+        "density-positivity-x10",
+        _LINOP,
+        _STATE_POSITIVE,
+        _STATE_POSITIVE.replace(" tol)", " tol.replace(psd=10 * tol.psd))"),
+    ),
+    Mutant("density-trace-off", _LINOP, _STATE_TRACE, "    if False:"),
+    Mutant("density-trace-x10", _LINOP, _STATE_TRACE, _STATE_TRACE.replace("tol.trace", "10 * tol.trace")),
+    # pinch's mass-loss gate.
+    Mutant("pinch-mass-off", _LINOP, _PINCH_MASS, "    if False:"),
+    Mutant("pinch-mass-x10", _LINOP, _PINCH_MASS, _PINCH_MASS.replace("tol.supp", "10 * tol.supp")),
+    # The support oracle's verdict, and relative entropy's own reading of the leakage.
+    Mutant("support-contained-off", _LINOP, _CONTAINED, "    return True"),
+    Mutant("support-contained-x10", _LINOP, _CONTAINED, _CONTAINED.replace("tol.supp", "10 * tol.supp")),
+    Mutant("relative-entropy-leak-off", _ENTROPY, _QRE_LEAK, "    if False:"),
+    Mutant("relative-entropy-leak-x10", _ENTROPY, _QRE_LEAK, _QRE_LEAK.replace("tol.supp", "10 * tol.supp")),
+    # decompose_by_projectors: mass outside the blocks, and coherence between them.
+    Mutant("decompose-leak-off", _MIXING, _DECOMPOSE_LEAK, "        if False:"),
+    Mutant("decompose-leak-x10", _MIXING, _DECOMPOSE_LEAK, _DECOMPOSE_LEAK.replace("tol.supp", "10 * tol.supp")),
+    Mutant("decompose-coherence-off", _MIXING, _DECOMPOSE_COHERENCE, "        if False:"),
+    Mutant(
+        "decompose-coherence-x10",
+        _MIXING,
+        _DECOMPOSE_COHERENCE,
+        _DECOMPOSE_COHERENCE.replace("tol.identity", "10 * tol.identity"),
+    ),
+    # theorem1's breakdown: rho's mass missed by the supports makes the right side infinite.
+    Mutant(
+        "breakdown-missed-mass-off",
+        _MIXING,
+        _MISSED_MASS,
+        _MISSED_MASS.replace("not (missed_mass <= tol.supp)", "False"),
+    ),
+    Mutant("breakdown-missed-mass-x10", _MIXING, _MISSED_MASS, _MISSED_MASS.replace("tol.supp", "10 * tol.supp")),
+    # ProbabilityVector.validated's psd and trace gates, and H(p||w)'s leak.
+    Mutant("probabilities-psd-off", _ENTROPY, _PROBS_PSD, "        if False:"),
+    Mutant("probabilities-psd-x10", _ENTROPY, _PROBS_PSD, _PROBS_PSD.replace("-tol.psd", "-10 * tol.psd")),
+    Mutant("probabilities-trace-off", _ENTROPY, _PROBS_TRACE, "        if False:"),
+    Mutant("probabilities-trace-x10", _ENTROPY, _PROBS_TRACE, _PROBS_TRACE.replace("tol.trace", "10 * tol.trace")),
+    Mutant("classical-leak-off", _ENTROPY, _KEPT_LEAK, "    if False:"),
+    Mutant("classical-leak-x10", _ENTROPY, _KEPT_LEAK, _KEPT_LEAK.replace("tol.supp", "10 * tol.supp")),
+    # theorem2's hypothesis, judged on each line's d_total after the line pass.
+    Mutant("theorem2-support-off", _LUEDERS, _LINE_SUPPORT, "    if False:"),
 )
 
 
