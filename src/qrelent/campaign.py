@@ -116,7 +116,8 @@ INFINITE_MISMATCH = "infinite-mismatch"
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """What to verify and how hard to try."""
+    """What to verify and how hard to try.  ``include_infinite`` adds
+    support-violating trials to theorem1 and corollary3 only."""
 
     identity: str
     dims: tuple[int, ...] = (2, 3, 4, 8, 16)
@@ -149,7 +150,11 @@ class TrialRecord:
     smallest retained eigenvalue of the trial's reference state (a
     conditioning diagnostic); ``leakage`` is the trace mass of the
     probe state outside the reference support, where a probe state
-    exists.
+    exists.  The reference state is sigma for lemma1, eq3a, theorem1
+    and theorem2, and the Lüders state rho_L for corollary1; the probe
+    is the trial's rho for theorem1, corollary1 and theorem2.  lemma1
+    and eq3a have no probe, and corollary2 and corollary3 record
+    neither, so their fields are ``None``.
     """
 
     identity: str
@@ -175,16 +180,14 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def _min_nonzero_eig(state: DensityOperator) -> float:
-    return float(state.spectrum.eigenvalues[0])
-
-
-# What a trial returns: (lhs finite, rhs finite, residual, min_nonzero_eig,
-# leakage), with residual None unless both sides are finite;
-# ``run_campaign`` turns it into a TrialRecord.  Identities that claim a
-# finite value (corollary1, corollary2, theorem2) pass their claimed
-# side as finite, so any infinity is an infinite-mismatch and fails.
-_Outcome = tuple[bool, bool, float | None, float | None, float | None]
+# What a trial returns: (lhs finite, rhs finite, residual, reference,
+# probe), with residual None unless both sides are finite, and reference
+# and probe the trial's states as TrialRecord names them, or None where
+# the identity has none; ``run_campaign`` turns it into a TrialRecord.
+# Identities that claim a finite value (corollary1, corollary2,
+# theorem2) pass their claimed side as finite, so any infinity is an
+# infinite-mismatch and fails.
+_Outcome = tuple[bool, bool, float | None, DensityOperator | None, DensityOperator | None]
 
 
 def _verdict(lhs_finite: bool, rhs_finite: bool, residual: float | None, tol: Tolerances):
@@ -212,6 +215,10 @@ def _raw_state_in(p: Projector, rank: int, seed: int) -> np.ndarray:
 
 
 def _infinite_slot(cfg: VerifyConfig, trial: int) -> bool:
+    """Whether a theorem1 or corollary3 trial violates the support
+    hypothesis, as every third one does under ``include_infinite``.  No
+    other identity asks: lemma1 and eq3a have no probe, corollary1 and
+    corollary2 cannot leak by construction, and theorem2 raises on a leak."""
     return cfg.include_infinite and trial % 3 == 2
 
 
@@ -252,18 +259,17 @@ def _mixture_chunk(
 
 
 def _chunk_lemma1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
-    out = []
-    for _, d in _mixture_chunk(cfg, dim, trials, rngs):
-        residual = frobenius(_spectral_log(d.sigma.spectrum) - lemma1_log_decomposition(d))
-        out.append((True, True, residual, _min_nonzero_eig(d.sigma), None))
-    return out
+    return [
+        (True, True, frobenius(_spectral_log(d.sigma.spectrum) - lemma1_log_decomposition(d)), d.sigma, None)
+        for _, d in _mixture_chunk(cfg, dim, trials, rngs)
+    ]
 
 
 def _chunk_eq3a(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
     out = []
     for _, d in _mixture_chunk(cfg, dim, trials, rngs):
         lhs, rhs = entropy_mixing_identity(d)
-        out.append((True, True, abs(lhs - rhs), _min_nonzero_eig(d.sigma), None))
+        out.append((True, True, abs(lhs - rhs), d.sigma, None))
     return out
 
 
@@ -294,18 +300,10 @@ def _chunk_theorem1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
             supp = populated[int(rng.integers(0, len(populated)))]
         draws.append((_raw_density(supp.rank, min(rank, supp.rank), _sub_seed(rng)), supp.basis))
     cases = [(rho, d) for (_, d), rho in zip(fixtures, _lifted_states(draws, tol))]
-    out = []
-    for (rho, d), bd in zip(cases, _breakdowns(cases, tol)):
-        out.append(
-            (
-                bd.total_lhs.is_finite,
-                bd.total_rhs.is_finite,
-                bd.residual,
-                _min_nonzero_eig(d.sigma),
-                support_leakage(rho, d.sigma),
-            )
-        )
-    return out
+    return [
+        (bd.total_lhs.is_finite, bd.total_rhs.is_finite, bd.residual, d.sigma, rho)
+        for (rho, d), bd in zip(cases, _breakdowns(cases, tol))
+    ]
 
 
 def _probes(cfg: VerifyConfig, dim: int, rngs: list[np.random.Generator]) -> list[DensityOperator]:
@@ -319,11 +317,10 @@ def _chunk_corollary1(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.
     frames = _frames(cfg, dim, rngs)
     rhos = _probes(cfg, dim, rngs)
     observables = _validated_observables([(range(len(blocks)), blocks) for blocks in frames], tol)
-    out = []
-    for rho, (direct, gap, rho_l) in zip(rhos, _corollary1_checks(list(zip(rhos, observables)), tol)):
-        residual = abs(direct.value - gap) if direct.is_finite else None
-        out.append((direct.is_finite, True, residual, _min_nonzero_eig(rho_l), support_leakage(rho, rho_l)))
-    return out
+    return [
+        (direct.is_finite, True, abs(direct.value - gap) if direct.is_finite else None, rho_l, rho)
+        for rho, (direct, gap, rho_l) in zip(rhos, _corollary1_checks(list(zip(rhos, observables)), tol))
+    ]
 
 
 def _chunk_corollary2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.random.Generator]) -> list[_Outcome]:
@@ -404,10 +401,10 @@ def _chunk_theorem2(cfg: VerifyConfig, dim: int, trials: range, rngs: list[np.ra
     for rng, p in zip(rngs, map(support_projector, sigmas)):
         draws.append((_raw_density(p.rank, int(rng.integers(1, p.rank + 1)), _sub_seed(rng)), p.basis))
     cases = [(rho, sigma, None) for sigma, rho in zip(sigmas, _lifted_states(draws, tol))]
-    out = []
-    for (rho, sigma, _), (report, _middle) in zip(cases, _theorem2_checks(cases, tol)):
-        out.append((report.all_finite, True, report.residual, _min_nonzero_eig(sigma), support_leakage(rho, sigma)))
-    return out
+    return [
+        (report.all_finite, True, report.residual, sigma, rho)
+        for (rho, sigma, _), (report, _middle) in zip(cases, _theorem2_checks(cases, tol))
+    ]
 
 
 # A chunk function takes the configuration, the dimension, a range of
@@ -459,8 +456,10 @@ def run_campaign(config: VerifyConfig) -> CampaignResult:
             except QrelentError as exc:
                 span = f"trial {first}" if len(trials) == 1 else f"trials {first}-{trials[-1]}"
                 raise type(exc)(f"{config.identity} d={dim} {span} (seed {config.seed}): {exc}") from exc
-            for t, seed, (lhs_finite, rhs_finite, residual, min_eig, leakage) in zip(trials, seeds, outcomes):
+            for t, seed, (lhs_finite, rhs_finite, residual, reference, probe) in zip(trials, seeds, outcomes):
                 residual, passed = _verdict(lhs_finite, rhs_finite, residual, config.tol)
+                min_eig = None if reference is None else float(reference.spectrum.eigenvalues[0])
+                leakage = None if probe is None else support_leakage(probe, reference)
                 records.append(TrialRecord(config.identity, dim, t, seed, residual, min_eig, leakage, passed))
     wall = time.perf_counter() - start
 

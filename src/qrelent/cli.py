@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-infinite",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="include support-violating trials that must agree on +inf",
+        help="every third theorem1 or corollary3 trial violates the support hypothesis and must agree on +inf",
     )
     p_verify.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; any value >= 1 runs serially"

@@ -34,7 +34,6 @@ from .linop import (
     Tolerances,
     frobenius,
     _by_shape,
-    _check_mutually_orthogonal,
     _check_overlaps,
     _frame_grams,
     _groups,

@@ -157,7 +157,6 @@ def test_lueders_state_does_not_recheck_orthogonality(monkeypatch):
         raise AssertionError("orthogonality re-checked")
 
     monkeypatch.setattr(qrelent.linop, "_check_mutually_orthogonal", spy)
-    monkeypatch.setattr(qrelent.lueders, "_check_mutually_orthogonal", spy)
     out = lueders_state(rho, obs)
     assert frobenius(out.matrix - expected.matrix) <= 1e-15
     assert checked == []
